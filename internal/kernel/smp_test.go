@@ -2,7 +2,12 @@ package kernel
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,41 +40,101 @@ func timelineCSV(t *testing.T, cfg Config) []byte {
 	return buf.Bytes()
 }
 
-// TestUniprocessorEquivalence pins the SMP generalization's central
-// promise: at CPUs == 1, every kernel mode — clean and under faults —
-// takes exactly the pre-SMP code paths. An explicit CPUs: 1 timeline
-// must be byte-identical to the default-config one, and its schema
-// must contain none of the SMP-only columns (per-core CPUs, locks).
-// The committed golden figure digests (testdata/golden-figures.json,
-// generated before the SMP change) pin the same property across the
-// whole figure suite.
-func TestUniprocessorEquivalence(t *testing.T) {
+// timelineDigestPath holds the SHA-256 of every timeline the digest
+// tests below render, keyed "mode/cpusN/scenario". The table was
+// generated while the uniprocessor and SMP kernels were still separate
+// code, so it pins that merging them changed no output at any core
+// count. When a change is supposed to move timelines, regenerate with
+//
+//	REGEN_TIMELINE_DIGESTS=1 go test -run 'TestUniprocessorEquivalence|TestSMPTimelineDigests' ./internal/kernel
+//
+// and commit the updated JSON alongside the change, mirroring
+// REGEN_GOLDEN in the root package.
+const timelineDigestPath = "testdata/timeline-digests.json"
+
+// checkTimelineDigests renders the timeline of every smpModes arm under
+// every fault scenario at n CPUs and compares its SHA-256 against the
+// pinned table (or, under REGEN_TIMELINE_DIGESTS, records it). check,
+// when non-nil, inspects each CSV as well.
+func checkTimelineDigests(t *testing.T, n int, sub func(mode, sc string) string, check func(t *testing.T, csv []byte)) {
+	t.Helper()
+	regen := os.Getenv("REGEN_TIMELINE_DIGESTS") != ""
+	want := map[string]string{}
+	if blob, err := os.ReadFile(timelineDigestPath); err == nil {
+		if err := json.Unmarshal(blob, &want); err != nil {
+			t.Fatalf("corrupt %s: %v", timelineDigestPath, err)
+		}
+	} else if !regen {
+		t.Fatalf("missing timeline digests (run with REGEN_TIMELINE_DIGESTS=1): %v", err)
+	}
 	for _, m := range smpModes {
 		for _, sc := range faultScenarios {
-			t.Run(m.name+"/"+sc.name, func(t *testing.T) {
-				base := m.cfg
-				base.Seed = 7
-				base.Fault = sc.cfg
-				explicit := base
-				explicit.CPUs = 1
-				got := timelineCSV(t, explicit)
-				want := timelineCSV(t, base)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("CPUs:1 timeline differs from default (%d vs %d bytes)", len(got), len(want))
+			key := fmt.Sprintf("%s/cpus%d/%s", m.name, n, sc.name)
+			t.Run(sub(m.name, sc.name), func(t *testing.T) {
+				cfg := m.cfg
+				cfg.Seed = 7
+				cfg.Fault = sc.cfg
+				cfg.CPUs = n
+				csv := timelineCSV(t, cfg)
+				if check != nil {
+					check(t, csv)
 				}
-				// No SMP-only columns may appear: per-core CPU blocks
-				// ("cpu1."...) or FairLock stats ("lock.ipintrq."...).
-				// Note cpu.center.lock.util legitimately exists at any
-				// core count (the CenterLock column is zero here), so
-				// match column prefixes, not substrings.
-				header := string(got[:bytes.IndexByte(got, '\n')])
-				for _, col := range strings.Split(header, ",") {
-					if strings.HasPrefix(col, "cpu1.") || strings.HasPrefix(col, "lock.") {
-						t.Fatalf("uniprocessor timeline leaked SMP column %q", col)
-					}
+				sum := sha256.Sum256(csv)
+				got := hex.EncodeToString(sum[:])
+				if regen {
+					want[key] = got
+					return
+				}
+				if want[key] != got {
+					t.Fatalf("%s timeline digest %s, pinned %s", key, got, want[key])
 				}
 			})
 		}
+	}
+	if regen {
+		blob, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(timelineDigestPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(timelineDigestPath, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUniprocessorEquivalence pins the N=1 contract (DESIGN.md §11):
+// at CPUs == 1 every kernel mode, clean and under faults, renders the
+// timeline pinned in testdata/timeline-digests.json byte for byte, and
+// its schema contains none of the SMP-only columns (per-core CPUs,
+// locks). The committed golden figure digests
+// (testdata/golden-figures.json) pin the same property across the
+// whole figure suite.
+func TestUniprocessorEquivalence(t *testing.T) {
+	sub := func(mode, sc string) string { return mode + "/" + sc }
+	checkTimelineDigests(t, 1, sub, func(t *testing.T, csv []byte) {
+		// No SMP-only columns may appear: per-core CPU blocks
+		// ("cpu1."...) or FairLock stats ("lock.ipintrq."...). Note
+		// cpu.center.lock.util legitimately exists at any core count
+		// (the CenterLock column is zero here), so match column
+		// prefixes, not substrings.
+		header := string(csv[:bytes.IndexByte(csv, '\n')])
+		for _, col := range strings.Split(header, ",") {
+			if strings.HasPrefix(col, "cpu1.") || strings.HasPrefix(col, "lock.") {
+				t.Fatalf("uniprocessor timeline leaked SMP column %q", col)
+			}
+		}
+	})
+}
+
+// TestSMPTimelineDigests holds every kernel mode's timeline at 2 and 4
+// CPUs, clean and under faults, to the pinned digest table.
+func TestSMPTimelineDigests(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		sub := func(mode, sc string) string { return fmt.Sprintf("%s/cpus%d/%s", mode, n, sc) }
+		checkTimelineDigests(t, n, sub, nil)
 	}
 }
 
