@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lkvet bench bench-baseline bench-full figures plots examples cover fuzz explore clean
+.PHONY: all build test vet lint lkvet bench bench-baseline bench-full perfbench-test figures plots examples cover fuzz explore clean
 
 all: build vet test
 
@@ -49,6 +49,13 @@ bench-baseline:
 # The full benchmark suite (figure sweeps, ablations, microbenches).
 bench-full:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# The host-cost benchmark's own tests (perfbench/ is its own module, so
+# the tier-1 `go test ./...` does not reach it): in short mode every
+# workload runs in both modes and must report exactly BENCHMARK.json's
+# metrics, zero failed operations, and its pinned output digests.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # Regenerate every figure from the paper's evaluation.
 figures:

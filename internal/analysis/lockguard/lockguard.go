@@ -4,31 +4,39 @@
 // must acquire locks in one global order.
 //
 // The discipline the pass checks is the one the cpu package implements.
-// A critical section is the commit fn of Task.PostLocked(lock, ...): it
-// runs atomically at unlock, logically under the lock. A context
-// therefore "holds" a lock when it is
+// A critical section is the commit fn of Task.PostLocked(lock, ...), or
+// of Task.PostLockedTail(lock, ...), whose fn runs as the locked tail
+// of a split cost: it runs atomically at unlock, logically under the
+// lock. A context therefore "holds" a lock when it is
 //
-//   - the fn literal passed directly to Task.PostLocked — it holds the
-//     lock named by the first argument's final identifier;
+//   - the fn literal passed directly to Task.PostLocked or
+//     Task.PostLockedTail — it holds the lock named by the first
+//     argument's final identifier;
 //   - a function declared //lkvet:requires <lock> — its callers are
 //     checked instead (the annotation is the interprocedural joint);
 //   - a fn literal carrying its own //lkvet:requires comment on the
 //     line above or the same line (for closures installed as callbacks
-//     that the dispatcher runs under a lock).
+//     that the dispatcher runs under a lock);
+//   - a branch that runs only while the lock is nil: the body of
+//     `if l == nil && ...`, or the else of `if l != nil || ...`, where l
+//     is a *cpu.FairLock. A kernel creates its locks only when it runs
+//     more than one CPU, so a nil lock means nothing shares the state it
+//     would guard — the same reading PostLockedTail gives a nil lock,
+//     whose fn then runs as one plain item.
 //
-// The virtual lock "boot" names a fully-serialized context — router
-// construction, the uniprocessor kernel paths (locks do not exist at
-// CPUs == 1), and post-run auditing. Holding boot satisfies every
-// guard; a //lkvet:requires boot function may in turn only be called
-// from boot contexts. Contexts never inherit held locks lexically: a
-// literal passed to Post/PostCenter runs later, unlocked, and a stashed
-// closure runs wherever its caller pleases, so each gets the empty held
-// set unless annotated.
+// The virtual lock "boot" names a fully-serialized context: constructors,
+// harness entry points that own the engine, and observers that run
+// between engine steps. Holding boot satisfies every guard; a
+// //lkvet:requires boot function may in turn only be called from boot
+// contexts. Contexts never inherit held locks lexically: a literal
+// passed to Post/PostCenter runs later, unlocked, and a stashed closure
+// runs wherever its caller pleases, so each gets the empty held set
+// unless annotated.
 //
-// The pass also builds a static lock-order graph: PostLocked(B) issued
-// from a context holding A — directly, or anywhere in the same-package
-// synchronous call tree (depth-bounded) — is a nested acquisition
-// A -> B. Any edge that closes a cycle is reported: the cycle is a
+// The pass also builds a static lock-order graph: PostLocked(B) or
+// PostLockedTail(B) issued from a context holding A — directly, or
+// anywhere in the same-package synchronous call tree (depth-bounded) —
+// is a nested acquisition A -> B. Any edge that closes a cycle is reported: the cycle is a
 // deadlock some schedule can reach even if no committed seed does. The
 // runtime half (cpu.Lockdep) derives the same graph from executions, so
 // the two layers cross-check.
@@ -99,7 +107,7 @@ type checker struct {
 	guards   map[types.Object]string // guarded field/var -> lock name
 	what     map[types.Object]token.Position
 	requires map[*types.Func][]string
-	litHeld  map[*ast.FuncLit][]string // dispatch fn args: PostLocked lock, or nil for Post/PostCenter
+	litHeld  map[*ast.FuncLit][]string // dispatch fn args: PostLocked/PostLockedTail lock, or nil for Post/PostCenter
 	decls    map[*types.Func]*ast.FuncDecl
 
 	guardsAt   map[lineKey]*ann
@@ -248,8 +256,9 @@ func (c *checker) bindAnnotations() {
 }
 
 // indexDispatchLiterals records the held set of every fn literal passed
-// directly to a Task dispatch call: PostLocked's fn holds the lock
-// named by the first argument; Post/PostCenter fns run later, unlocked.
+// directly to a Task dispatch call: a PostLocked or PostLockedTail fn
+// holds the lock named by the first argument; Post/PostCenter fns run
+// later, unlocked.
 func (c *checker) indexDispatchLiterals() {
 	for _, f := range c.pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -258,12 +267,11 @@ func (c *checker) indexDispatchLiterals() {
 				return true
 			}
 			fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
-			var fnArg ast.Expr
 			var held []string
+			lock, fnArg := lockedPost(fn, call)
 			switch {
-			case analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4:
-				fnArg = call.Args[3]
-				if name := lockName(call.Args[0]); name != "" {
+			case lock != nil:
+				if name := lockName(lock); name != "" {
 					held = []string{name}
 				}
 			case analysis.IsMethod(fn, cpuPath, "Task", "Post") && len(call.Args) == 2:
@@ -279,6 +287,20 @@ func (c *checker) indexDispatchLiterals() {
 			return true
 		})
 	}
+}
+
+// lockedPost returns the lock and fn arguments of a critical-section
+// dispatch — Task.PostLocked(l, cost, center, fn) or
+// Task.PostLockedTail(l, cost, tail, center, fn) — or nils for any
+// other call.
+func lockedPost(fn *types.Func, call *ast.CallExpr) (lock, fnArg ast.Expr) {
+	switch {
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4:
+		return call.Args[0], call.Args[3]
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostLockedTail") && len(call.Args) == 5:
+		return call.Args[0], call.Args[4]
+	}
+	return nil, nil
 }
 
 // lockName is the static identity of a lock expression: its final
@@ -305,6 +327,45 @@ func holds(held []string, lock string) bool {
 	return false
 }
 
+// nilLocks returns the locks an if condition proves nil: with op EQL,
+// those tested `l == nil` in a chain of && (nil when the body runs);
+// with op NEQ, those tested `l != nil` in a chain of || (nil when the
+// else runs). Only *cpu.FairLock operands count.
+func (c *checker) nilLocks(cond ast.Expr, op token.Token) []string {
+	e, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return nil
+	}
+	chain := token.LAND
+	if op == token.NEQ {
+		chain = token.LOR
+	}
+	switch {
+	case e.Op == chain:
+		return append(c.nilLocks(e.X, op), c.nilLocks(e.Y, op)...)
+	case e.Op == op && c.isNil(e.Y) && c.isFairLock(e.X):
+		if name := lockName(e.X); name != "" {
+			return []string{name}
+		}
+	}
+	return nil
+}
+
+func (c *checker) isNil(e ast.Expr) bool {
+	tv, ok := c.pass.TypesInfo.Types[e]
+	return ok && tv.IsNil()
+}
+
+func (c *checker) isFairLock(e ast.Expr) bool {
+	ptr, ok := c.pass.TypesInfo.TypeOf(e).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "FairLock" &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == cpuPath
+}
+
 func heldString(held []string) string {
 	if len(held) == 0 {
 		return "none"
@@ -325,6 +386,16 @@ func (c *checker) walkContext(node ast.Node, held []string) {
 				litHeld = append(litHeld, a.locks...)
 			}
 			c.walkContext(n.Body, litHeld)
+			return false
+		case *ast.IfStmt:
+			if n.Init != nil {
+				c.walkContext(n.Init, held)
+			}
+			c.walkContext(n.Cond, held)
+			c.walkContext(n.Body, append(c.nilLocks(n.Cond, token.EQL), held...))
+			if n.Else != nil {
+				c.walkContext(n.Else, append(c.nilLocks(n.Cond, token.NEQ), held...))
+			}
 			return false
 		case *ast.Ident:
 			if obj := c.pass.TypesInfo.Uses[n]; obj != nil {
@@ -348,8 +419,8 @@ func (c *checker) checkCall(call *ast.CallExpr, held []string) {
 	if fn == nil {
 		return
 	}
-	if analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4 {
-		if to := lockName(call.Args[0]); to != "" {
+	if lock, _ := lockedPost(fn, call); lock != nil {
+		if to := lockName(lock); to != "" {
 			for _, from := range held {
 				if from != Boot && from != to {
 					c.addEdge(from, to, call.Pos())
@@ -372,7 +443,7 @@ func (c *checker) checkCall(call *ast.CallExpr, held []string) {
 }
 
 // walkForPosts descends the same-package synchronous call tree of fn
-// looking for PostLocked calls, recording them as order edges from the
+// looking for PostLocked/PostLockedTail calls, recording them as order edges from the
 // caller's held locks. Fn-literal subtrees are skipped: literals there
 // are dispatch arguments or stashed callbacks, both deferred.
 func (c *checker) walkForPosts(fn *types.Func, held []string, at token.Pos, depth int, visited map[*types.Func]bool) {
@@ -396,8 +467,8 @@ func (c *checker) walkForPosts(fn *types.Func, held []string, at token.Pos, dept
 		if callee == nil {
 			return true
 		}
-		if analysis.IsMethod(callee, cpuPath, "Task", "PostLocked") && len(call.Args) == 4 {
-			if to := lockName(call.Args[0]); to != "" {
+		if lock, _ := lockedPost(callee, call); lock != nil {
+			if to := lockName(lock); to != "" {
 				for _, from := range held {
 					if from != Boot && from != to {
 						c.addEdge(from, to, at)

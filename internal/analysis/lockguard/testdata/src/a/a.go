@@ -20,6 +20,7 @@ type state struct {
 	task    *cpu.Task
 	tblLock *cpu.FairLock
 	qLock   *cpu.FairLock
+	auxLock *cpu.FairLock
 }
 
 //lkvet:guards tblLock
@@ -65,6 +66,48 @@ func propagation(s *state) {
 	setup(s)         // want `call to setup requires "boot" \(held: none\)`
 	s.task.PostLocked(s.tblLock, op, prov.CenterIPInput, func() {
 		setup(s) // want `call to setup requires "boot" \(held: tblLock\)`
+	})
+}
+
+// tail: a PostLockedTail fn is the locked tail of a split cost and
+// holds its lock exactly like a PostLocked fn.
+func tail(s *state) {
+	s.task.PostLockedTail(s.tblLock, op, op, prov.CenterIPInput, func() {
+		s.table[6] = 6
+		touchRequired(s)
+		s.q = nil // want `guarded state q requires "qLock" \(held: tblLock\)`
+	})
+}
+
+// nilBranches: a branch that runs only while a lock is nil holds it —
+// a nil lock means one CPU, so nothing shares the state it guards.
+func nilBranches(s *state) {
+	if s.tblLock == nil {
+		s.table[7] = 7
+		s.q = nil // want `guarded state q requires "qLock" \(held: tblLock\)`
+	}
+	if s.qLock != nil {
+		s.q = nil // want `guarded state q requires "qLock" \(held: none\)`
+	} else {
+		s.q = nil
+	}
+	if s.tblLock == nil && s.qLock == nil {
+		s.table[8] = 8
+		s.q = nil
+	}
+	if s.tblLock == nil || s.qLock == nil {
+		s.q = nil // want `guarded state q requires "qLock" \(held: none\)`
+	}
+}
+
+// tailOrder: PostLockedTail both holds (its fn) and acquires (the call)
+// a lock for the lock-order graph; the second nesting inverts the first.
+func tailOrder(s *state) {
+	s.task.PostLockedTail(s.tblLock, op, op, prov.CenterIPInput, func() {
+		s.task.PostLockedTail(s.auxLock, op, op, prov.CenterIPInput, nil)
+	})
+	s.task.PostLockedTail(s.auxLock, op, op, prov.CenterIPInput, func() {
+		s.task.PostLocked(s.tblLock, op, prov.CenterIPInput, nil) // want `lock-order cycle: acquiring "tblLock" while holding "auxLock"`
 	})
 }
 

@@ -60,11 +60,15 @@ func zeroPost(m *model) {
 }
 
 func zeroPostVariants(m *model) {
-	m.task.PostCenter(0, prov.CenterIPInput, m.work)         // want `Task\.PostCenter with zero cost`
-	m.task.PostCenter(0, prov.CenterIPInput, nil)            // fine: nil fn sequences bookkeeping
-	m.task.PostCenter(3, prov.CenterIPInput, m.work)         // fine: real cost
-	m.task.PostLocked(m.lock, 0, prov.CenterIPInput, m.work) // want `Task\.PostLocked with zero cost`
-	m.task.PostLocked(m.lock, 3, prov.CenterIPInput, m.work) // fine: real cost
+	m.task.PostCenter(0, prov.CenterIPInput, m.work)                // want `Task\.PostCenter with zero cost`
+	m.task.PostCenter(0, prov.CenterIPInput, nil)                   // fine: nil fn sequences bookkeeping
+	m.task.PostCenter(3, prov.CenterIPInput, m.work)                // fine: real cost
+	m.task.PostLocked(m.lock, 0, prov.CenterIPInput, m.work)        // want `Task\.PostLocked with zero cost`
+	m.task.PostLocked(m.lock, 3, prov.CenterIPInput, m.work)        // fine: real cost
+	m.task.PostLockedTail(m.lock, 0, 1, prov.CenterIPInput, m.work) // want `Task\.PostLockedTail with zero cost`
+	m.task.PostLockedTail(m.lock, 0, 1, prov.CenterIPInput, nil)    // fine: nil fn sequences bookkeeping
+	m.task.PostLockedTail(m.lock, 3, 1, prov.CenterIPInput, m.work) // fine: real cost
+	m.task.PostLockedTail(nil, 3, 1, prov.CenterIPInput, m.work)    // fine: one plain item of the real cost
 }
 
 // chargedCenterTick and chargedLockedTick reach the CPU only through
@@ -82,9 +86,18 @@ func chargedLockedTick(a, b any) {
 	m.eng.AfterCall(7, chargedLockedTick, m, nil)
 }
 
+// chargedTailTick reaches the CPU only through PostLockedTail, which
+// charges its body, spin and tail.
+func chargedTailTick(a, b any) {
+	m := a.(*model)
+	m.task.PostLockedTail(m.lock, 3, 1, prov.CenterIPInput, nil)
+	m.eng.AfterCall(7, chargedTailTick, m, nil)
+}
+
 func startSMP(m *model) {
 	m.eng.AfterCall(7, chargedCenterTick, m, nil) // fine: PostCenter charges
 	m.eng.AfterCall(7, chargedLockedTick, m, nil) // fine: PostLocked charges spin and hold
+	m.eng.AfterCall(7, chargedTailTick, m, nil)   // fine: PostLockedTail charges body, spin and tail
 }
 
 func hooks(c *cpu.CPU, m *model) {

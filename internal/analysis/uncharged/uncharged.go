@@ -5,8 +5,8 @@
 // that slips past the accounting quietly falsifies every utilization and
 // starvation figure. The pass flags:
 //
-//   - Task.Post — or its dispatch variants PostCenter and PostLocked —
-//     with a constant zero cost and a non-nil action: the work item runs
+//   - Task.Post — or its dispatch variants PostCenter, PostLocked and
+//     PostLockedTail — with a constant zero cost and a non-nil action: the work item runs
 //     but charges nothing;
 //   - run hooks (CPU.SetRunHook) that re-enter the CPU via Task.Post,
 //     which the cpu package documents as forbidden;
@@ -74,6 +74,8 @@ func run(pass *analysis.Pass) error {
 				checkZeroPost(pass, call, "PostCenter", call.Args[0], call.Args[2])
 			case analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4:
 				checkZeroPost(pass, call, "PostLocked", call.Args[1], call.Args[3])
+			case analysis.IsMethod(fn, cpuPath, "Task", "PostLockedTail") && len(call.Args) == 5:
+				checkZeroPost(pass, call, "PostLockedTail", call.Args[1], call.Args[4])
 			case analysis.IsMethod(fn, cpuPath, "CPU", "SetRunHook") && len(call.Args) == 1:
 				checkRunHook(pass, call, decls)
 			case fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == simPath &&
@@ -107,7 +109,8 @@ func isScheduling(fn *types.Func) bool {
 // whose action is non-nil: the action runs without consuming any
 // simulated CPU. The cost and action sit at different argument
 // positions per variant (Post(cost, fn), PostCenter(cost, center, fn),
-// PostLocked(lock, cost, center, fn)), so callers pass them explicitly.
+// PostLocked(lock, cost, center, fn), PostLockedTail(lock, cost, tail,
+// center, fn)), so callers pass them explicitly.
 func checkZeroPost(pass *analysis.Pass, call *ast.CallExpr, method string, costArg, fnArg ast.Expr) {
 	costTV, ok := pass.TypesInfo.Types[costArg]
 	if !ok || costTV.Value == nil || constant.Sign(costTV.Value) != 0 {
@@ -205,13 +208,15 @@ func calleeObj(pass *analysis.Pass, expr ast.Expr) *types.Func {
 }
 
 // isTaskPost reports whether fn is any cpu.Task dispatch variant that
-// charges cycles: Post, PostCenter (explicit cost center), or
-// PostLocked (critical section — spin and hold are both charged). The
-// per-core SMP paths dispatch almost exclusively through the latter
-// two, so a walker that only knew Post would flag them as free.
+// charges cycles: Post, PostCenter (explicit cost center), PostLocked
+// (critical section — spin and hold are both charged), or
+// PostLockedTail (a cost split into an unlocked body and a locked
+// tail). The kernel's per-packet paths dispatch almost exclusively
+// through the latter three, so a walker that only knew Post would flag
+// them as free.
 func isTaskPost(fn *types.Func) bool {
 	switch fn.Name() {
-	case "Post", "PostCenter", "PostLocked":
+	case "Post", "PostCenter", "PostLocked", "PostLockedTail":
 		return analysis.IsMethod(fn, cpuPath, "Task", fn.Name())
 	}
 	return false

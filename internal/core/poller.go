@@ -49,9 +49,10 @@ type Device struct {
 
 	// Lock, when non-nil (SMP), serializes each step's commit: the
 	// final LockedTail of the step's cost runs as a FairLock critical
-	// section and the commit executes at its end. The lock hold is
-	// carved out of the step's cost, not added to it, so a single-CPU
-	// or uncontended run spends exactly the same cycles per step.
+	// section and the commit executes at its end (cpu.Task.
+	// PostLockedTail). The lock hold is carved out of the step's cost,
+	// not added to it, so a single-CPU or uncontended run spends exactly
+	// the same cycles per step.
 	Lock       *cpu.FairLock
 	LockedTail sim.Duration
 }
@@ -85,6 +86,8 @@ type Poller struct {
 
 	scheduled bool
 	running   bool
+	// schedule is Schedule bound once, for interrupt handlers to post.
+	schedule func()
 
 	// Round state.
 	devIdx    int
@@ -134,6 +137,7 @@ func newPoller(eng *sim.Engine, c *cpu.CPU, name, rounds, wakeups, rx, tx string
 	// overhead; the packet work its callbacks do is re-attributed per
 	// step below.
 	p.task.SetCenter(prov.CenterPollOverhead)
+	p.schedule = p.Schedule
 	return p
 }
 
@@ -167,6 +171,10 @@ func (p *Poller) QuotaUsed() int { return p.usedQuota }
 // Quota returns the configured per-visit packet quota (zero or
 // negative means unlimited).
 func (p *Poller) Quota() int { return p.cfg.Quota }
+
+// ScheduleFunc returns Schedule as a func value bound once per poller,
+// so an interrupt handler can post it without allocating.
+func (p *Poller) ScheduleFunc() func() { return p.schedule }
 
 // Schedule makes the polling thread runnable, if it is not already. This
 // is everything an interrupt handler does in the modified kernel (§6.4:
@@ -234,23 +242,7 @@ func (p *Poller) step() {
 				if p.doingTx {
 					center = prov.CenterOutput
 				}
-				if dev.Lock != nil {
-					tail := dev.LockedTail
-					if tail > cost {
-						tail = cost
-					}
-					if cost > tail {
-						p.task.PostCenter(cost-tail, center, nil)
-					}
-					p.task.PostLocked(dev.Lock, tail, center, func() {
-						if commit != nil {
-							commit()
-						}
-						p.step()
-					})
-					return
-				}
-				p.task.PostCenter(cost, center, func() {
+				p.task.PostLockedTail(dev.Lock, cost, dev.LockedTail, center, func() {
 					if commit != nil {
 						commit()
 					}

@@ -221,6 +221,26 @@ func (t *Task) PostLocked(l *FairLock, cost sim.Duration, center prov.Center, fn
 	c.reschedule()
 }
 
+// PostLockedTail posts one per-packet cost whose final tail touches
+// state guarded by l. With a nil lock (a uniprocessor kernel creates
+// none) it is exactly PostCenter(cost, center, fn): one item. With a
+// lock it posts an unlocked body of cost−tail, then PostLocked(l, tail,
+// center, fn). The tail is clamped to cost, so the total charged is
+// always cost — SMP adds only spin, charged to prov.CenterLock.
+func (t *Task) PostLockedTail(l *FairLock, cost, tail sim.Duration, center prov.Center, fn func()) {
+	if l == nil {
+		t.PostCenter(cost, center, fn)
+		return
+	}
+	if tail > cost {
+		tail = cost
+	}
+	if cost > tail {
+		t.PostCenter(cost-tail, center, nil)
+	}
+	t.PostLocked(l, tail, center, fn)
+}
+
 func (t *Task) popItem() workItem {
 	it := t.items[t.head]
 	t.items[t.head] = workItem{}

@@ -191,3 +191,101 @@ func TestLockedItemBlocksPreemption(t *testing.T) {
 		t.Fatalf("cycle ledger unbalanced: %v", err)
 	}
 }
+
+// TestPostLockedTailNilLock pins the uniprocessor half of the split
+// rule: with no lock, PostLockedTail is one plain item of the full cost
+// — one dispatch, fn run once at its end, nothing charged to
+// CenterLock.
+func TestPostLockedTailNilLock(t *testing.T) {
+	eng, c := newCPU()
+	task := c.NewTask("a", IPLThread, 0, ClassKernel)
+	var runs int
+	done := sim.Time(-1)
+	task.PostLockedTail(nil, 30*us, 3*us, prov.CenterIPInput, func() {
+		runs++
+		done = eng.Now()
+	})
+	if got := task.Pending(); got != 1 {
+		t.Fatalf("pending items = %d, want 1", got)
+	}
+	eng.Run(sim.Time(sim.Second))
+
+	if runs != 1 || done != sim.Time(30*us) {
+		t.Fatalf("fn ran %d time(s), last at %v; want once at 30µs", runs, done)
+	}
+	if c.Dispatches() != 1 {
+		t.Fatalf("dispatches = %d, want 1", c.Dispatches())
+	}
+	if got := c.CenterTime(prov.CenterIPInput); got != 30*us {
+		t.Fatalf("charged %v to ip-input, want 30µs", got)
+	}
+	if got := c.CenterTime(prov.CenterLock); got != 0 {
+		t.Fatalf("CenterLock time = %v, want 0", got)
+	}
+}
+
+// TestPostLockedTailSplit runs the SMP half under contention: each
+// core's cost splits into an unlocked body and a locked tail, the
+// configured cost lands on the item's center, and the only extra time
+// — the second core's spin — lands on CenterLock.
+func TestPostLockedTailSplit(t *testing.T) {
+	eng := sim.NewEngine()
+	sys := NewSystem(eng, 2)
+	l := NewFairLock("l")
+	const cost, tail = 20 * us, 5 * us
+
+	ends := make([]sim.Time, 2)
+	for i := 0; i < 2; i++ {
+		i := i
+		task := sys.CPU(i).NewTask("t", IPLThread, 0, ClassKernel)
+		task.PostLockedTail(l, cost, tail, prov.CenterIPInput, func() { ends[i] = eng.Now() })
+		if got := task.Pending(); got != 2 {
+			t.Fatalf("core %d pending items = %d, want body + tail", i, got)
+		}
+	}
+	eng.Run(sim.Time(sim.Second))
+
+	// Both bodies run in parallel for 15µs; core 0 then holds the lock
+	// until 20µs and core 1 spins for it, holding until 25µs.
+	if ends[0] != sim.Time(20*us) || ends[1] != sim.Time(25*us) {
+		t.Fatalf("tails ended at %v, %v; want 20µs, 25µs", ends[0], ends[1])
+	}
+	for i := 0; i < 2; i++ {
+		c := sys.CPU(i)
+		if got := c.CenterTime(prov.CenterIPInput); got != cost {
+			t.Fatalf("core %d charged %v to ip-input, want %v", i, got, cost)
+		}
+	}
+	if got := sys.CPU(1).CenterTime(prov.CenterLock); got != tail {
+		t.Fatalf("core 1 spin = %v, want %v on CenterLock", got, tail)
+	}
+	if l.Acquisitions() != 2 || l.SpinTime() != tail {
+		t.Fatalf("acquisitions=%d spin=%v, want 2/%v", l.Acquisitions(), l.SpinTime(), tail)
+	}
+	if err := sys.AuditCycles(eng.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPostLockedTailClamp covers a cost no larger than the tail: the
+// whole cost becomes one locked item, so the total charged still equals
+// the configured cost instead of the tail.
+func TestPostLockedTailClamp(t *testing.T) {
+	for _, cost := range []sim.Duration{0, 2 * us, 3 * us} {
+		eng, c := newCPU()
+		l := NewFairLock("l")
+		task := c.NewTask("a", IPLThread, 0, ClassKernel)
+		var runs int
+		task.PostLockedTail(l, cost, 3*us, prov.CenterIPInput, func() { runs++ })
+		if got := task.Pending(); got != 1 {
+			t.Fatalf("cost %v: pending items = %d, want 1 locked item", cost, got)
+		}
+		eng.Run(sim.Time(sim.Second))
+		if runs != 1 || l.Acquisitions() != 1 {
+			t.Fatalf("cost %v: fn runs=%d acquisitions=%d, want 1/1", cost, runs, l.Acquisitions())
+		}
+		if got := c.BusyTime(); got != cost {
+			t.Fatalf("cost %v: charged %v", cost, got)
+		}
+	}
+}

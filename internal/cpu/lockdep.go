@@ -170,7 +170,7 @@ func (ld *Lockdep) exit() {
 // lock-order edge, and rejects any edge that completes a cycle. Posts
 // from unlocked contexts (or before the engine runs) carry no ordering
 // obligation. Self-edges are tail-recursive re-posts of the same
-// section (rxLoopSMP and friends), not nesting.
+// section (the kernel's per-packet loops), not nesting.
 func (ld *Lockdep) posted(l *FairLock) {
 	from := ld.curLock
 	if from == nil || from == l {

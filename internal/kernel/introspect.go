@@ -27,7 +27,7 @@ func (r *Router) PolledInternals() *PolledInternals {
 	}
 	return &PolledInternals{
 		Gate:     r.polled.gate,
-		Poller:   r.polled.poller,
+		Poller:   r.polled.pollers[0],
 		Feedback: r.polled.feedback,
 		Limiter:  r.polled.limiter,
 		Clocked:  r.polled.clocked,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"livelock/internal/core"
 	"livelock/internal/cpu"
 	"livelock/internal/fault"
 	"livelock/internal/metrics"
@@ -57,8 +58,9 @@ func RouterIP(i int) netstack.Addr {
 }
 
 // netPort is one attached interface: the NIC, its output ifqueue, its
-// address on that network, and (in interrupt-driven modes) the
-// device-IPL transmit-reclaim task.
+// address on that network, and the transmit-reclaim context — the
+// device-IPL task in interrupt-driven modes, the owning poller in the
+// polled kernel.
 type netPort struct {
 	idx int
 	nic *nic.NIC
@@ -66,10 +68,11 @@ type netPort struct {
 	outq *queue.Queue
 	// red is non-nil when Config.OutputRED; wraps outq.
 	//lkvet:guards netLock
-	red     *queue.RED
-	localIP netstack.Addr
-	txTask  *cpu.Task
-	ld      *cpu.Lockdep // the router's checker, nil unless enabled
+	red      *queue.RED
+	localIP  netstack.Addr
+	txTask   *cpu.Task
+	txPoller *core.Poller
+	ld       *cpu.Lockdep // the router's checker, nil unless enabled
 }
 
 // enqueueOut admits a packet to the port's output queue under the

@@ -28,23 +28,21 @@ const (
 // a shared gate.
 type polledPath struct {
 	r       *Router
-	poller  *core.Poller
 	gate    *core.Gate
 	clocked bool // periodic polling, no device interrupts (§8)
 
-	rxTasks  []*cpu.Task
 	feedback *core.Feedback
 	limiter  *core.CycleLimiter
 
-	// SMP generalization: one polling thread per non-IRQ core
-	// (pollers[0] is poller above), each serving the rx queues steered
-	// to it. rxRefs records the (port, queue) → poller assignment for
-	// the gate-reopen and watchdog paths; txOwner is the poller that
-	// runs each port's transmit-reclaim step.
+	// pollers holds one polling thread per non-IRQ core, each serving
+	// the rx queues steered to it; pollers[0] runs on the boot CPU.
+	// rxRefs records the (port, queue) → poller assignment for the
+	// gate-reopen and watchdog paths; netPort.txPoller records which
+	// poller runs each port's transmit-reclaim step.
 	pollers []*core.Poller
 	one     [1]*core.Poller // backs pollers on a uniprocessor (no allocation)
 	rxRefs  []rxQueueRef
-	txOwner map[*netPort]*core.Poller
+	rxOne   [1]rxQueueRef // backs rxRefs for a single-queue input (no allocation)
 }
 
 // rxQueueRef is one steered receive queue and the poller serving it.
@@ -64,16 +62,14 @@ func newPolledPath(r *Router) *polledPath {
 		WakeupCost: c.PollWakeup,
 		RoundCost:  c.PollRound,
 	}
-	m.poller = core.NewPoller(r.Eng, r.CPU, 10, pcfg)
-	m.one[0] = m.poller
+	m.one[0] = core.NewPoller(r.Eng, r.CPU, 10, pcfg)
 	m.pollers = m.one[:]
-	if r.smp() {
-		// One polling thread per core, minus any cores dedicated to
-		// interrupt handling (Config.IRQCPUs isolation).
-		for k := 1; k < r.Cfg.CPUs-r.Cfg.IRQCPUs; k++ {
-			m.pollers = append(m.pollers,
-				core.NewNamedPoller(r.Eng, r.Sys.CPU(k), fmt.Sprintf("poller.%d", k), 10, pcfg))
-		}
+	m.rxRefs = m.rxOne[:0]
+	// One polling thread per core, minus any cores dedicated to
+	// interrupt handling (Config.IRQCPUs isolation).
+	for k := 1; k < r.Cfg.CPUs-r.Cfg.IRQCPUs; k++ {
+		m.pollers = append(m.pollers,
+			core.NewNamedPoller(r.Eng, r.Sys.CPU(k), fmt.Sprintf("poller.%d", k), 10, pcfg))
 	}
 
 	// Input gating: the poller skips receive callbacks while the gate
@@ -91,19 +87,10 @@ func newPolledPath(r *Router) *polledPath {
 		if !open || m.clocked {
 			return
 		}
-		if r.smp() {
-			for _, ref := range m.rxRefs {
-				if !ref.pol.Scheduled() {
-					ref.port.nic.RxQueueIntrDone(ref.q)
-				}
+		for _, ref := range m.rxRefs {
+			if !ref.pol.Scheduled() {
+				ref.port.nic.RxQueueIntrDone(ref.q)
 			}
-			return
-		}
-		if m.poller.Scheduled() {
-			return
-		}
-		for _, in := range r.Ins {
-			in.RxIntrDone()
 		}
 	}
 
@@ -122,32 +109,46 @@ func newPolledPath(r *Router) *polledPath {
 		r.CPU.OnIdle(m.limiter.OnIdle)
 	}
 
-	if r.smp() {
-		m.initDevicesSMP()
-		if m.clocked {
-			m.scheduleClockedPoll()
-		}
-		return m
+	m.initDevices()
+	if m.clocked {
+		m.scheduleClockedPoll()
 	}
+	return m
+}
 
-	// Device registration (§6.4 "at boot time, the modified interface
-	// drivers register themselves with the polling system"). Every port
-	// registers both directions: inputs receive the flood and transmit
-	// router-originated frames (ICMP, replies); the output port only
-	// transmits.
-	for _, port := range r.ports {
-		port := port
-		isInput := port.idx != OutIfIndex
-		var rx core.Step = func() (sim.Duration, func(), bool) { return 0, nil, false }
-		if isInput {
-			rx = m.rxStep(port)
+// initDevices is the device registration (§6.4 "at boot time, the
+// modified interface drivers register themselves with the polling
+// system"). Every port registers both directions: inputs receive the
+// flood and transmit router-originated frames (ICMP, replies); the
+// output port only transmits, with poller 0. Each input NIC exposes one
+// device per rx queue, assigned round-robin (by global queue index) to
+// the polling threads; a port's transmit-reclaim step rides on its
+// first queue's device. Every step's commit runs under r.netLock on SMP,
+// where the output ifqueues and screend queue are shared across cores.
+// Per-queue MSI-like interrupt tasks land on the queue's own core, or on
+// the dedicated IRQ cores when Config.IRQCPUs isolates them; transmit
+// interrupt tasks are steered the same way after every rx queue.
+func (m *polledPath) initDevices() {
+	r := m.r
+	c := r.Cfg.Costs
+	n := r.Sys.N()
+	nPoll := len(m.pollers)
+	nIRQ := r.Cfg.IRQCPUs
+
+	irqCPU := func(idx int) *cpu.CPU {
+		if nIRQ > 0 {
+			return r.Sys.CPU(nPoll + idx%nIRQ)
 		}
-		m.poller.Register(&core.Device{
-			Name: port.nic.Name(),
-			Rx:   rx,
-			Tx:   m.txStep(port),
-			// Uniprocessor only: one core, fully serialized.
-			//lkvet:requires boot
+		return r.Sys.CPU(idx % n)
+	}
+	nullStep := func() (sim.Duration, func(), bool) { return 0, nil, false }
+	register := func(pol *core.Poller, name string, port *netPort, q int, hasRx, hasTx bool) {
+		dev := &core.Device{
+			Name:       name,
+			Rx:         nullStep,
+			Tx:         nullStep,
+			Lock:       r.netLock,
+			LockedTail: c.LockOp,
 			EnableInterrupts: func() {
 				// Clocked mode never re-enables interrupts: the next
 				// period's timer finds the work.
@@ -163,144 +164,55 @@ func newPolledPath(r *Router) *polledPath {
 				// descriptors consumed — following the
 				// avoid-transmit-interrupts practice the paper cites
 				// (§7.1, [6]).
-				if isInput && m.gate.Open() {
-					port.nic.RxIntrDone()
-				}
-				if !port.outq.Empty() || port.nic.TxCompletedLen() > r.Cfg.NIC.TxRing/2 {
-					port.nic.TxIntrDone()
-				}
-			},
-		})
-
-		if isInput {
-			task := r.CPU.NewTask("rxintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
-			task.SetCenter(prov.CenterRxIntr)
-			m.rxTasks = append(m.rxTasks, task)
-			port.nic.SetRxInterrupt(func() {
-				// The whole interrupt handler: dispatch cost, then
-				// schedule the polling thread. The interrupt stays
-				// masked (no RxIntrDone) until the poller re-enables it.
-				task.Post(c.IntrDispatch, m.poller.Schedule)
-			})
-		}
-		txTask := r.CPU.NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
-		txTask.SetCenter(prov.CenterTxIntr)
-		port.nic.SetTxInterrupt(func() {
-			txTask.Post(c.IntrDispatch, m.poller.Schedule)
-		})
-		if m.clocked {
-			port.nic.EnableRxInterrupt(false)
-			port.nic.EnableTxInterrupt(false)
-		}
-	}
-
-	if m.clocked {
-		m.scheduleClockedPoll()
-	}
-	return m
-}
-
-// initDevicesSMP is the SMP device registration: each input NIC
-// exposes one device per rx queue, assigned round-robin (by global
-// queue index) to the polling threads; every step's commit runs under
-// r.netLock since the output ifqueues and screend queue are shared
-// across cores. Each port's transmit-reclaim step rides on its first
-// queue's device; the output-only port registers with poller 0.
-// Per-queue MSI-like interrupt tasks land on the queue's own core, or
-// on the dedicated IRQ cores when Config.IRQCPUs isolates them.
-func (m *polledPath) initDevicesSMP() {
-	r := m.r
-	c := r.Cfg.Costs
-	n := r.Sys.N()
-	nPoll := len(m.pollers)
-	nIRQ := r.Cfg.IRQCPUs
-	m.txOwner = make(map[*netPort]*core.Poller)
-
-	irqCPU := func(idx int) *cpu.CPU {
-		if nIRQ > 0 {
-			return r.Sys.CPU(nPoll + idx%nIRQ)
-		}
-		return r.Sys.CPU(idx % n)
-	}
-	nullStep := func() (sim.Duration, func(), bool) { return 0, nil, false }
-
-	// The output-only port first, matching the uniprocessor
-	// registration order (r.ports lists it first).
-	out := r.portByIdx[OutIfIndex]
-	m.txOwner[out] = m.pollers[0]
-	m.pollers[0].Register(&core.Device{
-		Name:       out.nic.Name(),
-		Rx:         nullStep,
-		Tx:         m.txStep(out),
-		Lock:       r.netLock,
-		LockedTail: c.LockOp,
-		EnableInterrupts: func() {
-			if m.clocked {
-				return
-			}
-			//lkvet:allow lockguard racy urgency peek at interrupt re-enable; a stale result only re-enables the tx interrupt early
-			if !out.outq.Empty() || out.nic.TxCompletedLen() > r.Cfg.NIC.TxRing/2 {
-				out.nic.TxIntrDone()
-			}
-		},
-	})
-
-	gidx := 0
-	for _, port := range r.ports {
-		port := port
-		if port.idx == OutIfIndex {
-			continue
-		}
-		for q := 0; q < port.nic.RxQueues(); q++ {
-			q := q
-			pol := m.pollers[gidx%nPoll]
-			hasTx := q == 0
-			dev := &core.Device{
-				Name:       fmt.Sprintf("%s.q%d", port.nic.Name(), q),
-				Rx:         m.rxQueueStep(port, q),
-				Tx:         nullStep,
-				Lock:       r.netLock,
-				LockedTail: c.LockOp,
-			}
-			if hasTx {
-				dev.Tx = m.txStep(port)
-				m.txOwner[port] = pol
-			}
-			dev.EnableInterrupts = func() {
-				if m.clocked {
-					return
-				}
-				if m.gate.Open() {
+				if hasRx && m.gate.Open() {
 					port.nic.RxQueueIntrDone(q)
 				}
 				//lkvet:allow lockguard racy urgency peek at interrupt re-enable; a stale result only re-enables the tx interrupt early
 				if hasTx && (!port.outq.Empty() || port.nic.TxCompletedLen() > r.Cfg.NIC.TxRing/2) {
 					port.nic.TxIntrDone()
 				}
-			}
-			pol.Register(dev)
-			m.rxRefs = append(m.rxRefs, rxQueueRef{port: port, q: q, pol: pol})
-
-			task := irqCPU(gidx).NewTask(
-				fmt.Sprintf("rxintr.%s.q%d", port.nic.Name(), q),
-				cpu.IPLDevice, 0, cpu.ClassIntr)
-			task.SetCenter(prov.CenterRxIntr)
-			m.rxTasks = append(m.rxTasks, task)
-			sched := pol.Schedule
-			port.nic.SetRxQueueInterrupt(q, func() {
-				task.Post(c.IntrDispatch, sched)
-			})
-			gidx++
+			},
 		}
+		if hasRx {
+			dev.Rx = m.rxStep(port, q)
+			m.rxRefs = append(m.rxRefs, rxQueueRef{port: port, q: q, pol: pol})
+		}
+		if hasTx {
+			dev.Tx = m.txStep(port)
+			port.txPoller = pol
+		}
+		pol.Register(dev)
 	}
 
-	// Transmit interrupts: one device-IPL task per port, steered like
-	// the rx tasks, waking the poller that owns the port's reclaim step.
-	for _, port := range r.ports {
-		port := port
-		txTask := irqCPU(gidx).NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
+	nRx := 0
+	for _, in := range r.Ins {
+		nRx += in.RxQueues()
+	}
+	gidx := 0
+	for i, port := range r.ports {
+		if port.idx == OutIfIndex {
+			register(m.pollers[0], port.nic.Name(), port, 0, false, true)
+		} else {
+			for q := 0; q < port.nic.RxQueues(); q++ {
+				pol := m.pollers[gidx%nPoll]
+				register(pol, queueName(port.nic, q), port, q, true, q == 0)
+				task := irqCPU(gidx).NewTask("rxintr."+queueName(port.nic, q), cpu.IPLDevice, 0, cpu.ClassIntr)
+				task.SetCenter(prov.CenterRxIntr)
+				// The whole interrupt handler: dispatch cost, then schedule
+				// the polling thread. The interrupt stays masked (no
+				// RxQueueIntrDone) until the poller re-enables it.
+				sched := pol.ScheduleFunc()
+				port.nic.SetRxQueueInterrupt(q, func() {
+					task.Post(c.IntrDispatch, sched)
+				})
+				gidx++
+			}
+		}
+		// Transmit interrupts wake the poller that owns the port's
+		// reclaim step.
+		txTask := irqCPU(nRx+i).NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
 		txTask.SetCenter(prov.CenterTxIntr)
-		sched := m.txOwner[port].Schedule
+		sched := port.txPoller.ScheduleFunc()
 		port.nic.SetTxInterrupt(func() {
 			txTask.Post(c.IntrDispatch, sched)
 		})
@@ -308,7 +220,6 @@ func (m *polledPath) initDevicesSMP() {
 			port.nic.EnableRxInterrupt(false)
 			port.nic.EnableTxInterrupt(false)
 		}
-		gidx++
 	}
 }
 
@@ -334,10 +245,11 @@ func (m *polledPath) registerMetrics(reg *metrics.Registry) {
 		must(reg.CounterFunc("poller.rx", sum(func(p *core.Poller) *stats.Counter { return p.RxSteps })))
 		must(reg.CounterFunc("poller.tx", sum(func(p *core.Poller) *stats.Counter { return p.TxSteps })))
 	} else {
-		must(reg.Counter("poller.wakeups", m.poller.Wakeups))
-		must(reg.Counter("poller.rounds", m.poller.Rounds))
-		must(reg.Counter("poller.rx", m.poller.RxSteps))
-		must(reg.Counter("poller.tx", m.poller.TxSteps))
+		pol := m.pollers[0]
+		must(reg.Counter("poller.wakeups", pol.Wakeups))
+		must(reg.Counter("poller.rounds", pol.Rounds))
+		must(reg.Counter("poller.rx", pol.RxSteps))
+		must(reg.Counter("poller.tx", pol.TxSteps))
 	}
 	must(reg.Gauge("gate.open", func() float64 {
 		if m.gate.Open() {
@@ -372,54 +284,13 @@ func clockedPoll(a, _ any) {
 	m.scheduleClockedPoll()
 }
 
-// rxStep returns the received-packet callback for an input port: one
-// packet processed to completion per step. "The received-packet callback
-// procedures call the IP input processing routine directly, rather than
-// placing received packets on a queue" (§6.4).
-func (m *polledPath) rxStep(port *netPort) core.Step {
-	c := m.r.Cfg.Costs
-	// Uniprocessor only (rxQueueStep is the SMP variant): one core,
-	// fully serialized, so the step and its commits run as boot context.
-	//lkvet:requires boot
-	return func() (sim.Duration, func(), bool) {
-		p := port.nic.TakeRx()
-		if p == nil {
-			return 0, nil, false
-		}
-		m.r.tapMonitor(p)
-		if _, local := m.r.isLocal(p.Data); local {
-			//lkvet:requires boot
-			return c.PolledRxLocalPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxLocalPerPkt)
-				m.r.observe(prov.StagePollRxLocal, p)
-				m.r.deliverLocal(p)
-			}, true
-		}
-		if m.r.screend != nil {
-			//lkvet:requires boot
-			return c.PolledRxToScreendPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxToScreendPerPkt)
-				m.r.observe(prov.StagePollRxScreend, p)
-				m.r.screend.submit(p)
-			}, true
-		}
-		cost := c.PolledRxPerPkt
-		if m.r.fastPathHit(p.Data) {
-			cost -= c.FastPathSavings
-		}
-		//lkvet:requires boot
-		return cost, func() {
-			m.r.invest(p, prov.CenterIPInput, cost)
-			m.r.observe(prov.StagePollRxForward, p)
-			m.r.forwardFrame(p)
-		}, true
-	}
-}
-
-// rxQueueStep is rxStep for one steered rx queue of an input port (SMP):
-// identical processing, but pulling only from queue q so each poller
-// drains exactly the queues whose interrupts it owns.
-func (m *polledPath) rxQueueStep(port *netPort, q int) core.Step {
+// rxStep returns the received-packet callback for rx queue q of an
+// input port: one packet processed to completion per step, pulled only
+// from queue q so each poller drains exactly the queues whose
+// interrupts it owns. "The received-packet callback procedures call the
+// IP input processing routine directly, rather than placing received
+// packets on a queue" (§6.4).
+func (m *polledPath) rxStep(port *netPort, q int) core.Step {
 	c := m.r.Cfg.Costs
 	return func() (sim.Duration, func(), bool) {
 		p := port.nic.TakeRxQueue(q)
@@ -429,7 +300,7 @@ func (m *polledPath) rxQueueStep(port *netPort, q int) core.Step {
 		m.r.tapMonitor(p)
 		if _, local := m.r.isLocal(p.Data); local {
 			// The commit runs under the device lock: core.Poller posts
-			// it with PostLocked(Device.Lock) — r.netLock here.
+			// it with PostLockedTail(Device.Lock) — r.netLock here.
 			//lkvet:requires netLock
 			return c.PolledRxLocalPerPkt, func() {
 				m.r.invest(p, prov.CenterIPInput, c.PolledRxLocalPerPkt)
@@ -467,8 +338,7 @@ func (m *polledPath) txStep(port *netPort) core.Step {
 		if !port.nic.ReclaimTx() {
 			return 0, nil, false
 		}
-		// Under the device lock (r.netLock) on SMP; the uniprocessor
-		// poller registers devices with no lock but runs serialized.
+		// Under the device lock (r.netLock; nil on a uniprocessor).
 		//lkvet:requires netLock
 		return c.PolledTxPerPkt, func() {
 			m.r.ifStart(port)
@@ -537,36 +407,13 @@ func (m *polledPath) onTick(ticks uint64) {
 // Gated off while input is inhibited: the gate's OnChange hook handles
 // recovery at reopen, and a closed gate means the system is already
 // fielding feedback/cycle-limit pressure, not wedged.
+//
+// Each steered rx queue and each port's transmit ring is checked
+// against the poller that serves it.
 func (m *polledPath) watchdog() {
 	if m.clocked || !m.gate.Open() {
 		return
 	}
-	if m.r.smp() {
-		m.watchdogSMP()
-		return
-	}
-	if m.poller.Scheduled() {
-		return
-	}
-	for _, in := range m.r.Ins {
-		if in.RxLen() > 0 && !in.RxPending() && in.RxInterruptEnabled() {
-			in.RxIntrDone()
-			return
-		}
-	}
-	for _, port := range m.r.ports {
-		//lkvet:allow lockguard uniprocessor branch (the SMP case returned above): one core, nothing to race with
-		if !port.outq.Empty() && port.nic.TxCompletedLen() == m.r.Cfg.NIC.TxRing {
-			m.poller.Schedule()
-			return
-		}
-	}
-}
-
-// watchdogSMP is the per-queue/per-poller form of the same recovery:
-// each steered rx queue and each port's transmit ring is checked
-// against the poller that serves it.
-func (m *polledPath) watchdogSMP() {
 	for _, ref := range m.rxRefs {
 		if ref.pol.Scheduled() {
 			continue
@@ -578,7 +425,7 @@ func (m *polledPath) watchdogSMP() {
 		}
 	}
 	for _, port := range m.r.ports {
-		pol := m.txOwner[port]
+		pol := port.txPoller
 		if pol == nil || pol.Scheduled() {
 			continue
 		}

@@ -22,6 +22,9 @@ type screendProc struct {
 	rules     []screendRule
 	scheduled bool
 	hung      bool
+	// claimed is the packet the claim-first item dequeued for the body
+	// after it (SMP only; see loop).
+	claimed *netstack.Packet
 
 	// Accepted/Rejected count filter verdicts.
 	Accepted *stats.Counter
@@ -128,45 +131,57 @@ func (s *screendProc) wakeup() {
 		return
 	}
 	s.scheduled = true
-	if s.r.smp() {
-		s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loopSMP)
-		return
-	}
 	s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loop)
 }
 
 // loop processes one packet per iteration: recv syscall, filter
 // evaluation, and (if accepted) the send syscall whose kernel half runs
-// ip_output and starts transmission. Uniprocessor only (loopSMP is the
-// locked variant): one core, fully serialized.
-//
-//lkvet:requires boot
+// ip_output and starts transmission. On SMP the shared-state touches
+// run under r.netLock — the screendq dequeue (producers on other cores
+// enqueue under the same lock) and the re-injection into the shared
+// output path — with the lock holds carved out of the syscall costs, so
+// per-packet totals match the uniprocessor exactly.
 func (s *screendProc) loop() {
-	if s.hung || s.r.screendq.Empty() {
+	r := s.r
+	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
+	if s.hung || r.screendq.Empty() {
 		s.scheduled = false
 		return
 	}
-	c := s.r.Cfg.Costs
-	perPkt := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
+	c := &r.Cfg.Costs
+	cost := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
 		sim.Duration(len(s.rules))*c.ScreendRuleCost
-	//lkvet:requires boot
-	s.task.Post(perPkt, func() {
-		p := s.r.screendq.Dequeue()
+	if r.netLock != nil {
+		// Claim first: the body runs unlocked, so on SMP the recv
+		// syscall's dequeue is a netLock critical section ahead of it,
+		// its hold carved out of the recv cost.
+		hold := min(c.LockOp, cost)
+		cost -= hold
+		s.task.PostLocked(r.netLock, hold, prov.CenterScreend, func() {
+			r.ld.Check(r.screendq)
+			s.claimed = r.screendq.Dequeue()
+			if s.claimed != nil {
+				r.invest(s.claimed, prov.CenterScreend, hold)
+			}
+		})
+	}
+	s.task.Post(cost, func() {
+		p := s.take()
 		if p == nil {
 			s.scheduled = false
 			return
 		}
 		s.r.notifyScreendProgress()
-		s.r.invest(p, prov.CenterScreend, perPkt)
+		s.r.invest(p, prov.CenterScreend, cost)
 		if s.verdict(p) {
 			s.Accepted.Inc()
 			s.r.observe(prov.StageScreendAccept, p)
 			// The send syscall re-injects the packet; its kernel half
 			// (ip_output, ifqueue enqueue, transmit start) is charged
 			// here, in process context, as in the real system.
-			//lkvet:requires boot
-			s.task.Post(c.ScreendSendPerPkt, func() {
-				s.r.invest(p, prov.CenterScreend, c.ScreendSendPerPkt)
+			send := s.r.Cfg.Costs.ScreendSendPerPkt
+			s.task.PostLockedTail(s.r.netLock, send, s.r.Cfg.Costs.LockOp, prov.CenterScreend, func() {
+				s.r.invest(p, prov.CenterScreend, send)
 				s.r.forwardFrame(p)
 				s.loop()
 			})
@@ -178,60 +193,16 @@ func (s *screendProc) loop() {
 	})
 }
 
-// loopSMP is loop with the shared-state touches under r.netLock: the
-// screendq dequeue (producers on other cores enqueue under the same
-// lock) and the re-injection into the shared output path. Lock holds
-// are carved out of the existing syscall costs, so per-packet totals
-// match the uniprocessor path exactly.
-func (s *screendProc) loopSMP() {
-	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
-	if s.hung || s.r.screendq.Empty() {
-		s.scheduled = false
-		return
+// take returns the packet for this iteration's body: the one the
+// claim-first item dequeued on SMP or, with no netLock (one CPU), the
+// queue head, dequeued now.
+func (s *screendProc) take() *netstack.Packet {
+	if s.r.netLock == nil {
+		return s.r.screendq.Dequeue()
 	}
-	c := s.r.Cfg.Costs
-	perPkt := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
-		sim.Duration(len(s.rules))*c.ScreendRuleCost
-	body := perPkt - c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	var p *netstack.Packet
-	s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, func() {
-		s.r.ld.Check(s.r.screendq)
-		p = s.r.screendq.Dequeue()
-		if p != nil {
-			s.r.invest(p, prov.CenterScreend, c.LockOp)
-		}
-	})
-	s.task.Post(body, func() {
-		if p == nil {
-			s.scheduled = false
-			return
-		}
-		s.r.notifyScreendProgress()
-		s.r.invest(p, prov.CenterScreend, body)
-		if s.verdict(p) {
-			s.Accepted.Inc()
-			s.r.observe(prov.StageScreendAccept, p)
-			sendBody := c.ScreendSendPerPkt - c.LockOp
-			if sendBody < 0 {
-				sendBody = 0
-			}
-			s.task.Post(sendBody, func() {
-				s.r.invest(p, prov.CenterScreend, sendBody)
-			})
-			s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, func() {
-				s.r.invest(p, prov.CenterScreend, c.LockOp)
-				s.r.forwardFrame(p)
-				s.loopSMP()
-			})
-			return
-		}
-		s.r.drop(p, prov.ReasonScreendReject)
-		p.Release()
-		s.loopSMP()
-	})
+	p := s.claimed
+	s.claimed = nil
+	return p
 }
 
 // verdict evaluates the rule list against the packet's real headers.

@@ -211,3 +211,83 @@ func TestSMPCycleConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestSMPChargesConfiguredCostsBelowLockOp pins the split rule's clamp
+// (cpu.Task.PostLockedTail): a lock hold is carved out of a per-packet
+// cost, never added to it, even when the configured cost is below one
+// LockOp. At 2 CPUs with every dispatch and wakeup cost zeroed, each
+// packet's cost center must carry exactly the configured per-packet
+// cost — lock spin goes to CenterLock alone.
+func TestSMPChargesConfiguredCostsBelowLockOp(t *testing.T) {
+	costs := DefaultCosts()
+	costs.IntrDispatch, costs.SoftintDispatch, costs.ScreendWakeup = 0, 0, 0
+	costs.PollWakeup, costs.PollRound = 0, 0
+	costs.LockOp = 3 * sim.Microsecond
+	costs.RxDevicePerPkt = 1 * sim.Microsecond
+	costs.IPForwardPerPkt = 5 * sim.Microsecond // < 2 LockOps: a claim and a tail
+	costs.TxDevicePerPkt = 2 * sim.Microsecond
+	costs.ScreendRecvPerPkt = 2 * sim.Microsecond
+	costs.ScreendFilterPerPkt, costs.ScreendRuleCost = 0, 0
+	costs.ScreendSendPerPkt = 1 * sim.Microsecond
+	costs.PolledRxPerPkt = 2 * sim.Microsecond
+	costs.PolledRxToScreendPerPkt = 2 * sim.Microsecond
+	costs.PolledTxPerPkt = 1 * sim.Microsecond
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// per-packet cost of each center, per received (rx) or
+		// reclaimed (tx) packet
+		rx, tx map[prov.Center]sim.Duration
+	}{
+		{"unmodified", Config{Mode: ModeUnmodified},
+			map[prov.Center]sim.Duration{prov.CenterRxIntr: costs.RxDevicePerPkt, prov.CenterIPInput: costs.IPForwardPerPkt},
+			map[prov.Center]sim.Duration{prov.CenterTxIntr: costs.TxDevicePerPkt}},
+		{"unmodified-screend", Config{Mode: ModeUnmodified, Screend: true},
+			map[prov.Center]sim.Duration{prov.CenterRxIntr: costs.RxDevicePerPkt, prov.CenterIPInput: costs.IPForwardPerPkt,
+				prov.CenterScreend: costs.ScreendRecvPerPkt + costs.ScreendSendPerPkt},
+			map[prov.Center]sim.Duration{prov.CenterTxIntr: costs.TxDevicePerPkt}},
+		{"polled-screend", Config{Mode: ModePolled, Quota: 5, Screend: true},
+			map[prov.Center]sim.Duration{prov.CenterIPInput: costs.PolledRxToScreendPerPkt,
+				prov.CenterScreend: costs.ScreendRecvPerPkt + costs.ScreendSendPerPkt},
+			map[prov.Center]sim.Duration{prov.CenterOutput: costs.PolledTxPerPkt}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.CPUs = 2
+			cfg.Costs = costs
+			eng := sim.NewEngine()
+			r := NewRouter(eng, cfg)
+			gen := r.AttachGenerator(0, workload.ConstantRate{Rate: 2000, JitterFrac: 0.05}, 0)
+			gen.Start()
+			eng.Run(sim.Time(200 * sim.Millisecond))
+			gen.Stop()
+			eng.RunFor(50 * sim.Millisecond) // drain
+			sent, delivered := gen.Sent.Value(), r.Delivered()
+			if sent == 0 || delivered != sent {
+				t.Fatalf("sent %d, delivered %d: want every packet through", sent, delivered)
+			}
+			if err := r.AuditCycles(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(per map[prov.Center]sim.Duration, pkts uint64) {
+				for ct, cost := range per {
+					var got sim.Duration
+					r.VisitCPUs(func(c *cpu.CPU) { got += c.CenterTime(ct) })
+					if want := sim.Duration(pkts) * cost; got != want {
+						t.Errorf("%s: charged %v over %d packets (%v each), want %v each",
+							ct, got, pkts, got/sim.Duration(pkts), cost)
+					}
+				}
+			}
+			// The polled path reclaims transmit descriptors lazily, so
+			// count its reclaim steps rather than transmissions.
+			reclaimed := delivered
+			if ps := r.Poller(); ps != nil {
+				reclaimed = ps.TxSteps
+			}
+			check(tc.rx, sent)
+			check(tc.tx, reclaimed)
+		})
+	}
+}

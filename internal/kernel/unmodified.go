@@ -24,39 +24,65 @@ import (
 type unmodifiedPath struct {
 	r *Router
 
-	rxTasks []*cpu.Task // one per input NIC (SMP: per rx queue), device IPL
-	softint *cpu.Task   // the netisr, softint IPL (boot CPU)
+	// netisrs holds one network software interrupt per core; netisrs[0]
+	// runs on the boot CPU. Each is raised by the receive handlers
+	// steered to its core, and on SMP all of them contend on the shared
+	// ipintrq under r.ipqLock.
+	netisrs []netisr
+}
 
-	softintScheduled bool
+// netisr is one core's network software interrupt.
+type netisr struct {
+	u    *unmodifiedPath
+	task *cpu.Task
+	// run is loop bound once, so raising the softint does not allocate.
+	run   func()
+	sched bool
+	// claimed is the packet this netisr's claim-first item dequeued for
+	// the forwarding item after it (SMP only; see loop).
+	claimed *netstack.Packet
+}
 
-	// SMP generalization (nil at CPUs == 1): one netisr per core —
-	// softints[0] is the boot CPU's softint above — each scheduled by
-	// the receive handlers steered to that core, all contending on the
-	// shared ipintrq under r.ipqLock.
-	softints  []*cpu.Task
-	softSched []bool
-	softRun   []func()
+// rxQueue is one receive queue of an input NIC and the device-IPL
+// handler steered to its core.
+type rxQueue struct {
+	in   *nic.NIC
+	q    int
+	task *cpu.Task
+	core int
 }
 
 func newUnmodifiedPath(r *Router) *unmodifiedPath {
 	u := &unmodifiedPath{r: r}
-	u.softint = r.CPU.NewTask("netisr", cpu.IPLSoft, 0, cpu.ClassSoft)
-	u.softint.SetCenter(prov.CenterIPInput)
+	n := r.Sys.N()
+	u.netisrs = make([]netisr, n)
+	for k := range u.netisrs {
+		name := "netisr"
+		if k > 0 {
+			name = fmt.Sprintf("netisr.%d", k)
+		}
+		ni := &u.netisrs[k]
+		ni.u = u
+		ni.task = r.Sys.CPU(k).NewTask(name, cpu.IPLSoft, 0, cpu.ClassSoft)
+		ni.task.SetCenter(prov.CenterIPInput)
+		ni.run = ni.loop
+	}
 
-	if r.smp() {
-		u.initSMP()
-	} else {
-		for _, in := range r.Ins {
-			in := in
-			task := r.CPU.NewTask("rxintr."+in.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
-			task.SetCenter(prov.CenterRxIntr)
-			u.rxTasks = append(u.rxTasks, task)
+	// One device-IPL task per (input NIC, rx queue) pair, placed
+	// round-robin across cores by global queue index — the MSI-style
+	// IRQ steering (everything lands on the boot CPU at N=1).
+	gidx := 0
+	for _, in := range r.Ins {
+		for q := 0; q < in.RxQueues(); q++ {
+			rq := &rxQueue{in: in, q: q, core: gidx % n}
+			rq.task = r.Sys.CPU(rq.core).NewTask("rxintr."+queueName(in, q), cpu.IPLDevice, 0, cpu.ClassIntr)
+			rq.task.SetCenter(prov.CenterRxIntr)
 			// The hardware interrupt: pay the dispatch cost, then start
 			// the batched per-packet loop.
-			in.SetRxInterrupt(func() {
-				//lkvet:requires boot
-				task.Post(u.r.Cfg.Costs.IntrDispatch, func() { u.rxLoop(in, task) })
+			in.SetRxQueueInterrupt(q, func() {
+				rq.task.Post(r.Cfg.Costs.IntrDispatch, func() { u.rxLoop(rq) })
 			})
+			gidx++
 		}
 	}
 
@@ -66,56 +92,20 @@ func newUnmodifiedPath(r *Router) *unmodifiedPath {
 		port := port
 		port.txTask = r.CPU.NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
 		port.txTask.SetCenter(prov.CenterTxIntr)
-		if r.smp() {
-			port.nic.SetTxInterrupt(func() {
-				port.txTask.Post(r.Cfg.Costs.IntrDispatch, func() { u.txLoopSMP(port) })
-			})
-		} else {
-			port.nic.SetTxInterrupt(func() {
-				//lkvet:requires boot
-				port.txTask.Post(r.Cfg.Costs.IntrDispatch, func() { u.txLoop(port) })
-			})
-		}
+		port.nic.SetTxInterrupt(func() {
+			port.txTask.Post(r.Cfg.Costs.IntrDispatch, func() { u.txLoop(port) })
+		})
 	}
 	return u
 }
 
-// initSMP builds the N-core receive topology: per-core netisrs, and one
-// device-IPL task per (input NIC, rx queue) pair placed round-robin
-// across cores by global queue index — the MSI-style IRQ steering.
-func (u *unmodifiedPath) initSMP() {
-	r := u.r
-	n := r.Sys.N()
-	u.softints = make([]*cpu.Task, n)
-	u.softSched = make([]bool, n)
-	u.softRun = make([]func(), n)
-	u.softints[0] = u.softint
-	for k := 1; k < n; k++ {
-		t := r.Sys.CPU(k).NewTask(fmt.Sprintf("netisr.%d", k), cpu.IPLSoft, 0, cpu.ClassSoft)
-		t.SetCenter(prov.CenterIPInput)
-		u.softints[k] = t
+// queueName names a per-queue object of NIC n: the NIC's own name for a
+// single-queue NIC, suffixed .q<q> when RSS spreads it over several.
+func queueName(n *nic.NIC, q int) string {
+	if n.RxQueues() == 1 {
+		return n.Name()
 	}
-	for k := range u.softRun {
-		k := k
-		u.softRun[k] = func() { u.softLoopSMP(k) }
-	}
-	gidx := 0
-	for _, in := range r.Ins {
-		in := in
-		for q := 0; q < in.RxQueues(); q++ {
-			q := q
-			core := gidx % n
-			task := r.Sys.CPU(core).NewTask(
-				fmt.Sprintf("rxintr.%s.q%d", in.Name(), q),
-				cpu.IPLDevice, 0, cpu.ClassIntr)
-			task.SetCenter(prov.CenterRxIntr)
-			u.rxTasks = append(u.rxTasks, task)
-			in.SetRxQueueInterrupt(q, func() {
-				task.Post(u.r.Cfg.Costs.IntrDispatch, func() { u.rxLoopSMP(in, q, task, core) })
-			})
-			gidx++
-		}
-	}
+	return fmt.Sprintf("%s.q%d", n.Name(), q)
 }
 
 // registerMetrics registers the interrupt-driven path's instruments.
@@ -125,12 +115,9 @@ func (u *unmodifiedPath) initSMP() {
 func (u *unmodifiedPath) registerMetrics(reg *metrics.Registry) {
 	must := metrics.MustRegister
 	must(reg.Gauge("netisr.pending", func() float64 {
-		if u.softints == nil {
-			return float64(u.softint.Pending())
-		}
 		var pend int
-		for _, t := range u.softints {
-			pend += t.Pending()
+		for i := range u.netisrs {
+			pend += u.netisrs[i].task.Pending()
 		}
 		return float64(pend)
 	}))
@@ -163,30 +150,29 @@ func (u *unmodifiedPath) fwdPktCost() sim.Duration {
 }
 
 // rxLoop processes one packet per work item at device IPL, continuing
-// while the ring is non-empty (interrupt batching: the dispatch cost was
-// paid once, by the interrupt that started the loop). Uniprocessor
-// only (rxLoopSMP is the locked variant): one core, fully serialized.
-//
-//lkvet:requires boot
-func (u *unmodifiedPath) rxLoop(in *nic.NIC, task *cpu.Task) {
-	p := in.TakeRx()
+// while rq's ring is non-empty (interrupt batching: the dispatch cost
+// was paid once, by the interrupt that started the loop). The ipintrq
+// enqueue is the item's locked tail (under ipqLock on SMP), and the
+// netisr raised is the one on the handler's own core.
+func (u *unmodifiedPath) rxLoop(rq *rxQueue) {
+	p := rq.in.TakeRxQueue(rq.q)
 	if p == nil {
-		in.RxIntrDone()
+		rq.in.RxQueueIntrDone(rq.q)
 		return
 	}
 	cost := u.rxPktCost()
-	//lkvet:requires boot
-	task.Post(cost, func() {
+	rq.task.PostLockedTail(u.r.ipqLock, cost, u.r.Cfg.Costs.LockOp, prov.CenterRxIntr, func() {
 		// Link-level processing done: the device cycles just consumed
 		// are invested in this packet's provenance record, then the
 		// promiscuous monitor is tapped and the packet handed to the IP
 		// layer via ipintrq. A full queue drops it here — after the
 		// device work was spent (the "foolish" drop of §6.3).
+		u.r.ld.Check(u.r.ipintrq)
 		u.r.invest(p, prov.CenterRxIntr, cost)
 		u.r.tapMonitor(p)
 		if u.r.ipintrq.Enqueue(p) {
 			u.r.observe(prov.StageIPIntrQEnqueue, p)
-			u.schedNetisr()
+			u.schedNetisrOn(rq.core)
 		} else {
 			u.r.drop(p, prov.ReasonIPIntrQFull)
 			p.Release()
@@ -194,53 +180,84 @@ func (u *unmodifiedPath) rxLoop(in *nic.NIC, task *cpu.Task) {
 		if u.r.Cfg.DisableBatching {
 			// Ablation: one packet per interrupt; the next packet pays
 			// a fresh dispatch cost.
-			in.RxIntrDone()
+			rq.in.RxQueueIntrDone(rq.q)
 			return
 		}
-		u.rxLoop(in, task)
+		u.rxLoop(rq)
 	})
 }
 
-// schedNetisr raises the network software interrupt if it is not
-// already pending.
-func (u *unmodifiedPath) schedNetisr() {
-	if u.softintScheduled {
+// schedNetisrOn raises core's network software interrupt if it is not
+// already pending there.
+func (u *unmodifiedPath) schedNetisrOn(core int) {
+	ni := &u.netisrs[core]
+	if ni.sched {
 		return
 	}
-	u.softintScheduled = true
-	u.softint.Post(u.r.Cfg.Costs.SoftintDispatch, u.softLoop)
+	ni.sched = true
+	ni.task.Post(u.r.Cfg.Costs.SoftintDispatch, ni.run)
 }
 
-// softLoop forwards one packet per work item at softint IPL.
-// Uniprocessor only (softLoopSMP is the locked variant).
-//
-//lkvet:requires boot
-func (u *unmodifiedPath) softLoop() {
-	if u.r.ipintrq.Empty() {
-		u.softintScheduled = false
+// loop forwards one packet per work item at softint IPL; the
+// output-side work is the item's locked tail (under netLock on SMP).
+func (ni *netisr) loop() {
+	r := ni.u.r
+	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
+	if r.ipintrq.Empty() {
+		ni.sched = false
 		return
 	}
-	cost := u.fwdPktCost()
-	if head := u.r.ipintrq.Peek(); head != nil && u.r.screend == nil &&
-		u.r.fastPathHit(head.Data) {
-		cost -= u.r.Cfg.Costs.FastPathSavings
-	}
-	//lkvet:requires boot
-	u.softint.Post(cost, func() {
-		p := u.r.ipintrq.Dequeue()
-		if p != nil {
-			u.r.invest(p, prov.CenterIPInput, cost)
-			u.r.observe(prov.StageSoftIPInput, p)
-			u.deliverIP(p)
+	cost := ni.u.fwdPktCost()
+	if r.ipqLock != nil {
+		// Claim first: every core's netisr drains the one ipintrq, so
+		// on SMP the dequeue runs under ipqLock ahead of the body —
+		// another core may have taken the packet since this round was
+		// scheduled. Its hold is carved out of the forwarding cost.
+		hold := min(r.Cfg.Costs.LockOp, cost)
+		cost -= hold
+		ni.task.PostLocked(r.ipqLock, hold, prov.CenterIPInput, func() {
+			r.ld.Check(r.ipintrq)
+			ni.claimed = r.ipintrq.Dequeue()
+			if ni.claimed != nil {
+				r.invest(ni.claimed, prov.CenterIPInput, hold)
+			}
+		})
+	} else if r.netLock == nil && r.screend == nil {
+		// One CPU: nothing else touches the queue head before this
+		// item runs, so the flow-cache cost peek is exact.
+		if head := r.ipintrq.Peek(); head != nil && r.fastPathHit(head.Data) {
+			cost -= r.Cfg.Costs.FastPathSavings
 		}
-		u.softLoop()
+	}
+	// The tail reads the router through ni, so it captures only ni and
+	// cost: this closure is allocated once per forwarded packet.
+	ni.task.PostLockedTail(r.netLock, cost, r.Cfg.Costs.LockOp, prov.CenterIPInput, func() {
+		if p := ni.take(); p != nil {
+			ni.u.r.invest(p, prov.CenterIPInput, cost)
+			ni.u.r.observe(prov.StageSoftIPInput, p)
+			ni.u.deliverIP(p)
+		}
+		ni.loop()
 	})
+}
+
+// take returns the packet for this netisr's forwarding item: the one
+// its claim-first item dequeued on SMP or, with no ipqLock (one CPU),
+// the queue head, dequeued now.
+func (ni *netisr) take() *netstack.Packet {
+	r := ni.u.r
+	if r.ipqLock == nil {
+		return r.ipintrq.Dequeue()
+	}
+	p := ni.claimed
+	ni.claimed = nil
+	return p
 }
 
 // deliverIP is the IP layer: locally-addressed packets go to the
 // socket/ICMP machinery; with screend configured, transit packets are
 // queued to the screening process; otherwise they are forwarded
-// directly. On SMP this runs inside softLoopSMP's netLock section.
+// directly. It runs as the netisr item's locked tail.
 //
 //lkvet:requires netLock
 func (u *unmodifiedPath) deliverIP(p *netstack.Packet) {
@@ -255,128 +272,17 @@ func (u *unmodifiedPath) deliverIP(p *netstack.Packet) {
 	u.r.forwardFrame(p)
 }
 
-// txLoop reclaims one transmit descriptor per work item at device IPL.
-// Uniprocessor only (txLoopSMP is the locked variant).
-//
-//lkvet:requires boot
+// txLoop reclaims one transmit descriptor per work item at device IPL;
+// the ifStart refill is the item's locked tail (under netLock on SMP:
+// the output ifqueue is shared with every core's netisr).
 func (u *unmodifiedPath) txLoop(port *netPort) {
 	if !port.nic.ReclaimTx() {
 		port.nic.TxIntrDone()
 		return
 	}
-	//lkvet:requires boot
-	port.txTask.Post(u.r.Cfg.Costs.TxDevicePerPkt, func() {
+	c := &u.r.Cfg.Costs
+	port.txTask.PostLockedTail(u.r.netLock, c.TxDevicePerPkt, c.LockOp, prov.CenterTxIntr, func() {
 		u.r.ifStart(port)
 		u.txLoop(port)
-	})
-}
-
-// The SMP variants below split each per-packet cost into an unlocked
-// body and a LockOp-sized locked tail, so the per-packet total is
-// unchanged from the uniprocessor path — what an N-core run adds is
-// only spin time on the shared queues, charged to prov.CenterLock.
-
-// rxLoopSMP is rxLoop for one steered rx queue: the ipintrq enqueue
-// happens under r.ipqLock, and the netisr raised is the one on this
-// handler's own core.
-func (u *unmodifiedPath) rxLoopSMP(in *nic.NIC, q int, task *cpu.Task, core int) {
-	p := in.TakeRxQueue(q)
-	if p == nil {
-		in.RxQueueIntrDone(q)
-		return
-	}
-	c := u.r.Cfg.Costs
-	body := u.rxPktCost() - c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	task.Post(body, func() {
-		u.r.invest(p, prov.CenterRxIntr, body)
-		u.r.tapMonitor(p)
-	})
-	task.PostLocked(u.r.ipqLock, c.LockOp, prov.CenterRxIntr, func() {
-		u.r.ld.Check(u.r.ipintrq)
-		u.r.invest(p, prov.CenterRxIntr, c.LockOp)
-		if u.r.ipintrq.Enqueue(p) {
-			u.r.observe(prov.StageIPIntrQEnqueue, p)
-			u.schedNetisrOn(core)
-		} else {
-			u.r.drop(p, prov.ReasonIPIntrQFull)
-			p.Release()
-		}
-		if u.r.Cfg.DisableBatching {
-			in.RxQueueIntrDone(q)
-			return
-		}
-		u.rxLoopSMP(in, q, task, core)
-	})
-}
-
-// schedNetisrOn raises core's network software interrupt if it is not
-// already pending there.
-func (u *unmodifiedPath) schedNetisrOn(core int) {
-	if u.softSched[core] {
-		return
-	}
-	u.softSched[core] = true
-	u.softints[core].Post(u.r.Cfg.Costs.SoftintDispatch, u.softRun[core])
-}
-
-// softLoopSMP forwards one packet per round on core's netisr: dequeue
-// under ipqLock (another core may have drained the queue since this
-// round was scheduled), the forwarding body unlocked, then the
-// output-side work under netLock.
-func (u *unmodifiedPath) softLoopSMP(core int) {
-	r := u.r
-	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
-	if r.ipintrq.Empty() {
-		u.softSched[core] = false
-		return
-	}
-	c := r.Cfg.Costs
-	t := u.softints[core]
-	body := u.fwdPktCost() - 2*c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	var p *netstack.Packet
-	t.PostLocked(r.ipqLock, c.LockOp, prov.CenterIPInput, func() {
-		r.ld.Check(r.ipintrq)
-		p = r.ipintrq.Dequeue()
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, c.LockOp)
-		}
-	})
-	t.Post(body, func() {
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, body)
-		}
-	})
-	t.PostLocked(r.netLock, c.LockOp, prov.CenterIPInput, func() {
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, c.LockOp)
-			r.observe(prov.StageSoftIPInput, p)
-			u.deliverIP(p)
-		}
-		u.softLoopSMP(core)
-	})
-}
-
-// txLoopSMP is txLoop with the ifStart refill under netLock (the output
-// ifqueue is shared with every core's netisr).
-func (u *unmodifiedPath) txLoopSMP(port *netPort) {
-	if !port.nic.ReclaimTx() {
-		port.nic.TxIntrDone()
-		return
-	}
-	c := u.r.Cfg.Costs
-	body := c.TxDevicePerPkt - c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	port.txTask.Post(body, nil)
-	port.txTask.PostLocked(u.r.netLock, c.LockOp, prov.CenterTxIntr, func() {
-		u.r.ifStart(port)
-		u.txLoopSMP(port)
 	})
 }
