@@ -179,8 +179,8 @@ func (s *screendProc) loop() {
 			// The send syscall re-injects the packet; its kernel half
 			// (ip_output, ifqueue enqueue, transmit start) is charged
 			// here, in process context, as in the real system.
-			send := s.r.Cfg.Costs.ScreendSendPerPkt
-			s.task.PostLockedTail(s.r.netLock, send, s.r.Cfg.Costs.LockOp, prov.CenterScreend, func() {
+			send := c.ScreendSendPerPkt
+			s.task.PostLockedTail(s.r.netLock, send, c.LockOp, prov.CenterScreend, func() {
 				s.r.invest(p, prov.CenterScreend, send)
 				s.r.forwardFrame(p)
 				s.loop()
