@@ -502,6 +502,25 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatedSecondSteady is the steady-state half of
+// BenchmarkSimulatedSecond: the same router and load, built and warmed
+// up for one simulated second outside the timer, then one more
+// simulated second per op. Construction cost (the packet pool, rings,
+// tasks) is excluded, so what remains is the per-packet hot path, and
+// lkbench gates its allocs/op at 0.
+func BenchmarkSimulatedSecondSteady(b *testing.B) {
+	eng := sim.NewEngine()
+	r := kernel.NewRouter(eng, kernel.Config{Mode: kernel.ModePolled, Quota: 5})
+	gen := r.AttachGenerator(0, workload.ConstantRate{Rate: 5000, JitterFrac: 0.05}, 0)
+	gen.Start()
+	eng.Run(sim.Time(sim.Second))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(sim.Second)
+	}
+}
+
 // BenchmarkSimulatedSecondProfiled is the same simulated second with the
 // cycle-attribution profiler attached: the delta against
 // BenchmarkSimulatedSecond is the profiler's enabled cost, and the

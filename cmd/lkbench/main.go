@@ -35,10 +35,11 @@ import (
 // defaultBenchRegexp selects the substrate microbenchmarks: fast enough
 // to run -count times in CI, and together covering the event engine,
 // the scheduling path, the packet FIFOs, the buffer pool, the sampler,
-// and one full simulated second of router operation.
+// and one full simulated second of router operation, both with its
+// construction and (SimulatedSecondSteady) as steady state alone.
 const defaultBenchRegexp = "^(BenchmarkEngineEvents|BenchmarkEngineEventsCall|" +
 	"BenchmarkCPUDispatch|BenchmarkQueueOps|BenchmarkPoolGetPut|" +
-	"BenchmarkSamplerTick|BenchmarkSimulatedSecond|BenchmarkSimulatedSecondProfiled|" +
+	"BenchmarkSamplerTick|BenchmarkSimulatedSecond|BenchmarkSimulatedSecondSteady|BenchmarkSimulatedSecondProfiled|" +
 	"BenchmarkSimulatedSecondSMP4|BenchmarkSimulatedSecondCoalesceSACK)$"
 
 // defaultTight is the default per-benchmark threshold override: the

@@ -15,7 +15,15 @@
 //     funcs, maps and channels do not);
 //   - fmt calls inside the packages whose operations are protected by
 //     AllocsPerRun gates, where a single Sprintf on a per-packet or
-//     per-event path silently reintroduces garbage.
+//     per-event path silently reintroduces garbage;
+//   - in the packages that post the kernel's per-packet work (kernel,
+//     core, nic), capturing closure literals and bound method values
+//     passed as the fn of cpu.Task.Post, PostCenter, PostLocked or
+//     PostLockedTail. Each evaluation allocates a closure, once per
+//     packet, interrupt or tick. Bind the fn once at construction and
+//     pass the field; hand per-item state over in a field of its owner
+//     (DESIGN.md §11). Fields, variables, package-level funcs and
+//     capture-free literals allocate nothing and stay allowed.
 package hotalloc
 
 import (
@@ -25,7 +33,10 @@ import (
 	"livelock/internal/analysis"
 )
 
-const simPath = "livelock/internal/sim"
+const (
+	simPath = "livelock/internal/sim"
+	cpuPath = "livelock/internal/cpu"
+)
 
 // DefaultFmtPackages lists the import paths whose per-operation hot paths
 // are protected by AllocsPerRun gates and where fmt is therefore banned
@@ -41,25 +52,40 @@ var DefaultFmtPackages = map[string]bool{
 	"livelock/internal/prof":     true,
 }
 
-// Analyzer is the hotalloc pass with the default configuration.
-var Analyzer = New(DefaultFmtPackages)
+// DefaultPostPackages lists the import paths whose cpu.Task posts run
+// once per packet, interrupt or tick, and whose steady state the kernel
+// package's zero-allocation test pins.
+var DefaultPostPackages = map[string]bool{
+	"livelock/internal/kernel": true,
+	"livelock/internal/core":   true,
+	"livelock/internal/nic":    true,
+}
 
-// New returns a hotalloc analyzer applying the fmt rule to the given
-// package import paths (fixtures substitute their own).
-func New(fmtPackages map[string]bool) *analysis.Analyzer {
+// Analyzer is the hotalloc pass with the default configuration.
+var Analyzer = New(DefaultFmtPackages, DefaultPostPackages)
+
+// New returns a hotalloc analyzer applying the fmt rule and the Post
+// rule to the given package import paths (fixtures substitute their
+// own).
+func New(fmtPackages, postPackages map[string]bool) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "hotalloc",
 		Doc: "flag allocation sources on the event-engine hot path: closures to " +
-			"At/After, boxing in AtCall/AfterCall arguments, fmt in gated packages",
-		Run: func(pass *analysis.Pass) error { return run(pass, fmtPackages) },
+			"At/After, boxing in AtCall/AfterCall arguments, fmt in gated packages, " +
+			"closures and method values posted to cpu.Task in the kernel packages",
+		Run: func(pass *analysis.Pass) error { return run(pass, fmtPackages, postPackages) },
 	}
 }
 
-func run(pass *analysis.Pass, fmtPackages map[string]bool) error {
+func run(pass *analysis.Pass, fmtPackages, postPackages map[string]bool) error {
+	checkPosts := postPackages[pass.Pkg.ImportPath]
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				checkSchedule(pass, call)
+				if checkPosts {
+					checkPost(pass, call)
+				}
 			}
 			return true
 		})
@@ -110,6 +136,34 @@ func checkSchedule(pass *analysis.Pass, call *ast.CallExpr) {
 				"%s argument boxes a %s into the any slot, allocating per schedule: pass a pointer to the state instead",
 				fn.Name(), t.String())
 		}
+	}
+}
+
+// checkPost applies the bound-once rule to one cpu.Task dispatch call.
+func checkPost(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+	var fnArg ast.Expr
+	switch {
+	case analysis.IsMethod(fn, cpuPath, "Task", "Post") && len(call.Args) == 2:
+		fnArg = call.Args[1]
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostCenter") && len(call.Args) == 3:
+		fnArg = call.Args[2]
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4:
+		fnArg = call.Args[3]
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostLockedTail") && len(call.Args) == 5:
+		fnArg = call.Args[4]
+	default:
+		return
+	}
+	arg := ast.Unparen(fnArg)
+	if lit, ok := arg.(*ast.FuncLit); ok {
+		if capt := captures(pass, lit); capt != "" {
+			pass.Reportf(arg.Pos(),
+				"closure literal passed to Task.%s captures %s and allocates per post: bind the fn once at construction and hand per-item state over in a field", fn.Name(), capt)
+		}
+	} else if isMethodValue(pass, arg) {
+		pass.Reportf(arg.Pos(),
+			"bound method value passed to Task.%s allocates a closure per post: bind it once at construction and pass the field", fn.Name())
 	}
 }
 

@@ -86,8 +86,17 @@ type Poller struct {
 
 	scheduled bool
 	running   bool
-	// schedule is Schedule bound once, for interrupt handlers to post.
-	schedule func()
+	// schedule is Schedule bound once, for interrupt handlers to post;
+	// beginRound, step and afterStep are the loop's own work items,
+	// bound once so posting them allocates nothing.
+	schedule     func()
+	beginRoundFn func()
+	stepFn       func()
+	afterStepFn  func()
+	// commit is the outstanding step's commit, handed from step to
+	// afterStep. The loop runs one step at a time, so at most one is
+	// ever pending.
+	commit func()
 
 	// Round state.
 	devIdx    int
@@ -138,6 +147,9 @@ func newPoller(eng *sim.Engine, c *cpu.CPU, name, rounds, wakeups, rx, tx string
 	// step below.
 	p.task.SetCenter(prov.CenterPollOverhead)
 	p.schedule = p.Schedule
+	p.beginRoundFn = p.beginRound
+	p.stepFn = p.step
+	p.afterStepFn = p.afterStep
 	return p
 }
 
@@ -186,7 +198,7 @@ func (p *Poller) Schedule() {
 	}
 	p.scheduled = true
 	p.Wakeups.Inc()
-	p.task.Post(p.cfg.WakeupCost, p.beginRound)
+	p.task.Post(p.cfg.WakeupCost, p.beginRoundFn)
 }
 
 func (p *Poller) beginRound() {
@@ -195,7 +207,7 @@ func (p *Poller) beginRound() {
 	p.doingTx = false
 	p.usedQuota = 0
 	p.roundWork = 0
-	p.task.Post(p.cfg.RoundCost, p.step)
+	p.task.Post(p.cfg.RoundCost, p.stepFn)
 }
 
 // rxAllowed applies the gate.
@@ -242,17 +254,26 @@ func (p *Poller) step() {
 				if p.doingTx {
 					center = prov.CenterOutput
 				}
-				p.task.PostLockedTail(dev.Lock, cost, dev.LockedTail, center, func() {
-					if commit != nil {
-						commit()
-					}
-					p.step()
-				})
+				if p.commit != nil {
+					panic("core: step posted while another step's commit is pending")
+				}
+				p.commit = commit
+				p.task.PostLockedTail(dev.Lock, cost, dev.LockedTail, center, p.afterStepFn)
 				return
 			}
 		}
 		p.endVisit()
 	}
+}
+
+// afterStep runs once a step's cost has been consumed: it runs the
+// step's commit, if any, and takes the next scheduling decision.
+func (p *Poller) afterStep() {
+	if commit := p.commit; commit != nil {
+		p.commit = nil
+		commit()
+	}
+	p.step()
 }
 
 func (p *Poller) quotaLeft() bool {

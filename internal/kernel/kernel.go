@@ -162,6 +162,8 @@ type Router struct {
 
 	clockTask *cpu.Task
 	houseTask *cpu.Task
+	// tick is onTick bound once: the hardclock posts it every tick.
+	tick      func()
 	ticks     uint64
 	nextOwnID uint64
 
@@ -366,6 +368,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	r.clockTask.SetCenter(prov.CenterClock)
 	r.houseTask = r.CPU.NewTask("housekeeping", cpu.IPLThread, 50, cpu.ClassKernel)
 	r.houseTask.SetCenter(prov.CenterClock)
+	r.tick = r.onTick
 	r.scheduleTick()
 
 	if cfg.Trace != nil || r.prof != nil {
@@ -697,7 +700,7 @@ func (r *Router) scheduleTick() {
 // every ClockTick for the whole run, so it must not allocate.
 func routerTick(a, _ any) {
 	r := a.(*Router)
-	r.clockTask.Post(r.Cfg.Costs.ClockTickCost, r.onTick)
+	r.clockTask.Post(r.Cfg.Costs.ClockTickCost, r.tick)
 	r.scheduleTick()
 }
 

@@ -6,6 +6,7 @@ import (
 	"livelock/internal/core"
 	"livelock/internal/cpu"
 	"livelock/internal/metrics"
+	"livelock/internal/netstack"
 	"livelock/internal/prov"
 	"livelock/internal/queue"
 	"livelock/internal/sim"
@@ -174,7 +175,7 @@ func (m *polledPath) initDevices() {
 			},
 		}
 		if hasRx {
-			dev.Rx = m.rxStep(port, q)
+			dev.Rx = newPolledRx(r, port, q).step
 			m.rxRefs = append(m.rxRefs, rxQueueRef{port: port, q: q, pol: pol})
 		}
 		if hasTx {
@@ -284,65 +285,109 @@ func clockedPoll(a, _ any) {
 	m.scheduleClockedPoll()
 }
 
-// rxStep returns the received-packet callback for rx queue q of an
-// input port: one packet processed to completion per step, pulled only
-// from queue q so each poller drains exactly the queues whose
-// interrupts it owns. "The received-packet callback procedures call the
-// IP input processing routine directly, rather than placing received
-// packets on a queue" (§6.4).
-func (m *polledPath) rxStep(port *netPort, q int) core.Step {
-	c := m.r.Cfg.Costs
-	return func() (sim.Duration, func(), bool) {
-		p := port.nic.TakeRxQueue(q)
-		if p == nil {
-			return 0, nil, false
-		}
-		m.r.tapMonitor(p)
-		if _, local := m.r.isLocal(p.Data); local {
-			// The commit runs under the device lock: core.Poller posts
-			// it with PostLockedTail(Device.Lock) — r.netLock here.
-			//lkvet:requires netLock
-			return c.PolledRxLocalPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxLocalPerPkt)
-				m.r.observe(prov.StagePollRxLocal, p)
-				m.r.deliverLocal(p)
-			}, true
-		}
-		if m.r.screend != nil {
-			//lkvet:requires netLock
-			return c.PolledRxToScreendPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxToScreendPerPkt)
-				m.r.observe(prov.StagePollRxScreend, p)
-				m.r.screend.submit(p)
-			}, true
-		}
-		cost := c.PolledRxPerPkt
-		//lkvet:allow lockguard unlocked cost-model peek at the flow cache; the authoritative lookup runs in the locked commit
-		if m.r.fastPathHit(p.Data) {
-			cost -= c.FastPathSavings
-		}
-		//lkvet:requires netLock
-		return cost, func() {
-			m.r.invest(p, prov.CenterIPInput, cost)
-			m.r.observe(prov.StagePollRxForward, p)
-			m.r.forwardFrame(p)
-		}, true
+// polledRx is the driver state of one polled rx queue of an input
+// port. Its step takes one packet and returns one of three commits,
+// bound once at registration; the packet and the cost charged for it
+// are handed to the commit in pkt and cost. The poller runs one step
+// at a time, so at most one packet is ever in hand.
+type polledRx struct {
+	r    *Router
+	port *netPort
+	q    int
+
+	pkt  *netstack.Packet
+	cost sim.Duration
+
+	local, screend, forward func()
+}
+
+func newPolledRx(r *Router, port *netPort, q int) *polledRx {
+	d := &polledRx{r: r, port: port, q: q}
+	d.local = d.commitLocal
+	d.screend = d.commitScreend
+	d.forward = d.commitForward
+	return d
+}
+
+// step is the received-packet callback for the queue: one packet
+// processed to completion per step, pulled only from queue q so each
+// poller drains exactly the queues whose interrupts it owns. "The
+// received-packet callback procedures call the IP input processing
+// routine directly, rather than placing received packets on a queue"
+// (§6.4).
+func (d *polledRx) step() (sim.Duration, func(), bool) {
+	if d.pkt != nil {
+		panic("kernel: polled rx step while the previous packet is still in hand")
 	}
+	p := d.port.nic.TakeRxQueue(d.q)
+	if p == nil {
+		return 0, nil, false
+	}
+	r := d.r
+	c := &r.Cfg.Costs
+	r.tapMonitor(p)
+	d.pkt = p
+	// Every commit runs under the device lock: core.Poller posts it
+	// with PostLockedTail(Device.Lock) — r.netLock here.
+	if _, local := r.isLocal(p.Data); local {
+		d.cost = c.PolledRxLocalPerPkt
+		return d.cost, d.local, true
+	}
+	if r.screend != nil {
+		d.cost = c.PolledRxToScreendPerPkt
+		return d.cost, d.screend, true
+	}
+	d.cost = c.PolledRxPerPkt
+	//lkvet:allow lockguard unlocked cost-model peek at the flow cache; the authoritative lookup runs in the locked commit
+	if r.fastPathHit(p.Data) {
+		d.cost -= c.FastPathSavings
+	}
+	return d.cost, d.forward, true
+}
+
+// take returns the packet handed over by step, clears the hand-off and
+// invests the step's cost in the packet.
+func (d *polledRx) take() *netstack.Packet {
+	p := d.pkt
+	d.pkt = nil
+	d.r.invest(p, prov.CenterIPInput, d.cost)
+	return p
+}
+
+//lkvet:requires netLock
+func (d *polledRx) commitLocal() {
+	p := d.take()
+	d.r.observe(prov.StagePollRxLocal, p)
+	d.r.deliverLocal(p)
+}
+
+//lkvet:requires netLock
+func (d *polledRx) commitScreend() {
+	p := d.take()
+	d.r.observe(prov.StagePollRxScreend, p)
+	d.r.screend.submit(p)
+}
+
+//lkvet:requires netLock
+func (d *polledRx) commitForward() {
+	p := d.take()
+	d.r.observe(prov.StagePollRxForward, p)
+	d.r.forwardFrame(p)
 }
 
 // txStep returns the transmitted-packet callback: reclaim one descriptor
-// and refill the transmitter.
+// and refill the transmitter. A reclaim hands nothing over, so the
+// refill commit is bound once per port.
 func (m *polledPath) txStep(port *netPort) core.Step {
 	c := m.r.Cfg.Costs
+	// Under the device lock (r.netLock; nil on a uniprocessor).
+	//lkvet:requires netLock
+	refill := func() { m.r.ifStart(port) }
 	return func() (sim.Duration, func(), bool) {
 		if !port.nic.ReclaimTx() {
 			return 0, nil, false
 		}
-		// Under the device lock (r.netLock; nil on a uniprocessor).
-		//lkvet:requires netLock
-		return c.PolledTxPerPkt, func() {
-			m.r.ifStart(port)
-		}, true
+		return c.PolledTxPerPkt, refill, true
 	}
 }
 

@@ -33,6 +33,8 @@ type Monitor struct {
 	ring      []MonitorRecord
 	head, cnt int
 	scheduled bool
+	// run and process are loop and processHead bound once.
+	run, process func()
 
 	// Captured counts records accepted into the buffer; Dropped counts
 	// records lost to overflow; Processed counts records the monitoring
@@ -93,6 +95,8 @@ func (r *Router) StartMonitor(cfg MonitorConfig) *Monitor {
 	}
 	m.task = r.CPU.NewTask("monitor", cpu.IPLThread, cfg.Prio, cpu.ClassUser)
 	m.task.SetCenter(prov.CenterUserProc)
+	m.run = m.loop
+	m.process = m.processHead
 	if cfg.Feedback && r.polled != nil {
 		m.fb = core.NewFeedback(r.Eng, r.polled.gate, "monitorq-feedback",
 			r.Cfg.FeedbackTimeout)
@@ -172,7 +176,7 @@ func (m *Monitor) wakeup() {
 		return
 	}
 	m.scheduled = true
-	m.task.Post(m.r.Cfg.Costs.ScreendWakeup, m.loop)
+	m.task.Post(m.r.Cfg.Costs.ScreendWakeup, m.run)
 }
 
 func (m *Monitor) loop() {
@@ -180,24 +184,27 @@ func (m *Monitor) loop() {
 		m.scheduled = false
 		return
 	}
-	m.task.Post(m.cfg.ProcessCost, func() {
-		if m.cnt == 0 {
-			m.scheduled = false
-			return
+	m.task.Post(m.cfg.ProcessCost, m.process)
+}
+
+// processHead consumes the oldest capture record.
+func (m *Monitor) processHead() {
+	if m.cnt == 0 {
+		m.scheduled = false
+		return
+	}
+	rec := m.ring[m.head]
+	m.head = (m.head + 1) % len(m.ring)
+	m.cnt--
+	m.Bytes += uint64(rec.Len)
+	m.Processed.Inc()
+	if m.fb != nil {
+		m.fb.Progress()
+		if m.cnt <= len(m.ring)/4 {
+			m.fb.QueueLow()
 		}
-		rec := m.ring[m.head]
-		m.head = (m.head + 1) % len(m.ring)
-		m.cnt--
-		m.Bytes += uint64(rec.Len)
-		m.Processed.Inc()
-		if m.fb != nil {
-			m.fb.Progress()
-			if m.cnt <= len(m.ring)/4 {
-				m.fb.QueueLow()
-			}
-		}
-		m.loop()
-	})
+	}
+	m.loop()
 }
 
 // tapMonitor is the receive-path hook.

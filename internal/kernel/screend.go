@@ -22,9 +22,16 @@ type screendProc struct {
 	rules     []screendRule
 	scheduled bool
 	hung      bool
+	// run, claim, filter and send are loop, claimHead, filterHead and
+	// sendHead bound once, so the per-packet items allocate nothing.
+	run, claim, filter, send func()
 	// claimed is the packet the claim-first item dequeued for the body
-	// after it (SMP only; see loop).
-	claimed *netstack.Packet
+	// after it (SMP only; see loop); sending is the accepted packet the
+	// body hands to the send syscall's item. hold and cost are the claim's
+	// and the body's costs; busy marks a body outstanding.
+	claimed, sending *netstack.Packet
+	hold, cost       sim.Duration
+	busy             bool
 
 	// Accepted/Rejected count filter verdicts.
 	Accepted *stats.Counter
@@ -51,6 +58,10 @@ func newScreendProc(r *Router) *screendProc {
 	// interrupt, which is the whole problem.
 	s.task = r.CPU.NewTask("screend", cpu.IPLThread, 5, cpu.ClassUser)
 	s.task.SetCenter(prov.CenterScreend)
+	s.run = s.loop
+	s.claim = s.claimHead
+	s.filter = s.filterHead
+	s.send = s.sendHead
 
 	// Build the configured number of no-op deny rules followed by a
 	// final allow-all, so every packet traverses the whole list (the
@@ -131,7 +142,7 @@ func (s *screendProc) wakeup() {
 		return
 	}
 	s.scheduled = true
-	s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loop)
+	s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.run)
 }
 
 // loop processes one packet per iteration: recv syscall, filter
@@ -148,49 +159,79 @@ func (s *screendProc) loop() {
 		s.scheduled = false
 		return
 	}
+	if s.busy {
+		panic("kernel: screend iteration posted while another is outstanding")
+	}
+	s.busy = true
 	c := &r.Cfg.Costs
-	cost := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
+	s.cost = c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
 		sim.Duration(len(s.rules))*c.ScreendRuleCost
 	if r.netLock != nil {
 		// Claim first: the body runs unlocked, so on SMP the recv
 		// syscall's dequeue is a netLock critical section ahead of it,
 		// its hold carved out of the recv cost.
-		hold := min(c.LockOp, cost)
-		cost -= hold
-		s.task.PostLocked(r.netLock, hold, prov.CenterScreend, func() {
-			r.ld.Check(r.screendq)
-			s.claimed = r.screendq.Dequeue()
-			if s.claimed != nil {
-				r.invest(s.claimed, prov.CenterScreend, hold)
-			}
-		})
+		s.hold = min(c.LockOp, s.cost)
+		s.cost -= s.hold
+		s.task.PostLocked(r.netLock, s.hold, prov.CenterScreend, s.claim)
 	}
-	s.task.Post(cost, func() {
-		p := s.take()
-		if p == nil {
-			s.scheduled = false
-			return
+	s.task.Post(s.cost, s.filter)
+}
+
+// claimHead is the SMP claim-first item: the recv syscall's dequeue.
+//
+//lkvet:requires netLock
+func (s *screendProc) claimHead() {
+	r := s.r
+	if s.claimed != nil {
+		panic("kernel: screend claim while the previous claimed packet is still in hand")
+	}
+	r.ld.Check(r.screendq)
+	s.claimed = r.screendq.Dequeue()
+	if s.claimed != nil {
+		r.invest(s.claimed, prov.CenterScreend, s.hold)
+	}
+}
+
+// filterHead is the end of the body: the recv syscall returns and the
+// rules are evaluated. An accepted packet goes on to the send syscall.
+func (s *screendProc) filterHead() {
+	s.busy = false
+	p := s.take()
+	if p == nil {
+		s.scheduled = false
+		return
+	}
+	s.r.notifyScreendProgress()
+	s.r.invest(p, prov.CenterScreend, s.cost)
+	if s.verdict(p) {
+		s.Accepted.Inc()
+		s.r.observe(prov.StageScreendAccept, p)
+		// The send syscall re-injects the packet; its kernel half
+		// (ip_output, ifqueue enqueue, transmit start) is charged
+		// here, in process context, as in the real system.
+		if s.sending != nil {
+			panic("kernel: screend send posted while the previous packet is still in hand")
 		}
-		s.r.notifyScreendProgress()
-		s.r.invest(p, prov.CenterScreend, cost)
-		if s.verdict(p) {
-			s.Accepted.Inc()
-			s.r.observe(prov.StageScreendAccept, p)
-			// The send syscall re-injects the packet; its kernel half
-			// (ip_output, ifqueue enqueue, transmit start) is charged
-			// here, in process context, as in the real system.
-			send := c.ScreendSendPerPkt
-			s.task.PostLockedTail(s.r.netLock, send, c.LockOp, prov.CenterScreend, func() {
-				s.r.invest(p, prov.CenterScreend, send)
-				s.r.forwardFrame(p)
-				s.loop()
-			})
-			return
-		}
-		s.r.drop(p, prov.ReasonScreendReject)
-		p.Release()
-		s.loop()
-	})
+		s.sending = p
+		c := &s.r.Cfg.Costs
+		s.task.PostLockedTail(s.r.netLock, c.ScreendSendPerPkt, c.LockOp, prov.CenterScreend, s.send)
+		return
+	}
+	s.r.drop(p, prov.ReasonScreendReject)
+	p.Release()
+	s.loop()
+}
+
+// sendHead is the end of the send syscall: the accepted packet enters
+// the shared output path.
+//
+//lkvet:requires netLock
+func (s *screendProc) sendHead() {
+	p := s.sending
+	s.sending = nil
+	s.r.invest(p, prov.CenterScreend, s.r.Cfg.Costs.ScreendSendPerPkt)
+	s.r.forwardFrame(p)
+	s.loop()
 }
 
 // take returns the packet for this iteration's body: the one the

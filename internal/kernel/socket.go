@@ -114,6 +114,8 @@ type AppServer struct {
 
 	scheduled bool
 	wakeCost  sim.Duration
+	// run and serve are loop and serveHead bound once.
+	run, serve func()
 
 	// Served counts requests fully processed; Replied counts replies
 	// handed to the output path.
@@ -137,6 +139,8 @@ func (r *Router) StartApp(cfg AppConfig) *AppServer {
 	a.sock.app = a
 	a.task = r.CPU.NewTask("app", cpu.IPLThread, cfg.Prio, cpu.ClassUser)
 	a.task.SetCenter(prov.CenterUserProc)
+	a.run = a.loop
+	a.serve = a.serveHead
 	if cfg.Feedback && r.polled != nil {
 		a.fb = r.polled.attachQueueFeedback(a.sock.buf,
 			fmt.Sprintf("sockbuf-%d-feedback", cfg.Port))
@@ -152,7 +156,7 @@ func (a *AppServer) wakeup() {
 		return
 	}
 	a.scheduled = true
-	a.task.Post(a.wakeCost, a.loop)
+	a.task.Post(a.wakeCost, a.run)
 }
 
 func (a *AppServer) loop() {
@@ -160,23 +164,27 @@ func (a *AppServer) loop() {
 		a.scheduled = false
 		return
 	}
-	a.task.Post(a.cfg.RecvCost+a.cfg.ProcessCost, func() {
-		p := a.sock.buf.Dequeue()
-		if p == nil {
-			a.scheduled = false
-			return
-		}
-		if a.fb != nil {
-			a.fb.Progress()
-		}
-		a.Served.Inc()
-		if a.cfg.ReplyBytes > 0 {
-			a.reply(p)
-			return
-		}
-		p.Release()
-		a.loop()
-	})
+	a.task.Post(a.cfg.RecvCost+a.cfg.ProcessCost, a.serve)
+}
+
+// serveHead is the end of one request: the recv syscall returns and
+// the application processes the request, replying if configured.
+func (a *AppServer) serveHead() {
+	p := a.sock.buf.Dequeue()
+	if p == nil {
+		a.scheduled = false
+		return
+	}
+	if a.fb != nil {
+		a.fb.Progress()
+	}
+	a.Served.Inc()
+	if a.cfg.ReplyBytes > 0 {
+		a.reply(p)
+		return
+	}
+	p.Release()
+	a.loop()
 }
 
 // reply builds a real UDP response (addresses and ports swapped) and
@@ -191,7 +199,7 @@ func (a *AppServer) reply(req *netstack.Packet) {
 	// Uniprocessor only (NewRouter refuses UserProcess on SMP): the
 	// user process is serialized with the whole kernel.
 	//lkvet:requires boot
-	a.task.Post(a.cfg.ReplyCost, func() {
+	a.task.Post(a.cfg.ReplyCost, func() { //lkvet:allow hotalloc the reply builds a fresh frame per request anyway; binding it belongs with lifting the UserProcess fence
 		spec := netstack.FrameSpec{
 			SrcMAC: eth.Dst, DstMAC: eth.Src,
 			SrcIP: ip.Dst, DstIP: ip.Src,

@@ -15,6 +15,9 @@ import (
 type userProc struct {
 	r    *Router
 	task *cpu.Task
+	// next is spin bound once: the spinner posts a slice every 100 µs
+	// for the whole run.
+	next func()
 }
 
 // userSlice is the spin-slice length; small enough that measurement
@@ -25,10 +28,11 @@ func newUserProc(r *Router) *userProc {
 	u := &userProc{r: r}
 	u.task = r.CPU.NewTask("spinner", cpu.IPLThread, 1, cpu.ClassUser)
 	u.task.SetCenter(prov.CenterUserProc)
+	u.next = u.spin
 	u.spin()
 	return u
 }
 
 func (u *userProc) spin() {
-	u.task.Post(userSlice, u.spin)
+	u.task.Post(userSlice, u.next)
 }

@@ -76,15 +76,22 @@ type Pool struct {
 }
 
 // NewPool returns a pool of n buffers of bufSize bytes each. n <= 0 or
-// bufSize <= 0 panics.
+// bufSize <= 0 panics. The packets and their buffers live on two slabs,
+// one []Packet and one []byte, so a pool costs a handful of allocations
+// however many buffers it holds. Each buffer is capped at bufSize, so
+// an append past it reallocates instead of running into its neighbour.
 func NewPool(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic("netstack: invalid pool dimensions")
 	}
 	p := &Pool{bufSize: bufSize, total: n}
-	p.free = make([]*Packet, 0, n)
-	for i := 0; i < n; i++ {
-		p.free = append(p.free, &Packet{Data: make([]byte, 0, bufSize), pool: p})
+	pkts := make([]Packet, n)
+	bufs := make([]byte, n*bufSize)
+	p.free = make([]*Packet, n)
+	for i := range pkts {
+		off := i * bufSize
+		pkts[i] = Packet{Data: bufs[off : off : off+bufSize], pool: p}
+		p.free[i] = &pkts[i]
 	}
 	return p
 }

@@ -68,8 +68,13 @@ type NIC struct {
 	// completed (awaiting reclaim) <= cfg.TxRing. Ownership of a frame
 	// passes to the wire when transmission finishes (the receiver gets
 	// "the copy on the wire"); reclaiming afterwards frees only the
-	// descriptor.
+	// descriptor. txQueue[txHead:] are the queued frames: popping
+	// advances txHead, and the slice rewinds when it empties (or is
+	// compacted when an append would outgrow it), so one backing array,
+	// sized by the queue's peak length, is reused instead of sliding
+	// off it.
 	txQueue     []*netstack.Packet
+	txHead      int
 	txCompleted int
 	txInFlight  int
 	txEnabled   bool
@@ -464,7 +469,7 @@ func (n *NIC) SetTxInterrupt(fn func()) { n.onTxIntr = fn }
 
 // TxDescriptorsFree returns the number of unused transmit descriptors.
 func (n *NIC) TxDescriptorsFree() int {
-	return n.cfg.TxRing - len(n.txQueue) - n.txInFlight - n.txCompleted
+	return n.cfg.TxRing - n.TxQueuedLen() - n.txInFlight - n.txCompleted
 }
 
 // StartTx hands a frame to the hardware for transmission. It returns
@@ -474,20 +479,31 @@ func (n *NIC) StartTx(p *netstack.Packet) bool {
 	if n.TxDescriptorsFree() == 0 {
 		return false
 	}
+	if len(n.txQueue) == cap(n.txQueue) && n.txHead > 0 {
+		k := copy(n.txQueue, n.txQueue[n.txHead:])
+		clear(n.txQueue[k:])
+		n.txQueue = n.txQueue[:k]
+		n.txHead = 0
+	}
 	n.txQueue = append(n.txQueue, p)
 	n.kickTx()
 	return true
 }
 
 func (n *NIC) kickTx() {
-	if n.txInFlight > 0 || len(n.txQueue) == 0 {
+	if n.txInFlight > 0 || n.TxQueuedLen() == 0 {
 		return
 	}
 	if n.wire == nil {
 		panic("nic: transmit on interface without a wire")
 	}
-	p := n.txQueue[0]
-	n.txQueue = n.txQueue[1:]
+	p := n.txQueue[n.txHead]
+	n.txQueue[n.txHead] = nil
+	n.txHead++
+	if n.txHead == len(n.txQueue) {
+		n.txQueue = n.txQueue[:0]
+		n.txHead = 0
+	}
 	n.txInFlight++
 	done := n.wire.Transmit(p)
 	// Closure-free: one completion event per transmitted frame.
@@ -518,7 +534,7 @@ func (n *NIC) TxCompletedLen() int { return n.txCompleted }
 
 // TxQueuedLen returns how many frames occupy descriptors awaiting their
 // turn on the wire.
-func (n *NIC) TxQueuedLen() int { return len(n.txQueue) }
+func (n *NIC) TxQueuedLen() int { return len(n.txQueue) - n.txHead }
 
 // TxInFlight returns how many frames are currently being transmitted.
 func (n *NIC) TxInFlight() int { return n.txInFlight }
@@ -558,7 +574,7 @@ func (n *NIC) TxPending() bool { return n.txPending }
 //
 //lkvet:requires boot
 func (n *NIC) Quiesced() bool {
-	return n.RxLen() == 0 && len(n.txQueue) == 0 && n.txInFlight == 0 && n.txCompleted == 0
+	return n.RxLen() == 0 && n.TxQueuedLen() == 0 && n.txInFlight == 0 && n.txCompleted == 0
 }
 
 // Drain releases every packet held in the rings and returns how many
@@ -571,11 +587,12 @@ func (n *NIC) Drain() int {
 		p.Release()
 		count++
 	}
-	for _, p := range n.txQueue {
+	for _, p := range n.txQueue[n.txHead:] {
 		p.Release()
 		count++
 	}
 	n.txQueue = nil
+	n.txHead = 0
 	n.txCompleted = 0
 	return count
 }

@@ -408,3 +408,33 @@ func TestWireTapDelayedDelivery(t *testing.T) {
 		t.Fatalf("Delivered/sink = %d/%d, want 1/1", w.Delivered, sink.Count)
 	}
 }
+
+// TestTxQueueNoAlloc: the transmit queue reuses one backing array, so
+// the StartTx → wire completion → ReclaimTx cycle allocates nothing once
+// warm. Popping by reslicing the queue's front would slide it off its
+// array and make nearly every later append allocate a fresh one.
+func TestTxQueueNoAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	var sink CountingReceiver
+	w := NewWire(eng, &sink, EthernetBitRate, 0)
+	n := New(eng, "out0", netstack.MAC{}, Config{RxRing: 4, TxRing: 4}, w)
+	frames := []*netstack.Packet{pkt(1, 60), pkt(2, 60), pkt(3, 60)}
+	cycle := func() {
+		for _, p := range frames {
+			if !n.StartTx(p) {
+				t.Fatal("StartTx refused with free descriptors")
+			}
+		}
+		eng.RunFor(sim.Millisecond)
+		for n.ReclaimTx() {
+		}
+		n.TxIntrDone()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocations per transmit cycle, want 0", allocs)
+	}
+	if n.TxQueuedLen() != 0 || n.TxDescriptorsFree() != 4 {
+		t.Fatalf("queued=%d free=%d after the cycles, want 0 and 4", n.TxQueuedLen(), n.TxDescriptorsFree())
+	}
+}
