@@ -19,8 +19,7 @@ import (
 
 	"livelock"
 	"livelock/internal/cpu"
-	"livelock/internal/fault"
-	"livelock/internal/nic"
+	"livelock/internal/runflags"
 )
 
 func main() {
@@ -33,102 +32,18 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("lksim", flag.ContinueOnError)
 	fs.SetOutput(w)
-	mode := fs.String("mode", "polled", "kernel mode: unmodified, compat, polled")
-	rate := fs.Float64("rate", 6000, "offered load (pkts/sec)")
-	quota := fs.Int("quota", 5, "poll callback quota; -1 = unlimited")
-	screend := fs.Bool("screend", false, "insert the screend user-mode filter")
-	rules := fs.Int("rules", 1, "screend rule-list length")
-	feedback := fs.Bool("feedback", false, "enable screend queue-state feedback")
-	cycleLimit := fs.Float64("cyclelimit", 0, "cycle-limit threshold in (0,1); 0 = off")
-	user := fs.Bool("user", false, "run a compute-bound user process")
+	rf := runflags.Bind(fs)
 	poisson := fs.Bool("poisson", false, "Poisson arrivals instead of jittered constant rate")
 	warmup := fs.Duration("warmup", 500*time.Millisecond, "simulated warmup")
 	measure := fs.Duration("measure", 3*time.Second, "simulated measurement window")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	cpus := fs.Int("cpus", 1, "virtual CPUs (>1 enables IRQ steering and shared-queue locks)")
-	irqcpus := fs.Int("irqcpus", 0, "polled SMP: cores dedicated to interrupt handling (< cpus)")
 	timeline := fs.String("timeline", "", "record a sampled time-series of the run (incl. warmup) to this CSV file")
 	tlInterval := fs.Duration("timeline-interval", 10*time.Millisecond, "sampling interval for -timeline")
-	faultDrop := fs.Float64("fault-drop", 0, "wire fault: per-frame drop probability")
-	faultTruncate := fs.Float64("fault-truncate", 0, "wire fault: per-frame truncation probability")
-	faultCorrupt := fs.Float64("fault-corrupt", 0, "wire fault: per-frame bit-corruption probability")
-	faultDup := fs.Float64("fault-dup", 0, "wire fault: per-frame duplication probability")
-	faultDelay := fs.Float64("fault-delay", 0, "wire fault: per-frame extra-delay probability (reordering)")
-	faultReorder := fs.Float64("fault-reorder", 0, "wire fault: per-frame reorder-hold probability")
-	faultReorderSpan := fs.Int("fault-reorder-span", 0, "wire fault: frames a held frame is displaced past (0 = default 3)")
-	faultReorderMode := fs.String("fault-reorder-mode", "displace", "wire fault: reorder model, displace or swap")
-	faultReorderFlush := fs.Duration("fault-reorder-flush", 0, "wire fault: max hold before a displaced frame is released (0 = default 1ms)")
-	faultStall := fs.Duration("fault-stall", 0, "device fault: rx stall window length (0 = off)")
-	faultStallPeriod := fs.Duration("fault-stall-period", 100*time.Millisecond, "device fault: rx stall window period")
-	faultReset := fs.Bool("fault-reset", false, "device fault: discard the rx ring when a stall window opens")
-	faultIntrLoss := fs.Float64("fault-intr-loss", 0, "device fault: receive-interrupt loss probability")
-	faultPause := fs.Duration("fault-screend-pause", 0, "process fault: screend pause window length (0 = off)")
-	faultPausePeriod := fs.Duration("fault-screend-pause-period", 100*time.Millisecond, "process fault: screend pause period")
-	faultSeed := fs.Uint64("fault-seed", 0, "fault RNG seed perturbation (0 derives from -seed)")
-	coalesce := fs.String("coalesce", "immediate", "rx interrupt coalescing policy: immediate, count, timer, adaptive")
-	coalesceCount := fs.Int("coalesce-count", 0, "coalescing packet-count threshold (0 = policy default)")
-	coalesceTimer := fs.Duration("coalesce-timer", 0, "coalescing max holdoff after first unsignaled frame (0 = policy default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	policy, ok := nic.ParseCoalescePolicy(*coalesce)
-	if !ok {
-		return fmt.Errorf("unknown coalescing policy %q", *coalesce)
-	}
-	reorderMode, ok := fault.ParseReorderMode(*faultReorderMode)
-	if !ok {
-		return fmt.Errorf("unknown reorder mode %q", *faultReorderMode)
-	}
-
-	cfg := livelock.Config{
-		Quota:               *quota,
-		Screend:             *screend,
-		ScreendRules:        *rules,
-		Feedback:            *feedback,
-		CycleLimitThreshold: *cycleLimit,
-		UserProcess:         *user,
-		Seed:                *seed,
-		CPUs:                *cpus,
-		IRQCPUs:             *irqcpus,
-		Fault: livelock.FaultConfig{
-			DropProb:             *faultDrop,
-			TruncateProb:         *faultTruncate,
-			CorruptProb:          *faultCorrupt,
-			DupProb:              *faultDup,
-			DelayProb:            *faultDelay,
-			ReorderProb:          *faultReorder,
-			ReorderSpan:          *faultReorderSpan,
-			ReorderMode:          reorderMode,
-			ReorderFlush:         livelock.Duration((*faultReorderFlush).Nanoseconds()),
-			StallPeriod:          livelock.Duration((*faultStallPeriod).Nanoseconds()),
-			StallDuration:        livelock.Duration((*faultStall).Nanoseconds()),
-			ResetOnStall:         *faultReset,
-			IntrLossProb:         *faultIntrLoss,
-			ScreendPausePeriod:   livelock.Duration((*faultPausePeriod).Nanoseconds()),
-			ScreendPauseDuration: livelock.Duration((*faultPause).Nanoseconds()),
-			Seed:                 *faultSeed,
-		},
-	}
-	cfg.NIC.Coalesce = nic.CoalesceConfig{
-		Policy:      policy,
-		CountThresh: *coalesceCount,
-		TimerThresh: livelock.Duration((*coalesceTimer).Nanoseconds()),
-	}
-	if *faultStall <= 0 {
-		cfg.Fault.StallPeriod = 0
-	}
-	if *faultPause <= 0 {
-		cfg.Fault.ScreendPausePeriod = 0
-	}
-	switch *mode {
-	case "unmodified":
-		cfg.Mode = livelock.ModeUnmodified
-	case "compat":
-		cfg.Mode = livelock.ModePolledCompat
-	case "polled":
-		cfg.Mode = livelock.ModePolled
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	cfg, rate, err := rf.Config()
+	if err != nil {
+		return err
 	}
 
 	var reg *livelock.MetricsRegistry
@@ -139,9 +54,9 @@ func run(args []string, w io.Writer) error {
 
 	eng := livelock.NewEngine()
 	r := livelock.NewRouter(eng, cfg)
-	var arrival livelock.Arrival = livelock.ConstantRate{Rate: *rate, JitterFrac: 0.05}
+	var arrival livelock.Arrival = livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}
 	if *poisson {
-		arrival = livelock.Poisson{Rate: *rate}
+		arrival = livelock.Poisson{Rate: rate}
 	}
 	gen := r.AttachGenerator(0, arrival, 0)
 	gen.Start()
@@ -166,7 +81,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "kernel: %v  screend=%v feedback=%v quota=%d cycle-limit=%.2f\n",
 		cfg.Mode, cfg.Screend, cfg.Feedback, cfg.Quota, cfg.CycleLimitThreshold)
 	fmt.Fprintf(w, "offered:   %8.0f pkts/sec (measured %.0f)\n",
-		*rate, float64(gen.Sent.Value()-sentBefore)/win)
+		rate, float64(gen.Sent.Value()-sentBefore)/win)
 	fmt.Fprintf(w, "forwarded: %8.0f pkts/sec\n", float64(r.Delivered()-deliveredBefore)/win)
 	if cfg.UserProcess {
 		fmt.Fprintf(w, "user CPU:  %8.1f %%\n",

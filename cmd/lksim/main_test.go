@@ -85,10 +85,18 @@ func TestRunScreendPauseFault(t *testing.T) {
 	}
 }
 
+// TestRunBadMode feeds configurations no router can be built from;
+// each must come back as an error, not a panic.
 func TestRunBadMode(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-mode", "bogus"}, &buf); err == nil {
-		t.Fatal("bad mode accepted")
+	for _, args := range [][]string{
+		{"-mode", "bogus"},
+		{"-user", "-cpus", "2"},
+		{"-coalesce", "sometimes"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

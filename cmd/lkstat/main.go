@@ -14,14 +14,21 @@
 //	perfetto  Chrome trace-event JSON (counter tracks, per-task CPU
 //	          scheduling spans, packet-lifecycle instants) for
 //	          ui.perfetto.dev
+//	log       the packet-lifecycle event log (the last -trace records,
+//	          or one packet's with -pkt); -profile appends the
+//	          cycle-attribution report
 //
-// All output is deterministic for a given configuration and seed.
+// The run flags (mode, rate, screend, faults, coalescing, ...) are the
+// same as lksim's. All output is deterministic for a given
+// configuration and seed.
 //
 // Examples:
 //
 //	lkstat -mode unmodified -rate 8000 -format csv
 //	lkstat -mode unmodified -screend -rate 8000           # full livelock
 //	lkstat -mode polled -quota 5 -rate 12000 -format perfetto -out trace.json
+//	lkstat -mode unmodified -screend -rate 9000 -for 20ms -format log
+//	lkstat -mode polled -rate 8000 -for 20ms -format log -pkt 42
 package main
 
 import (
@@ -35,6 +42,8 @@ import (
 	"time"
 
 	"livelock"
+	"livelock/internal/prof"
+	"livelock/internal/runflags"
 )
 
 func main() {
@@ -54,41 +63,23 @@ var defaultTableColumns = []string{
 	"cpu.rxipl.util", "cpu.user.util", "cpu.idle.util",
 }
 
+// formats are the -format values; log is the packet-lifecycle dump.
+var formats = map[string]bool{"table": true, "csv": true, "json": true, "perfetto": true, "log": true}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("lkstat", flag.ContinueOnError)
 	fs.SetOutput(w)
-	mode := fs.String("mode", "unmodified", "kernel mode: unmodified, compat, polled")
-	rate := fs.Float64("rate", 8000, "offered load (pkts/sec)")
-	quota := fs.Int("quota", 5, "poll callback quota; -1 = unlimited")
-	screend := fs.Bool("screend", false, "insert the screend user-mode filter")
-	rules := fs.Int("rules", 1, "screend rule-list length")
-	feedback := fs.Bool("feedback", false, "enable screend queue-state feedback")
-	cycleLimit := fs.Float64("cyclelimit", 0, "cycle-limit threshold in (0,1); 0 = off")
-	user := fs.Bool("user", false, "run a compute-bound user process")
-	cpus := fs.Int("cpus", 1, "virtual CPUs (>1 enables IRQ steering and shared-queue locks)")
-	irqcpus := fs.Int("irqcpus", 0, "polled SMP: cores dedicated to interrupt handling (< cpus)")
+	rf := runflags.Bind(fs)
 	interval := fs.Duration("interval", 10*time.Millisecond, "simulated sampling interval")
 	runFor := fs.Duration("for", time.Second, "simulated run length")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	format := fs.String("format", "table", "output format: table, csv, json, perfetto")
+	format := fs.String("format", "table", "output format: table, csv, json, perfetto, log")
 	out := fs.String("out", "", "output file (default stdout)")
 	columns := fs.String("columns", "", "comma-separated column subset for -format table")
-	traceCap := fs.Int("trace", 4096, "packet-lifecycle ring size for -format perfetto; 0 = off")
-	profile := fs.Bool("profile", false, "attach the cycle-attribution profiler (prof.* columns, diagnosis events)")
+	traceCap := fs.Int("trace", 4096, "packet-lifecycle ring size for -format perfetto and log; 0 = off (perfetto only)")
+	pkt := fs.Uint64("pkt", 0, "-format log: dump only this packet id (0 = all)")
+	profile := fs.Bool("profile", false, "attach the cycle-attribution profiler (prof.* columns, diagnosis events; -format log appends its report)")
 	folded := fs.String("folded", "", "write folded cycle-attribution stacks (flamegraph input) to this file; implies -profile")
 	validate := fs.String("validate", "", "validate a previously written JSON/Perfetto file and exit")
-	faultDrop := fs.Float64("fault-drop", 0, "wire fault: per-frame drop probability")
-	faultTruncate := fs.Float64("fault-truncate", 0, "wire fault: per-frame truncation probability")
-	faultCorrupt := fs.Float64("fault-corrupt", 0, "wire fault: per-frame bit-corruption probability")
-	faultDup := fs.Float64("fault-dup", 0, "wire fault: per-frame duplication probability")
-	faultDelay := fs.Float64("fault-delay", 0, "wire fault: per-frame extra-delay probability (reordering)")
-	faultStall := fs.Duration("fault-stall", 0, "device fault: rx stall window length (0 = off)")
-	faultStallPeriod := fs.Duration("fault-stall-period", 100*time.Millisecond, "device fault: rx stall window period")
-	faultReset := fs.Bool("fault-reset", false, "device fault: discard the rx ring when a stall window opens")
-	faultIntrLoss := fs.Float64("fault-intr-loss", 0, "device fault: receive-interrupt loss probability")
-	faultPause := fs.Duration("fault-screend-pause", 0, "process fault: screend pause window length (0 = off)")
-	faultPausePeriod := fs.Duration("fault-screend-pause-period", 100*time.Millisecond, "process fault: screend pause period")
-	faultSeed := fs.Uint64("fault-seed", 0, "fault RNG seed perturbation (0 derives from -seed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,58 +88,29 @@ func run(args []string, w io.Writer) error {
 		return validateFile(w, *validate)
 	}
 
-	cfg := livelock.Config{
-		Quota:               *quota,
-		Screend:             *screend,
-		ScreendRules:        *rules,
-		Feedback:            *feedback,
-		CycleLimitThreshold: *cycleLimit,
-		UserProcess:         *user,
-		Seed:                *seed,
-		CPUs:                *cpus,
-		IRQCPUs:             *irqcpus,
-		Fault: livelock.FaultConfig{
-			DropProb:             *faultDrop,
-			TruncateProb:         *faultTruncate,
-			CorruptProb:          *faultCorrupt,
-			DupProb:              *faultDup,
-			DelayProb:            *faultDelay,
-			StallPeriod:          livelock.Duration((*faultStallPeriod).Nanoseconds()),
-			StallDuration:        livelock.Duration((*faultStall).Nanoseconds()),
-			ResetOnStall:         *faultReset,
-			IntrLossProb:         *faultIntrLoss,
-			ScreendPausePeriod:   livelock.Duration((*faultPausePeriod).Nanoseconds()),
-			ScreendPauseDuration: livelock.Duration((*faultPause).Nanoseconds()),
-			Seed:                 *faultSeed,
-		},
+	cfg, rate, err := rf.Config()
+	if err != nil {
+		return err
 	}
-	if *faultStall <= 0 {
-		cfg.Fault.StallPeriod = 0
-	}
-	if *faultPause <= 0 {
-		cfg.Fault.ScreendPausePeriod = 0
-	}
-	switch *mode {
-	case "unmodified":
-		cfg.Mode = livelock.ModeUnmodified
-	case "compat":
-		cfg.Mode = livelock.ModePolledCompat
-	case "polled":
-		cfg.Mode = livelock.ModePolled
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	switch {
+	case !formats[*format]:
+		return fmt.Errorf("unknown format %q", *format)
+	case *format == "log" && *traceCap <= 0:
+		return fmt.Errorf("-format log needs a positive -trace ring size, got %d", *traceCap)
+	case *pkt != 0 && *format != "log":
+		return fmt.Errorf("-pkt applies only to -format log")
 	}
 
 	opts := livelock.TimelineOptions{
 		Interval: livelock.Duration((*interval).Nanoseconds()),
 		RunFor:   livelock.Duration((*runFor).Nanoseconds()),
+		Spans:    *format == "perfetto",
+		Profile:  *profile || *folded != "",
 	}
-	if *format == "perfetto" {
-		opts.Spans = true
+	if *format == "perfetto" || *format == "log" {
 		opts.TraceCap = *traceCap
 	}
-	opts.Profile = *profile || *folded != ""
-	res := livelock.RunTimeline(cfg, *rate, opts)
+	res := livelock.RunTimeline(cfg, rate, opts)
 
 	if *folded != "" {
 		if err := os.WriteFile(*folded, []byte(res.Folded), 0o644); err != nil {
@@ -156,43 +118,99 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	dst := w
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	write := func(dst io.Writer) error {
+		switch *format {
+		case "table":
+			cols := defaultTableColumns
+			if *columns != "" {
+				cols = strings.Split(*columns, ",")
+			}
+			return res.Series.WriteTable(dst, cols...)
+		case "csv":
+			return res.Series.WriteCSV(dst)
+		case "json":
+			return res.Series.WriteJSON(dst)
+		case "log":
+			return writeLog(dst, res, *pkt)
+		default: // perfetto
+			p := &livelock.PerfettoTrace{
+				Series: res.Series,
+				Spans:  res.Spans,
+				Events: res.Trace,
+			}
+			if res.Profile != nil {
+				p.Diagnoses = res.Profile.Diagnoses()
+			}
+			_, err := p.WriteTo(dst)
 			return err
 		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		defer bw.Flush()
-		dst = bw
 	}
-
-	switch *format {
-	case "table":
-		cols := defaultTableColumns
-		if *columns != "" {
-			cols = strings.Split(*columns, ",")
-		}
-		return res.Series.WriteTable(dst, cols...)
-	case "csv":
-		return res.Series.WriteCSV(dst)
-	case "json":
-		return res.Series.WriteJSON(dst)
-	case "perfetto":
-		p := &livelock.PerfettoTrace{
-			Series: res.Series,
-			Spans:  res.Spans,
-			Events: res.Trace,
-		}
-		if res.Profile != nil {
-			p.Diagnoses = res.Profile.Diagnoses()
-		}
-		_, err := p.WriteTo(dst)
+	if *out == "" {
+		return write(w)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
 		return err
-	default:
-		return fmt.Errorf("unknown format %q", *format)
 	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeLog dumps the run's packet-lifecycle records, or only packet
+// pkt's when it is nonzero, then the cycle-attribution report if a
+// profiler was attached. Under overload on the unmodified kernel the
+// log fills with "ipintrq DROP (full)" lines (device work wasted); the
+// polled kernel shows ring-to-completion lifecycles and cheap ring
+// drops.
+func writeLog(w io.Writer, res livelock.TimelineResult, pkt uint64) error {
+	tr := res.Trace
+	if pkt != 0 {
+		for _, rec := range tr.Filter(pkt) {
+			fmt.Fprintln(w, rec)
+		}
+	} else {
+		if _, err := tr.WriteTo(w); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%d events total (%d retained); delivered=%d\n",
+			tr.Total(), len(tr.Records()), res.Delivered)
+	}
+	return profileReport(w, res.Profile)
+}
+
+// profileReport appends the cycle-attribution view of the run: where
+// the dropped packets died and how much work they had already consumed,
+// how long packets dwell in each stage, the headline wasted-work
+// fraction, and any livelock diagnoses the online detector emitted.
+func profileReport(w io.Writer, p *prof.Profile) error {
+	if p == nil {
+		return nil
+	}
+	useful, wasted := p.UsefulCycles(), p.WastedCycles()
+	fmt.Fprintf(w, "\ncycle attribution: useful=%v wasted=%v wasted-frac=%.3f\n",
+		useful, wasted, p.WastedFrac())
+	fmt.Fprintf(w, "\ndrop provenance:\n")
+	if err := p.WriteDropTable(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nper-stage dwell times:\n")
+	if err := p.WriteDwell(w); err != nil {
+		return err
+	}
+	if p.DiagnosisTotal() > 0 {
+		fmt.Fprintf(w, "\nlivelock diagnoses:\n")
+		if err := p.WriteDiagnoses(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // validateFile checks that a JSON or Perfetto export parses and has the

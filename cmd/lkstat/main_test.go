@@ -175,6 +175,80 @@ func TestValidateRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestTraceUnmodifiedOverload(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-mode", "unmodified", "-screend", "-rate", "9000",
+		"-for", "15ms", "-format", "log"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "events total") {
+		t.Fatalf("summary missing:\n%.200s", out)
+	}
+	if !strings.Contains(out, "DROP") {
+		t.Fatalf("no drops traced under overload:\n%.400s", out)
+	}
+}
+
+func TestTraceSinglePacket(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-mode", "polled", "-rate", "500", "-for", "20ms",
+		"-format", "log", "-pkt", "3"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := strings.TrimSpace(buf.String())
+	if out == "" {
+		t.Fatal("no lifecycle for packet 3")
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "pkt#3 ") {
+			t.Fatalf("foreign packet in filtered dump: %q", line)
+		}
+	}
+}
+
+// TestRunBadMode feeds invocations that describe no run. Each must be
+// an error, not a panic, and must come before the run: an existing
+// -out file is left untouched.
+func TestRunBadMode(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "keep.csv")
+	for _, args := range [][]string{
+		{"-mode", "bogus"},
+		{"-user", "-cpus", "2"},
+		{"-format", "bogus"},
+		{"-format", "log", "-trace", "0"},
+		{"-pkt", "3"},
+		{"-fault-reorder-mode", "shuffle"},
+	} {
+		if err := os.WriteFile(out, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(append(args, "-for", "20ms", "-out", out), &buf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if got, _ := os.ReadFile(out); string(got) != "keep" {
+			t.Errorf("%v clobbered -out before rejecting", args)
+		}
+	}
+}
+
+// TestOutWriteError requires a failed write to -out to be reported:
+// the output is buffered, so the error surfaces at Flush.
+func TestOutWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var buf bytes.Buffer
+	err := run([]string{"-mode", "polled", "-rate", "8000", "-for", "50ms",
+		"-format", "csv", "-out", "/dev/full"}, &buf)
+	if err == nil {
+		t.Fatal("write to /dev/full reported success")
+	}
+}
+
 // runToFile invokes lkstat's run() writing to a temp file and returns
 // the bytes, exercising the same code path as the command line.
 func runToFile(t *testing.T, args []string) []byte {

@@ -18,6 +18,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -61,6 +62,20 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode%d", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String. It also accepts "compat",
+// the command-line spelling of ModePolledCompat.
+func ParseMode(s string) (Mode, error) {
+	if s == "compat" {
+		return ModePolledCompat, nil
+	}
+	for m := ModeUnmodified; m <= ModePolled; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q", ErrUnknownMode, s)
 }
 
 // Costs is the CPU cost model. The values are calibrated so the
@@ -400,6 +415,28 @@ func DefaultConfig() Config {
 		Seed:                1,
 		Costs:               DefaultCosts(),
 	}
+}
+
+// Configuration errors reported by Config.Validate.
+var (
+	// ErrUnknownMode rejects a Mode outside the three kernel modes.
+	ErrUnknownMode = errors.New("kernel: unknown mode")
+	// ErrUserProcessSMP rejects UserProcess with more than one CPU. The
+	// application plane (AppServer replies via transmitOwn) reaches the
+	// output queues without taking netLock; it has only ever run on the
+	// uniprocessor model, so NewRouter refuses rather than race.
+	ErrUserProcessSMP = errors.New("kernel: Config.UserProcess requires CPUs == 1")
+)
+
+// Validate reports why NewRouter cannot build c, or nil if it can.
+func (c Config) Validate() error {
+	if c.Mode < ModeUnmodified || c.Mode > ModePolled {
+		return fmt.Errorf("%w %d", ErrUnknownMode, int(c.Mode))
+	}
+	if c.UserProcess && c.CPUs > 1 {
+		return ErrUserProcessSMP
+	}
+	return nil
 }
 
 // withDefaults normalizes a config.

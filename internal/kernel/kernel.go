@@ -208,10 +208,14 @@ type Router struct {
 
 // NewRouter builds and starts a router. The clock begins ticking
 // immediately; attach generators and run the engine to drive traffic.
+// It panics with cfg.Validate's error if cfg describes no router.
 // Runs before the engine: fully serialized.
 //
 //lkvet:requires boot
 func NewRouter(eng *sim.Engine, cfg Config) *Router {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	sys := cpu.NewSystem(eng, cfg.CPUs)
 	r := &Router{
@@ -306,28 +310,18 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	}
 
 	// The kernel architecture.
-	switch cfg.Mode {
-	case ModeUnmodified, ModePolledCompat:
+	if cfg.Mode == ModePolled {
+		r.polled = newPolledPath(r)
+	} else {
 		r.ipintrq = queue.New("ipintrq", cfg.IPIntrQLimit, clock)
 		r.ipintrq.Reason = prov.ReasonIPIntrQFull
 		r.unmod = newUnmodifiedPath(r)
-	case ModePolled:
-		r.polled = newPolledPath(r)
-	default:
-		panic("kernel: unknown mode")
 	}
 
 	if cfg.Screend {
 		r.screend = newScreendProc(r)
 	}
 	if cfg.UserProcess {
-		if r.smp() {
-			// The application plane (AppServer replies via transmitOwn)
-			// reaches the output queues without taking netLock; it has
-			// only ever run on the uniprocessor model. Refuse rather
-			// than race.
-			panic("kernel: Config.UserProcess requires CPUs == 1")
-		}
 		r.user = newUserProc(r)
 	}
 

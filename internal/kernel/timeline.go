@@ -49,8 +49,11 @@ type TimelineResult struct {
 
 // RunTimeline builds a router with cfg, offers load at rate pkts/s from
 // t=0, and records a sampled timeline of every registered instrument —
-// the one code path behind lkstat, the lksim/lkfigures timeline flags,
-// and the determinism tests, so they cannot drift apart. A harness
+// the one code path behind lkstat (its packet-lifecycle log view
+// included), lkfigures -timeline-dir and the tests, so they cannot
+// drift apart. The instruments never perturb the run: a plain traced
+// router run produces the same records (TestTimelineMatchesPlainRun).
+// A harness
 // entry point: the caller owns the engine, so the whole run is
 // serialized.
 //
