@@ -72,6 +72,7 @@ examples:
 	$(GO) run ./examples/rpcserver
 	$(GO) run ./examples/monitor
 	$(GO) run ./examples/flowcontrol
+	$(GO) run ./examples/tcpbulk
 
 cover:
 	$(GO) test -cover ./...

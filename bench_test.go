@@ -160,8 +160,13 @@ func BenchmarkMLFRR(b *testing.B) {
 	o := Options{Warmup: 300 * Millisecond, Measure: Second}
 	var unmod, polled float64
 	for i := 0; i < b.N; i++ {
-		unmod = MLFRR(Config{Mode: ModeUnmodified}, 0.98, o)
-		polled = MLFRR(Config{Mode: ModePolled, Quota: 5}, 0.98, o)
+		var err error
+		if unmod, err = MLFRR(Config{Mode: ModeUnmodified}, 0.98, o); err != nil {
+			b.Fatal(err)
+		}
+		if polled, err = MLFRR(Config{Mode: ModePolled, Quota: 5}, 0.98, o); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(unmod, "mlfrr_pps:unmodified")
 	b.ReportMetric(polled, "mlfrr_pps:polled_q5")
@@ -173,14 +178,30 @@ func BenchmarkBurstLatency(b *testing.B) {
 	o := Options{Warmup: 200 * Millisecond, Measure: Second}
 	var u, p experiment.LatencyPoint
 	for i := 0; i < b.N; i++ {
-		u = BurstLatency(ModeUnmodified, 32, o)
-		p = BurstLatency(ModePolled, 32, o)
+		var err error
+		if u, err = BurstLatency(ModeUnmodified, 32, o); err != nil {
+			b.Fatal(err)
+		}
+		if p, err = BurstLatency(ModePolled, 32, o); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(u.FirstPkt.Micros(), "first_pkt_us:unmodified")
 	b.ReportMetric(p.FirstPkt.Micros(), "first_pkt_us:polled")
 }
 
 // --- ablation benches (design choices called out in DESIGN.md) ---
+
+// benchOutputRate is the forwarding rate of one ablation trial at rate,
+// failing b on an audit error.
+func benchOutputRate(b *testing.B, cfg Config, rate float64) float64 {
+	b.Helper()
+	res, err := RunTrial(cfg, rate, 300*Millisecond, Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.OutputRate
+}
 
 // BenchmarkAblationBatching measures how interrupt batching shifts the
 // overload behaviour of the unmodified kernel (§4.2: batching moves the
@@ -197,7 +218,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			var out float64
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Mode: ModeUnmodified, DisableBatching: !batching}
-				out = RunTrial(cfg, 13500, 300*Millisecond, Second).OutputRate
+				out = benchOutputRate(b, cfg, 13500)
 			}
 			b.ReportMetric(out, "out_pps_at_13500")
 		})
@@ -215,7 +236,7 @@ func BenchmarkAblationTxRing(b *testing.B) {
 				cfg := Config{Mode: ModePolled, Quota: -1}
 				cfg.NIC.RxRing = 32
 				cfg.NIC.TxRing = ring
-				out = RunTrial(cfg, 9000, 300*Millisecond, Second).OutputRate
+				out = benchOutputRate(b, cfg, 9000)
 			}
 			b.ReportMetric(out, "out_pps_at_9000")
 		})
@@ -234,7 +255,7 @@ func BenchmarkAblationWatermarks(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true,
 					ScreendQHigh: wm.high, ScreendQLow: wm.low}
-				out = RunTrial(cfg, 10000, 300*Millisecond, Second).OutputRate
+				out = benchOutputRate(b, cfg, 10000)
 			}
 			b.ReportMetric(out, "out_pps_at_10000")
 		})
@@ -609,7 +630,7 @@ func BenchmarkAblationScreendRules(b *testing.B) {
 			var peak float64
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Mode: ModeUnmodified, Screend: true, ScreendRules: rules}
-				peak = RunTrial(cfg, 2000, 300*Millisecond, Second).OutputRate
+				peak = benchOutputRate(b, cfg, 2000)
 			}
 			b.ReportMetric(peak, "out_pps_at_2000")
 		})
@@ -629,8 +650,8 @@ func BenchmarkAblationFastPath(b *testing.B) {
 			var at6k, at11k float64
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Mode: ModeUnmodified, FastPath: fast}
-				at6k = RunTrial(cfg, 6000, 300*Millisecond, Second).OutputRate
-				at11k = RunTrial(cfg, 11000, 300*Millisecond, Second).OutputRate
+				at6k = benchOutputRate(b, cfg, 6000)
+				at11k = benchOutputRate(b, cfg, 11000)
 			}
 			b.ReportMetric(at6k, "out_pps_at_6000")
 			b.ReportMetric(at11k, "out_pps_at_11000")

@@ -147,8 +147,8 @@ func run(args []string, w io.Writer) error {
 	}
 
 	for _, fig := range figs {
-		// A panicking trial no longer kills the sweep; surface what
-		// failed next to the (zero-valued) points it left behind.
+		// A failed or panicking trial does not kill the sweep; surface
+		// what failed next to the (zero-valued) points it left behind.
 		for _, te := range fig.Errors {
 			fmt.Fprintf(os.Stderr, "lkfigures: %v\n", te)
 		}
@@ -206,7 +206,10 @@ func writeTimelines(w io.Writer, dir string, seed uint64) error {
 	}
 	for _, row := range rows {
 		row.cfg.Seed = seed
-		res := livelock.RunTimeline(row.cfg, row.rate, livelock.TimelineOptions{})
+		res, err := livelock.RunTimeline(row.cfg, row.rate, livelock.TimelineOptions{})
+		if err != nil {
+			return err
+		}
 		path := filepath.Join(dir, "timeline-"+row.slug+".csv")
 		f, err := os.Create(path)
 		if err != nil {
@@ -237,7 +240,10 @@ func writeMLFRR(w io.Writer, opts livelock.Options) error {
 	}
 	fmt.Fprintln(w, "MLFRR estimates (98% loss-free, §3):")
 	for _, row := range rows {
-		m := livelock.MLFRR(row.cfg, 0.98, opts)
+		m, err := livelock.MLFRR(row.cfg, 0.98, opts)
+		if err != nil {
+			return err
+		}
 		if _, err := fmt.Fprintf(w, "  %-30s %6.0f pkts/sec\n", row.name, m); err != nil {
 			return err
 		}

@@ -22,6 +22,9 @@ import (
 	"livelock/internal/runflags"
 )
 
+// newRouter builds the simulated router; tests replace it.
+var newRouter = livelock.NewRouter
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lksim:", err)
@@ -53,7 +56,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	eng := livelock.NewEngine()
-	r := livelock.NewRouter(eng, cfg)
+	r := newRouter(eng, cfg)
 	var arrival livelock.Arrival = livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}
 	if *poisson {
 		arrival = livelock.Poisson{Rate: rate}
@@ -70,22 +73,15 @@ func run(args []string, w io.Writer) error {
 		sampler.Start()
 	}
 
-	eng.Run(livelock.Time(warmup.Nanoseconds()))
-	sentBefore, deliveredBefore := gen.Sent.Value(), r.Delivered()
-	userBefore := r.UserCPUTime()
-	// Report latency over the measurement window only, like the rates.
-	r.Sink.Latency.Reset()
-	eng.RunFor(livelock.Duration(measure.Nanoseconds()))
-	win := livelock.Duration(measure.Nanoseconds()).Seconds()
+	// Rates and latency cover the measurement window only.
+	res := r.Measure(livelock.Duration(warmup.Nanoseconds()), livelock.Duration(measure.Nanoseconds()))
 
 	fmt.Fprintf(w, "kernel: %v  screend=%v feedback=%v quota=%d cycle-limit=%.2f\n",
 		cfg.Mode, cfg.Screend, cfg.Feedback, cfg.Quota, cfg.CycleLimitThreshold)
-	fmt.Fprintf(w, "offered:   %8.0f pkts/sec (measured %.0f)\n",
-		rate, float64(gen.Sent.Value()-sentBefore)/win)
-	fmt.Fprintf(w, "forwarded: %8.0f pkts/sec\n", float64(r.Delivered()-deliveredBefore)/win)
+	fmt.Fprintf(w, "offered:   %8.0f pkts/sec (measured %.0f)\n", rate, res.InputRate)
+	fmt.Fprintf(w, "forwarded: %8.0f pkts/sec\n", res.OutputRate)
 	if cfg.UserProcess {
-		fmt.Fprintf(w, "user CPU:  %8.1f %%\n",
-			100*float64(r.UserCPUTime()-userBefore)/float64(measure.Nanoseconds()))
+		fmt.Fprintf(w, "user CPU:  %8.1f %%\n", 100*res.UserCPUFrac)
 	}
 	lat := r.Sink.Latency
 	fmt.Fprintf(w, "latency:   p50=%v p99=%v max=%v (n=%d)\n",
@@ -110,12 +106,10 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	// Drain and account.
-	gen.Stop()
-	eng.RunFor(500 * livelock.Millisecond)
-	a := r.Account()
+	// Drain, account and audit.
+	a, auditErr := r.Finish(500 * livelock.Millisecond)
 	fmt.Fprintln(w, "\npacket accounting:")
-	fmt.Fprintf(w, "  generated        %10d\n", gen.Sent.Value())
+	fmt.Fprintf(w, "  generated        %10d\n", r.Offered())
 	fmt.Fprintf(w, "  delivered        %10d\n", a.Delivered)
 	fmt.Fprintf(w, "  ring drops       %10d (cheap, pre-CPU)\n", a.RingDrops)
 	fmt.Fprintf(w, "  ipintrq drops    %10d (device work wasted)\n", a.IPIntrQDrops)
@@ -134,13 +128,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  reordered        %10d (fault: displaced, not lost)\n", r.Fault().Reordered.Value())
 	}
 	fmt.Fprintf(w, "  still buffered   %10d\n", a.Alive)
-	if err := r.Audit(gen.Sent.Value()); err != nil {
-		return err
+	if auditErr != nil {
+		return auditErr
 	}
 	fmt.Fprintln(w, "  conservation     OK")
-	if err := r.AuditCycles(); err != nil {
-		return err
-	}
 	fmt.Fprintln(w, "  cycle ledger     OK (every core)")
 
 	if ps := r.Poller(); ps != nil {

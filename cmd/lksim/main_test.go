@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"livelock"
 )
 
 func TestRunPolled(t *testing.T) {
@@ -104,5 +106,28 @@ func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &buf); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestRunAuditFailure pins the audit's error path: a router that holds
+// a pool buffer outside the accounted flow fails conservation, and
+// lksim returns the audit error (main exits 1 with it) instead of
+// panicking or printing an OK verdict.
+func TestRunAuditFailure(t *testing.T) {
+	t.Cleanup(func() { newRouter = livelock.NewRouter })
+	newRouter = func(eng *livelock.Engine, cfg livelock.Config) *livelock.Router {
+		r := livelock.NewRouter(eng, cfg)
+		if r.Pool.Get(64) == nil {
+			t.Fatal("pool exhausted")
+		}
+		return r
+	}
+	var buf bytes.Buffer
+	err := run([]string{"-warmup", "50ms", "-measure", "100ms"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "packet conservation violated") {
+		t.Fatalf("err = %v, want the conservation audit's error", err)
+	}
+	if out := buf.String(); strings.Contains(out, "OK") || !strings.Contains(out, "still buffered") {
+		t.Fatalf("want the accounting table without an OK verdict:\n%s", out)
 	}
 }

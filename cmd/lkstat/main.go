@@ -63,6 +63,9 @@ var defaultTableColumns = []string{
 	"cpu.rxipl.util", "cpu.user.util", "cpu.idle.util",
 }
 
+// runTimeline is the run behind every format; tests replace it.
+var runTimeline = livelock.RunTimeline
+
 // formats are the -format values; log is the packet-lifecycle dump.
 var formats = map[string]bool{"table": true, "csv": true, "json": true, "perfetto": true, "log": true}
 
@@ -110,7 +113,10 @@ func run(args []string, w io.Writer) error {
 	if *format == "perfetto" || *format == "log" {
 		opts.TraceCap = *traceCap
 	}
-	res := livelock.RunTimeline(cfg, rate, opts)
+	res, err := runTimeline(cfg, rate, opts)
+	if err != nil {
+		return err
+	}
 
 	if *folded != "" {
 		if err := os.WriteFile(*folded, []byte(res.Folded), 0o644); err != nil {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"livelock"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -280,4 +282,30 @@ func contains(args []string, s string) bool {
 		}
 	}
 	return false
+}
+
+// TestRunAuditFailure pins the audit's error path: a run whose router
+// holds a pool buffer outside the accounted flow fails conservation,
+// and lkstat returns the audit error (main exits 1 with it) instead of
+// panicking or writing output.
+func TestRunAuditFailure(t *testing.T) {
+	t.Cleanup(func() { runTimeline = livelock.RunTimeline })
+	runTimeline = func(cfg livelock.Config, rate float64, o livelock.TimelineOptions) (livelock.TimelineResult, error) {
+		r := livelock.NewRouter(livelock.NewEngine(), cfg)
+		r.AttachGenerator(0, livelock.ConstantRate{Rate: rate}, 0).Start()
+		r.Measure(0, o.RunFor)
+		if r.Pool.Get(64) == nil {
+			t.Fatal("pool exhausted")
+		}
+		_, err := r.Finish(0)
+		return livelock.TimelineResult{}, err
+	}
+	var buf bytes.Buffer
+	err := run([]string{"-for", "50ms", "-format", "csv"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "packet conservation violated") {
+		t.Fatalf("err = %v, want the conservation audit's error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote output for a failed run:\n%s", buf.String())
+	}
 }

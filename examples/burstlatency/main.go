@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
@@ -21,8 +22,14 @@ func main() {
 	fmt.Println("first-of-burst forwarding latency (wire-speed bursts, one per 50ms):")
 	fmt.Printf("%8s %22s %22s\n", "burst", "interrupt-driven", "polled (quota 5)")
 	for _, n := range []int{1, 4, 8, 16, 32} {
-		u := livelock.BurstLatency(livelock.ModeUnmodified, n, opts)
-		p := livelock.BurstLatency(livelock.ModePolled, n, opts)
+		u, err := livelock.BurstLatency(livelock.ModeUnmodified, n, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		p, err := livelock.BurstLatency(livelock.ModePolled, n, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%8d %22v %22v\n", n, u.FirstPkt, p.FirstPkt)
 	}
 	fmt.Println("\nInterrupt-driven latency grows with burst length; polled stays flat (§4.3).")

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
@@ -33,7 +34,10 @@ func main() {
 
 	fmt.Printf("flooding a screend firewall at %d pkts/sec:\n\n", attackRate)
 	for _, c := range configs {
-		res := livelock.RunTrial(c.cfg, attackRate, livelock.Warmup, livelock.Measure)
+		res, err := livelock.RunTrial(c.cfg, attackRate, livelock.Warmup, livelock.Measure)
+		if err != nil {
+			log.Fatal(err)
+		}
 		verdict := "LIVELOCKED — the firewall is off the air"
 		if res.OutputRate > 1000 {
 			verdict = "alive and filtering"

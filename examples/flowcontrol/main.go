@@ -13,9 +13,18 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
+
+// run drives r for two simulated seconds and audits the run.
+func run(r *livelock.Router) {
+	r.Measure(0, 2*livelock.Second)
+	if _, err := r.Finish(0); err != nil {
+		log.Fatal(err) // the run failed its conservation or cycle audit
+	}
+}
 
 func main() {
 	appCfg := livelock.AppConfig{
@@ -29,24 +38,21 @@ func main() {
 	fmt.Println("the same server, interrupt-driven kernel, two kinds of source:")
 	fmt.Printf("\n%-34s %14s %14s\n", "open-loop UDP flood", "offered", "served/sec")
 	for _, rate := range []float64{1000, 3000, 6000, 12000} {
-		eng := livelock.NewEngine()
-		r := livelock.NewRouter(eng, livelock.Config{Mode: livelock.ModeUnmodified})
+		r := livelock.NewRouter(livelock.NewEngine(), livelock.Config{Mode: livelock.ModeUnmodified})
 		app := r.StartApp(appCfg)
-		gen := r.AttachGeneratorTo(0, livelock.RouterIP(0), 2049,
-			livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-		gen.Start()
-		eng.Run(livelock.Time(2 * livelock.Second))
+		r.AttachGeneratorTo(0, livelock.RouterIP(0), 2049,
+			livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
+		run(r)
 		fmt.Printf("%-34s %14.0f %14.0f\n", "", rate, float64(app.Served.Value())/2)
 	}
 
 	fmt.Printf("\n%-34s %14s %14s %10s\n", "closed-loop windowed client", "window", "served/sec", "p50 RTT")
 	for _, window := range []int{1, 4, 16, 64} {
-		eng := livelock.NewEngine()
-		r := livelock.NewRouter(eng, livelock.Config{Mode: livelock.ModeUnmodified})
+		r := livelock.NewRouter(livelock.NewEngine(), livelock.Config{Mode: livelock.ModeUnmodified})
 		app := r.StartApp(appCfg)
 		client := r.AttachClient(0, livelock.ClientConfig{Port: 2049, Window: window})
 		client.Start()
-		eng.Run(livelock.Time(2 * livelock.Second))
+		run(r)
 		fmt.Printf("%-34s %14d %14.0f %10v\n", "",
 			window, float64(app.Served.Value())/2, client.RTT.Quantile(0.5))
 	}

@@ -14,21 +14,23 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
 
 func run(feedback bool, rate float64) (lossPct, fwd float64) {
-	eng := livelock.NewEngine()
-	r := livelock.NewRouter(eng, livelock.Config{Mode: livelock.ModePolled, Quota: 5})
+	r := livelock.NewRouter(livelock.NewEngine(), livelock.Config{Mode: livelock.ModePolled, Quota: 5})
 	mon := r.StartMonitor(livelock.MonitorConfig{
 		ProcessCost: 50 * livelock.Microsecond,
 		Feedback:    feedback,
 	})
-	gen := r.AttachGenerator(0, livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-	gen.Start()
-	eng.Run(livelock.Time(2 * livelock.Second))
-	return mon.LossRate() * 100, float64(r.Delivered()) / 2
+	r.AttachGenerator(0, livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
+	res := r.Measure(0, 2*livelock.Second)
+	if _, err := r.Finish(0); err != nil {
+		log.Fatal(err) // the run failed its conservation or cycle audit
+	}
+	return mon.LossRate() * 100, res.OutputRate
 }
 
 func main() {

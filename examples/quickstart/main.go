@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
@@ -19,14 +20,20 @@ func main() {
 		{"interrupt-driven (4.2BSD-style)", livelock.Config{Mode: livelock.ModeUnmodified}},
 		{"polled with quota 5 (the paper's fix)", livelock.Config{Mode: livelock.ModePolled, Quota: 5}},
 	} {
-		res := livelock.RunTrial(kcfg.cfg, floodRate, livelock.Warmup, livelock.Measure)
+		res, err := livelock.RunTrial(kcfg.cfg, floodRate, livelock.Warmup, livelock.Measure)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-40s offered %6.0f pkts/s → forwarded %6.0f pkts/s (p50 latency %v)\n",
 			kcfg.name, res.InputRate, res.OutputRate, res.LatencyP50)
 	}
 
 	fmt.Println("\nWhere did the interrupt-driven kernel's packets go?")
-	res := livelock.RunTrial(livelock.Config{Mode: livelock.ModeUnmodified},
+	res, err := livelock.RunTrial(livelock.Config{Mode: livelock.ModeUnmodified},
 		floodRate, livelock.Warmup, livelock.Measure)
+	if err != nil {
+		log.Fatal(err)
+	}
 	a := res.Accounting
 	fmt.Printf("  dropped at ipintrq after device-level work was spent: %d\n", a.IPIntrQDrops)
 	fmt.Printf("  dropped cheaply at the interface ring:                %d\n", a.RingDrops)

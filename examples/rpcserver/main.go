@@ -16,14 +16,14 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
 
 func serve(mode livelock.Mode, threshold float64, sockFB bool, rate float64) (served, replied float64) {
-	eng := livelock.NewEngine()
 	cfg := livelock.Config{Mode: mode, Quota: 5, CycleLimitThreshold: threshold}
-	r := livelock.NewRouter(eng, cfg)
+	r := livelock.NewRouter(livelock.NewEngine(), cfg)
 	app := r.StartApp(livelock.AppConfig{
 		Port:        2049, // the NFS port
 		RecvCost:    80 * livelock.Microsecond,
@@ -32,12 +32,14 @@ func serve(mode livelock.Mode, threshold float64, sockFB bool, rate float64) (se
 		ReplyCost:   80 * livelock.Microsecond,
 		Feedback:    sockFB,
 	})
-	gen := r.AttachGeneratorTo(0, livelock.RouterIP(0), 2049,
-		livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-	gen.Start()
-	eng.Run(livelock.Time(500 * livelock.Millisecond))
+	r.AttachGeneratorTo(0, livelock.RouterIP(0), 2049,
+		livelock.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
+	r.Measure(500*livelock.Millisecond, 0) // the warmup alone: the window starts here
 	s0, r0 := app.Served.Value(), app.Replied.Value()
-	eng.RunFor(2 * livelock.Second)
+	r.Measure(0, 2*livelock.Second)
+	if _, err := r.Finish(0); err != nil {
+		log.Fatal(err) // the run failed its conservation or cycle audit
+	}
 	return float64(app.Served.Value()-s0) / 2, float64(app.Replied.Value()-r0) / 2
 }
 

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
@@ -23,8 +24,14 @@ func main() {
 	fmt.Printf("%12s %22s %22s\n", "flood pps", "unmodified", "polled (quota 5)")
 	opts := livelock.Options{}
 	rates := []float64{0, 2000, 4000, 8000, 12000}
-	unmod := livelock.TCPUnderFlood(livelock.ModeUnmodified, rates, opts)
-	polled := livelock.TCPUnderFlood(livelock.ModePolled, rates, opts)
+	unmod, err := livelock.TCPUnderFlood(livelock.ModeUnmodified, rates, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	polled, err := livelock.TCPUnderFlood(livelock.ModePolled, rates, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, rate := range rates {
 		fmt.Printf("%12.0f %15.0f kB/s %15.0f kB/s\n",
 			rate, unmod[i].GoodputBps/1000, polled[i].GoodputBps/1000)

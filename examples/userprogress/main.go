@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"livelock"
 )
@@ -22,7 +23,10 @@ func main() {
 			UserProcess:         true,
 			CycleLimitThreshold: th,
 		}
-		res := livelock.RunTrial(cfg, floodRate, livelock.Warmup, livelock.Measure)
+		res, err := livelock.RunTrial(cfg, floodRate, livelock.Warmup, livelock.Measure)
+		if err != nil {
+			log.Fatal(err)
+		}
 		label := "none (starved)"
 		if th > 0 {
 			label = fmt.Sprintf("%.0f %%", th*100)
@@ -30,9 +34,12 @@ func main() {
 		fmt.Printf("%-24s %11.1f%% %14.0f\n", label, res.UserCPUFrac*100, res.OutputRate)
 	}
 
-	idle := livelock.RunTrial(livelock.Config{
+	idle, err := livelock.RunTrial(livelock.Config{
 		Mode: livelock.ModePolled, Quota: 5, UserProcess: true, CycleLimitThreshold: 0.5,
 	}, 0, livelock.Warmup, livelock.Measure)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nbaseline with no input load: user gets %.1f%% (system overhead ≈6%%, §7)\n",
 		idle.UserCPUFrac*100)
 }

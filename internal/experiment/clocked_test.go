@@ -8,9 +8,12 @@ import (
 
 func TestClockedPollingTradeoff(t *testing.T) {
 	o := Options{Warmup: 200 * sim.Millisecond, Measure: sim.Second}
-	pts := ClockedPollingSweep([]sim.Duration{
+	pts, err := ClockedPollingSweep([]sim.Duration{
 		100 * sim.Microsecond, 16 * sim.Millisecond,
 	}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fast, slow := pts[0], pts[1]
 	// Fast polling burns CPU even when idle ("the system spends all its
 	// time polling").

@@ -62,10 +62,24 @@ type Options struct {
 	// CPUs, when > 0, overrides the virtual CPU count of every trial
 	// (the -cpus sweep); IRQCPUs then sets how many cores the polled
 	// kernel dedicates to interrupts. Zero leaves each figure's own
-	// configuration — the uniprocessor default — untouched. Figures
-	// S-1/S-2 ignore the override: their x-axis is the core count.
+	// configuration — the uniprocessor default — untouched. Two kinds
+	// of runner ignore the override: figures S-1/S-2, whose x-axis is
+	// the core count, and the TCP runners (figures T-1/T-2 and
+	// TCPUnderFlood), whose in-kernel receiver runs on one CPU only.
 	CPUs    int
 	IRQCPUs int
+}
+
+// config returns cfg as a trial of these options runs it: with the
+// sweep's seed and, when CPUs is set, its core counts. Every runner
+// builds its routers from it.
+func (o Options) config(cfg kernel.Config) kernel.Config {
+	cfg.Seed = o.Seed
+	if o.CPUs > 0 {
+		cfg.CPUs = o.CPUs
+		cfg.IRQCPUs = o.IRQCPUs
+	}
+	return cfg
 }
 
 func (o Options) withDefaults(defaultRates []float64) Options {
@@ -146,8 +160,9 @@ type Figure struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	// Errors lists trials that failed (panicked) during the sweep;
-	// their points are left zero-valued. Empty on a clean sweep.
+	// Errors lists trials that failed their audit or panicked during
+	// the sweep; their points are left zero-valued. Empty on a clean
+	// sweep.
 	Errors []TrialError
 }
 
@@ -163,60 +178,50 @@ var defaultUserCPURates = []float64{
 	0, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 5000, 6000, 7000, 8000, 9000, 10000,
 }
 
-// Fig61 reproduces figure 6-1: forwarding performance of the unmodified
-// kernel, with and without the screend user-mode filter.
-func Fig61(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
+// forwardingFigure sweeps specs with run across the offered-load axis
+// of figures 6-1, 6-3..6-6 and W-1, labelled as the forwarding figures
+// that plot output rate against input rate.
+func forwardingFigure(id, title string, run trialFunc, specs []seriesSpec, o Options) Figure {
 	fig := Figure{
-		ID:     "6-1",
-		Title:  "Forwarding performance of unmodified kernel",
+		ID:     id,
+		Title:  title,
 		XLabel: "Input packet rate (pkts/sec)",
 		YLabel: "Output packet rate (pkts/sec)",
 	}
-	fig.Series, fig.Errors = runSeries([]seriesSpec{
+	fig.Series, fig.Errors = runSeries(run, specs, o.withDefaults(defaultThroughputRates))
+	return fig
+}
+
+// Fig61 reproduces figure 6-1: forwarding performance of the unmodified
+// kernel, with and without the screend user-mode filter.
+func Fig61(o Options) Figure {
+	return forwardingFigure("6-1", "Forwarding performance of unmodified kernel", kernel.RunTrial, []seriesSpec{
 		{"Without screend", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"With screend", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 	}, o)
-	return fig
 }
 
 // Fig63 reproduces figure 6-3: forwarding performance of the modified
 // kernel without screend — unmodified baseline, the no-polling compat
 // configuration, polling with quota 5, and polling with no quota.
 func Fig63(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
-	fig := Figure{
-		ID:     "6-3",
-		Title:  "Forwarding performance of modified kernel, without using screend",
-		XLabel: "Input packet rate (pkts/sec)",
-		YLabel: "Output packet rate (pkts/sec)",
-	}
-	fig.Series, fig.Errors = runSeries([]seriesSpec{
+	return forwardingFigure("6-3", "Forwarding performance of modified kernel, without using screend", kernel.RunTrial, []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"No polling", kernel.Config{Mode: kernel.ModePolledCompat}},
 		{"Polling (quota = 5)", kernel.Config{Mode: kernel.ModePolled, Quota: 5}},
 		{"Polling (no quota)", kernel.Config{Mode: kernel.ModePolled, Quota: -1}},
 	}, o)
-	return fig
 }
 
 // Fig64 reproduces figure 6-4: the screend path on the unmodified
 // kernel, the polled kernel without feedback, and the polled kernel with
 // queue-state feedback.
 func Fig64(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
-	fig := Figure{
-		ID:     "6-4",
-		Title:  "Forwarding performance of modified kernel, with screend",
-		XLabel: "Input packet rate (pkts/sec)",
-		YLabel: "Output packet rate (pkts/sec)",
-	}
-	fig.Series, fig.Errors = runSeries([]seriesSpec{
+	return forwardingFigure("6-4", "Forwarding performance of modified kernel, with screend", kernel.RunTrial, []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 		{"Polling, no feedback", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true}},
 		{"Polling w/feedback", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}},
 	}, o)
-	return fig
 }
 
 // quotaSpecs builds the quota sweep common to figures 6-5 and 6-6.
@@ -242,29 +247,13 @@ func quotaSpecs(screend, feedback bool) []seriesSpec {
 // Fig65 reproduces figure 6-5: effect of the packet-count quota without
 // screend.
 func Fig65(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
-	fig := Figure{
-		ID:     "6-5",
-		Title:  "Effect of packet-count quota on performance, no screend",
-		XLabel: "Input packet rate (pkts/sec)",
-		YLabel: "Output packet rate (pkts/sec)",
-	}
-	fig.Series, fig.Errors = runSeries(quotaSpecs(false, false), o)
-	return fig
+	return forwardingFigure("6-5", "Effect of packet-count quota on performance, no screend", kernel.RunTrial, quotaSpecs(false, false), o)
 }
 
 // Fig66 reproduces figure 6-6: effect of the packet-count quota with
 // screend and queue-state feedback.
 func Fig66(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
-	fig := Figure{
-		ID:     "6-6",
-		Title:  "Effect of packet-count quota on performance, with screend",
-		XLabel: "Input packet rate (pkts/sec)",
-		YLabel: "Output packet rate (pkts/sec)",
-	}
-	fig.Series, fig.Errors = runSeries(quotaSpecs(true, true), o)
-	return fig
+	return forwardingFigure("6-6", "Effect of packet-count quota on performance, with screend", kernel.RunTrial, quotaSpecs(true, true), o)
 }
 
 // Fig71 reproduces figure 7-1: CPU time available to a compute-bound
@@ -286,7 +275,7 @@ func Fig71(o Options) Figure {
 				CycleLimitThreshold: th,
 			}})
 	}
-	fig.Series, fig.Errors = runSeries(specs, o)
+	fig.Series, fig.Errors = runSeries(kernel.RunTrial, specs, o)
 	return fig
 }
 
@@ -298,27 +287,20 @@ func Fig71(o Options) Figure {
 // climbs toward 100% (every cycle spent, nothing delivered), while
 // early ring drops keep the polled kernel's curve near zero.
 func FigWasted(o Options) Figure {
-	o = o.withDefaults(defaultThroughputRates)
-	fig := Figure{
-		ID:     "W-1",
-		Title:  "Wasted work fraction under increasing offered load",
-		XLabel: "Input packet rate (pkts/sec)",
-		YLabel: "Wasted work (per cent of packet cycles)",
+	// Each trial gets its own profiler: specs are shared across the
+	// parallel executor's workers, so the profile cannot live in the
+	// spec's Config.
+	profiled := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+		cfg.Profile = prof.New()
+		return kernel.RunTrial(cfg, rate, warmup, measure)
 	}
-	specs := []seriesSpec{
+	fig := forwardingFigure("W-1", "Wasted work fraction under increasing offered load", profiled, []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"Unmodified w/screend", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 		{"Polling (quota = 5)", kernel.Config{Mode: kernel.ModePolled, Quota: 5}},
 		{"Polling w/scr+fb", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}},
-	}
-	// Each trial gets its own profiler: specs are shared across the
-	// parallel executor's workers, so the profile cannot live in the
-	// spec's Config.
-	profiled := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) kernel.TrialResult {
-		cfg.Profile = prof.New()
-		return kernel.RunTrial(cfg, rate, warmup, measure)
-	}
-	fig.Series, fig.Errors = runSeriesWith(profiled, specs, o)
+	}, o)
+	fig.YLabel = "Wasted work (per cent of packet cycles)"
 	return fig
 }
 
@@ -341,24 +323,16 @@ var (
 // CPUs/IRQCPUs override deliberately does not apply — the axis is the
 // core count.
 func mlfrrOverCores(specs []seriesSpec, o Options) ([]Series, []TrialError) {
-	run := func(cfg kernel.Config, cores float64, warmup, measure sim.Duration) kernel.TrialResult {
-		mo := Options{Warmup: warmup, Measure: measure, Seed: cfg.Seed, Parallel: 1}
-		if warmup == 0 {
-			mo.Warmup = ZeroWarmup
-		}
-		if measure == 0 {
-			mo.Measure = ZeroMeasure
-		}
-		if cfg.Seed == 0 {
-			mo.Seed = ZeroSeed
-		}
+	o.CPUs = 0
+	run := func(cfg kernel.Config, cores float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
 		cfg.CPUs = int(cores)
 		if cfg.IRQCPUs == irqHalfCores {
 			cfg.IRQCPUs = cfg.CPUs / 2
 		}
-		return kernel.TrialResult{InputRate: cores, OutputRate: MLFRR(cfg, 0.98, mo)}
+		m, err := mlfrr(cfg, 0.98, warmup, measure)
+		return kernel.TrialResult{InputRate: cores, OutputRate: m}, err
 	}
-	return runSeriesWith(run, specs, o)
+	return runSeries(run, specs, o)
 }
 
 // FigSMP1 is this reproduction's figure S-1: MLFRR against the virtual

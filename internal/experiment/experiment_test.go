@@ -148,11 +148,17 @@ func TestByID(t *testing.T) {
 
 func TestMLFRREstimates(t *testing.T) {
 	o := Options{Warmup: 300 * sim.Millisecond, Measure: sim.Second}
-	unmod := MLFRR(kernel.Config{Mode: kernel.ModeUnmodified}, 0.98, o)
+	unmod, err := MLFRR(kernel.Config{Mode: kernel.ModeUnmodified}, 0.98, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if unmod < 4000 || unmod > 5500 {
 		t.Fatalf("unmodified MLFRR = %.0f, want ≈4700", unmod)
 	}
-	polled := MLFRR(kernel.Config{Mode: kernel.ModePolled, Quota: 5}, 0.98, o)
+	polled, err := MLFRR(kernel.Config{Mode: kernel.ModePolled, Quota: 5}, 0.98, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if polled < unmod {
 		t.Fatalf("polled MLFRR %.0f below unmodified %.0f", polled, unmod)
 	}
@@ -160,21 +166,32 @@ func TestMLFRREstimates(t *testing.T) {
 
 func TestBurstLatencyEffect(t *testing.T) {
 	o := Options{Warmup: 200 * sim.Millisecond, Measure: sim.Second}
-	u := BurstLatency(kernel.ModeUnmodified, 20, o)
-	p := BurstLatency(kernel.ModePolled, 20, o)
+	burst := func(mode kernel.Mode, n int) LatencyPoint {
+		t.Helper()
+		pt, err := BurstLatency(mode, n, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	u := burst(kernel.ModeUnmodified, 20)
+	p := burst(kernel.ModePolled, 20)
 	if p.FirstPkt*2 > u.FirstPkt {
 		t.Fatalf("first-of-burst latency: polled %v vs unmodified %v, want clear win",
 			p.FirstPkt, u.FirstPkt)
 	}
 	// Longer bursts make it worse for the interrupt-driven kernel.
-	u5 := BurstLatency(kernel.ModeUnmodified, 5, o)
+	u5 := burst(kernel.ModeUnmodified, 5)
 	if u.FirstPkt <= u5.FirstPkt {
 		t.Fatalf("burst 20 first-packet latency %v not above burst 5 %v", u.FirstPkt, u5.FirstPkt)
 	}
 }
 
 func TestTransmitStarvation(t *testing.T) {
-	res := TransmitStarvation(Options{Warmup: 300 * sim.Millisecond, Measure: sim.Second})
+	res, err := TransmitStarvation(Options{Warmup: 300 * sim.Millisecond, Measure: sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.OutputRate > 500 {
 		t.Fatalf("output %.0f, want starvation", res.OutputRate)
 	}
@@ -189,8 +206,11 @@ func TestTransmitStarvation(t *testing.T) {
 func TestFairnessAcrossInputs(t *testing.T) {
 	// Two flooded inputs: the polled kernel's round-robin splits
 	// processing nearly evenly.
-	res := Fairness(kernel.ModePolled, 5, 2, 8000, Options{
+	res, err := Fairness(kernel.ModePolled, 5, 2, 8000, Options{
 		Warmup: 300 * sim.Millisecond, Measure: sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Total == 0 {
 		t.Fatal("nothing processed")
 	}

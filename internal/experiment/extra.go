@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"livelock/internal/cpu"
 	"livelock/internal/kernel"
 	"livelock/internal/sim"
 	"livelock/internal/workload"
@@ -11,25 +12,38 @@ import (
 
 // MLFRR estimates the Maximum Loss Free Receive Rate (§3) of a
 // configuration by binary search: the highest offered load at which the
-// router forwards at least lossTolerance of the input.
-func MLFRR(cfg kernel.Config, lossTolerance float64, o Options) float64 {
+// router forwards at least lossTolerance of the input. The error is the
+// first probe trial's failed audit.
+func MLFRR(cfg kernel.Config, lossTolerance float64, o Options) (float64, error) {
 	o = o.withDefaults(nil)
-	if o.CPUs > 0 {
-		cfg.CPUs = o.CPUs
-		cfg.IRQCPUs = o.IRQCPUs
-	}
+	return mlfrr(o.config(cfg), lossTolerance, o.Warmup, o.Measure)
+}
+
+// mlfrr is MLFRR's bisection over trials of cfg as given.
+func mlfrr(cfg kernel.Config, lossTolerance float64, warmup, measure sim.Duration) (float64, error) {
 	lo, hi := 100.0, float64(14880)
 	for hi-lo > 50 {
 		mid := (lo + hi) / 2
-		cfg.Seed = o.Seed
-		res := kernel.RunTrial(cfg, mid, o.Warmup, o.Measure)
+		res, err := kernel.RunTrial(cfg, mid, warmup, measure)
+		if err != nil {
+			return 0, fmt.Errorf("MLFRR probe at %.0f pkts/s: %w", mid, err)
+		}
 		if res.OutputRate >= lossTolerance*res.InputRate {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, nil
+}
+
+// window measures r over one window and finishes the run with no
+// drain. A zero drain runs no event, so the caller reads the router as
+// the window left it.
+func window(r *kernel.Router, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+	res := r.Measure(warmup, measure)
+	_, err := r.Finish(0)
+	return res, err
 }
 
 // LatencyPoint is one burst-latency measurement.
@@ -46,24 +60,23 @@ type LatencyPoint struct {
 // processing of the burst in the interrupt-driven kernel, but not in the
 // polled kernel. The minimum observed latency isolates the
 // first-of-burst packet because every burst is identical.
-func BurstLatency(mode kernel.Mode, burstLen int, o Options) LatencyPoint {
+func BurstLatency(mode kernel.Mode, burstLen int, o Options) (LatencyPoint, error) {
 	o = o.withDefaults(nil)
-	eng := sim.NewEngine()
-	cfg := kernel.Config{Mode: mode, Quota: 5, Seed: o.Seed}
-	r := kernel.NewRouter(eng, cfg)
+	r := kernel.NewRouter(sim.NewEngine(), o.config(kernel.Config{Mode: mode, Quota: 5}))
 	on := sim.Duration(burstLen) * sim.PerSecond(14880)
 	burst := &workload.Burst{PeakRate: 14880, On: on, Off: 50 * sim.Millisecond}
-	gen := r.AttachGenerator(0, burst, 0)
-	gen.Start()
-	eng.Run(sim.Time(o.Warmup + o.Measure))
+	r.AttachGenerator(0, burst, 0).Start()
+	// Every burst is identical, so the warmup's bursts count too: the
+	// whole run is the window.
+	res, err := window(r, 0, o.Warmup+o.Measure)
 	lat := r.Sink.Latency
 	return LatencyPoint{
 		BurstLen:   burstLen,
 		FirstPkt:   lat.Min(),
-		MedianPkt:  lat.Quantile(0.5),
+		MedianPkt:  res.LatencyP50,
 		WorstPkt:   lat.Max(),
-		OutputRate: float64(r.Delivered()) / (o.Warmup + o.Measure).Seconds(),
-	}
+		OutputRate: res.OutputRate,
+	}, err
 }
 
 // WriteBurstLatencyTable renders the §4.3 latency comparison for
@@ -74,10 +87,15 @@ func WriteBurstLatencyTable(w io.Writer, o Options) error {
 	}
 	fmt.Fprintf(w, "%-10s %-28s %-28s\n", "burst", "unmodified (first/median)", "polled (first/median)")
 	for _, n := range []int{1, 5, 10, 20, 32} {
-		u := BurstLatency(kernel.ModeUnmodified, n, o)
-		p := BurstLatency(kernel.ModePolled, n, o)
+		var pt [2]LatencyPoint // unmodified, polled
+		for i, mode := range []kernel.Mode{kernel.ModeUnmodified, kernel.ModePolled} {
+			var err error
+			if pt[i], err = BurstLatency(mode, n, o); err != nil {
+				return err
+			}
+		}
 		fmt.Fprintf(w, "%-10d %-12v %-15v %-12v %-15v\n",
-			n, u.FirstPkt, u.MedianPkt, p.FirstPkt, p.MedianPkt)
+			n, pt[0].FirstPkt, pt[0].MedianPkt, pt[1].FirstPkt, pt[1].MedianPkt)
 	}
 	return nil
 }
@@ -93,22 +111,17 @@ type StarvationResult struct {
 // kernel's input callback monopolizes the CPU, transmit descriptors are
 // never reclaimed, and the transmitter goes idle while the output queue
 // overflows.
-func TransmitStarvation(o Options) StarvationResult {
+func TransmitStarvation(o Options) (StarvationResult, error) {
 	o = o.withDefaults(nil)
-	eng := sim.NewEngine()
-	cfg := kernel.Config{Mode: kernel.ModePolled, Quota: -1, Seed: o.Seed}
-	r := kernel.NewRouter(eng, cfg)
-	gen := r.AttachGenerator(0, workload.ConstantRate{Rate: 12000, JitterFrac: 0.05}, 0)
-	gen.Start()
-	eng.Run(sim.Time(o.Warmup))
-	before := r.Delivered()
-	eng.RunFor(o.Measure)
+	r := kernel.NewRouter(sim.NewEngine(), o.config(kernel.Config{Mode: kernel.ModePolled, Quota: -1}))
+	r.AttachGenerator(0, workload.ConstantRate{Rate: 12000, JitterFrac: 0.05}, 0).Start()
+	res, err := window(r, o.Warmup, o.Measure)
 	_, outq, _ := r.QueueStats()
 	return StarvationResult{
-		OutputRate:    float64(r.Delivered()-before) / o.Measure.Seconds(),
+		OutputRate:    res.OutputRate,
 		OutQueueDrops: outq.Drops.Value(),
 		WireIdle:      r.Out.TxDescriptorsFree() == 0,
-	}
+	}, err
 }
 
 // ClockedPoint is one measurement of the §8 "clocked interrupts"
@@ -130,28 +143,24 @@ type ClockedPoint struct {
 // intervals, reproducing §8's critique of Traw & Smith's clocked
 // interrupts and motivating the paper's hybrid (interrupt-initiated
 // polling) instead.
-func ClockedPollingSweep(intervals []sim.Duration, o Options) []ClockedPoint {
+func ClockedPollingSweep(intervals []sim.Duration, o Options) ([]ClockedPoint, error) {
 	o = o.withDefaults(nil)
 	var out []ClockedPoint
 	for _, iv := range intervals {
-		cfg := kernel.Config{Mode: kernel.ModePolled, Quota: 5,
-			ClockedPollInterval: iv, Seed: o.Seed}
+		cfg := o.config(kernel.Config{Mode: kernel.ModePolled, Quota: 5, ClockedPollInterval: iv})
 
 		// Idle overhead: run with no traffic and measure non-idle,
 		// non-clock CPU (the polling tax).
-		eng := sim.NewEngine()
-		r := kernel.NewRouter(eng, cfg)
-		eng.Run(sim.Time(o.Measure))
-		util := r.CPU.Utilization()
-		idleTax := 0.0
-		for cl, frac := range util {
-			if cl.String() == "kernel" {
-				idleTax += frac
-			}
+		r := kernel.NewRouter(sim.NewEngine(), cfg)
+		if _, err := window(r, 0, o.Measure); err != nil {
+			return nil, err
 		}
+		idleTax := r.CPU.Utilization()[cpu.ClassKernel]
 
-		lat := kernel.RunTrial(cfg, 500, o.Warmup, o.Measure)
-		thr := kernel.RunTrial(cfg, 12000, o.Warmup, o.Measure)
+		lat, thr, err := latencyAndThroughput(cfg, o)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, ClockedPoint{
 			Interval:        iv,
 			IdleOverheadPct: idleTax * 100,
@@ -159,7 +168,18 @@ func ClockedPollingSweep(intervals []sim.Duration, o Options) []ClockedPoint {
 			Throughput:      thr.OutputRate,
 		})
 	}
-	return out
+	return out, nil
+}
+
+// latencyAndThroughput runs cfg at the clocked-polling table's light
+// load (500 pkts/s, for latency) and its flood (12,000 pkts/s, for
+// throughput).
+func latencyAndThroughput(cfg kernel.Config, o Options) (lat, thr kernel.TrialResult, err error) {
+	if lat, err = kernel.RunTrial(cfg, 500, o.Warmup, o.Measure); err != nil {
+		return lat, thr, err
+	}
+	thr, err = kernel.RunTrial(cfg, 12000, o.Warmup, o.Measure)
+	return lat, thr, err
 }
 
 // WriteClockedTable renders the clocked-polling sweep.
@@ -173,14 +193,20 @@ func WriteClockedTable(w io.Writer, o Options) error {
 		100 * sim.Microsecond, 250 * sim.Microsecond, sim.Millisecond,
 		4 * sim.Millisecond, 16 * sim.Millisecond,
 	}
-	for _, p := range ClockedPollingSweep(intervals, o) {
+	points, err := ClockedPollingSweep(intervals, o)
+	if err != nil {
+		return err
+	}
+	for _, p := range points {
 		fmt.Fprintf(w, "%-12v %16.2f %18v %18.0f\n",
 			p.Interval, p.IdleOverheadPct, p.LatencyP50, p.Throughput)
 	}
 	// The paper's hybrid for comparison.
-	hybrid := kernel.Config{Mode: kernel.ModePolled, Quota: 5, Seed: o.Seed}
-	lat := kernel.RunTrial(hybrid, 500, o.Warmup, o.Measure)
-	thr := kernel.RunTrial(hybrid, 12000, o.Warmup, o.Measure)
+	o = o.withDefaults(nil)
+	lat, thr, err := latencyAndThroughput(o.config(kernel.Config{Mode: kernel.ModePolled, Quota: 5}), o)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "%-12s %16.2f %18v %18.0f\n",
 		"hybrid", 0.0, lat.LatencyP50, thr.OutputRate)
 	return nil
@@ -219,19 +245,16 @@ func (f FairnessResult) Imbalance() float64 {
 // reports how deliveries divide among them. The polled kernel's
 // round-robin should split capacity nearly evenly; rates are each
 // per-input offered loads.
-func Fairness(mode kernel.Mode, quota int, n int, rate float64, o Options) FairnessResult {
+func Fairness(mode kernel.Mode, quota int, n int, rate float64, o Options) (FairnessResult, error) {
 	o = o.withDefaults(nil)
-	eng := sim.NewEngine()
-	cfg := kernel.Config{Mode: mode, Quota: quota, InputNICs: n, Seed: o.Seed}
-	r := kernel.NewRouter(eng, cfg)
+	r := kernel.NewRouter(sim.NewEngine(), o.config(kernel.Config{Mode: mode, Quota: quota, InputNICs: n}))
 	for i := 0; i < n; i++ {
-		gen := r.AttachGenerator(i, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-		gen.Start()
+		r.AttachGenerator(i, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
 	}
 	// Count deliveries per source by sampling input-NIC accepted counts
 	// net of their ring drops: every packet accepted into a ring is
 	// either processed or still queued, so processed ≈ InPkts - RxLen.
-	eng.Run(sim.Time(o.Warmup + o.Measure))
+	_, err := window(r, o.Warmup, o.Measure)
 	res := FairnessResult{}
 	for i := 0; i < n; i++ {
 		in := r.Ins[i]
@@ -239,7 +262,7 @@ func Fairness(mode kernel.Mode, quota int, n int, rate float64, o Options) Fairn
 		res.PerInput = append(res.PerInput, processed)
 		res.Total += processed
 	}
-	return res
+	return res, err
 }
 
 // TCPPoint is one measurement of §7.1's unmeasured experiment: TCP bulk
@@ -253,32 +276,41 @@ type TCPPoint struct {
 }
 
 // TCPUnderFlood measures Tahoe bulk-transfer goodput against a
-// competing flood for one kernel mode.
-func TCPUnderFlood(mode kernel.Mode, floodRates []float64, o Options) []TCPPoint {
+// competing flood for one kernel mode. It ignores Options.CPUs: the
+// in-kernel TCP receiver runs on one CPU only.
+func TCPUnderFlood(mode kernel.Mode, floodRates []float64, o Options) ([]TCPPoint, error) {
 	o = o.withDefaults(nil)
+	o.CPUs = 0
 	var out []TCPPoint
 	for _, rate := range floodRates {
-		eng := sim.NewEngine()
-		cfg := kernel.Config{Mode: mode, Quota: 5, InputNICs: 2, Seed: o.Seed}
-		r := kernel.NewRouter(eng, cfg)
+		r := kernel.NewRouter(sim.NewEngine(), o.config(kernel.Config{Mode: mode, Quota: 5, InputNICs: 2}))
 		rx := r.OpenTCPReceiver(8080)
 		snd := r.AttachTCPSender(0, kernel.TCPSenderConfig{Port: 8080, MSS: 512})
 		if rate > 0 {
-			gen := r.AttachGenerator(1, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-			gen.Start()
+			r.AttachGenerator(1, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
 		}
 		snd.Start()
-		eng.Run(sim.Time(o.Warmup))
-		startBytes := rx.GoodputBytes
-		eng.RunFor(o.Measure)
+		goodput, err := goodputWindow(r, rx, o.Warmup, o.Measure)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, TCPPoint{
 			FloodRate:   rate,
-			GoodputBps:  float64(rx.GoodputBytes-startBytes) / o.Measure.Seconds(),
+			GoodputBps:  float64(goodput) / o.Measure.Seconds(),
 			Retransmits: snd.Retransmits.Value(),
 			Timeouts:    snd.Timeouts.Value(),
 		})
 	}
-	return out
+	return out, nil
+}
+
+// goodputWindow is window for a TCP transfer: it returns the in-order
+// bytes rx delivered inside the window.
+func goodputWindow(r *kernel.Router, rx *kernel.TCPReceiver, warmup, measure sim.Duration) (uint64, error) {
+	r.Measure(warmup, 0) // the warmup alone: the window starts here
+	start := rx.GoodputBytes
+	_, err := window(r, 0, measure)
+	return rx.GoodputBytes - start, err
 }
 
 // WriteTCPTable renders the §7.1 experiment for both kernels.
@@ -289,8 +321,14 @@ func WriteTCPTable(w io.Writer, o Options) error {
 	}
 	rates := []float64{0, 4000, 8000, 12000}
 	fmt.Fprintf(w, "%-12s %22s %22s\n", "flood pps", "unmodified goodput", "polled goodput")
-	unmod := TCPUnderFlood(kernel.ModeUnmodified, rates, o)
-	polled := TCPUnderFlood(kernel.ModePolled, rates, o)
+	unmod, err := TCPUnderFlood(kernel.ModeUnmodified, rates, o)
+	if err != nil {
+		return err
+	}
+	polled, err := TCPUnderFlood(kernel.ModePolled, rates, o)
+	if err != nil {
+		return err
+	}
 	for i := range rates {
 		fmt.Fprintf(w, "%-12.0f %18.0f B/s %18.0f B/s\n",
 			rates[i], unmod[i].GoodputBps, polled[i].GoodputBps)

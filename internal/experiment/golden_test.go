@@ -27,7 +27,12 @@ func TestGoldenAnchors(t *testing.T) {
 		}
 	}
 	trial := func(cfg kernel.Config, rate float64) kernel.TrialResult {
-		return kernel.RunTrial(cfg, rate, warmup, measure)
+		t.Helper()
+		res, err := kernel.RunTrial(cfg, rate, warmup, measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
 	// Figure 6-1 anchors.

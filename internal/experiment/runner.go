@@ -26,16 +26,16 @@ type seriesSpec struct {
 	Cfg   kernel.Config
 }
 
-// TrialError records a trial that failed during a sweep. The executor
-// recovers per-trial panics into TrialErrors instead of letting one bad
-// configuration kill the remaining trials; the failed trial's Point is
-// left zero-valued.
+// TrialError records a trial that failed during a sweep: its audit
+// failed, or it panicked. The executor collects both into TrialErrors
+// instead of letting one bad configuration kill the remaining trials;
+// the failed trial's Point is left zero-valued.
 type TrialError struct {
 	// Series is the label of the curve the trial belonged to.
 	Series string
 	// Rate is the offered load of the failed trial (pkts/s).
 	Rate float64
-	// Err is the recovered failure.
+	// Err is the audit error or the recovered panic.
 	Err error
 }
 
@@ -46,16 +46,13 @@ func (e TrialError) Error() string {
 
 // trialFunc abstracts kernel.RunTrial so executor tests can inject
 // failures and observe the windows passed through.
-type trialFunc func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) kernel.TrialResult
+type trialFunc func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error)
 
-// runSeries measures every spec across o.Rates through the parallel
-// executor and returns the completed curves in spec order, plus any
-// trial failures in deterministic (series, rate) order.
-func runSeries(specs []seriesSpec, o Options) ([]Series, []TrialError) {
-	return runSeriesWith(kernel.RunTrial, specs, o)
-}
-
-func runSeriesWith(run trialFunc, specs []seriesSpec, o Options) ([]Series, []TrialError) {
+// runSeries measures every spec across o.Rates through the
+// parallel executor, running each trial with run, and returns the
+// completed curves in spec order, plus any trial failures in
+// deterministic (series, rate) order.
+func runSeries(run trialFunc, specs []seriesSpec, o Options) ([]Series, []TrialError) {
 	type job struct{ si, pi int }
 	total := len(specs) * len(o.Rates)
 	points := make([][]Point, len(specs))
@@ -128,18 +125,15 @@ func runSeriesWith(run trialFunc, specs []seriesSpec, o Options) ([]Series, []Tr
 	return out, errs
 }
 
-// runOneTrial runs a single trial, converting a panic into an error so
-// one broken configuration cannot abort the rest of the sweep.
+// runOneTrial runs a single trial of the sweep's configuration,
+// converting a panic into an error so one broken configuration cannot
+// abort the rest of the sweep. A failed audit comes back as the
+// trial's own error.
 func runOneTrial(run trialFunc, cfg kernel.Config, rate float64, o Options) (res kernel.TrialResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("trial panicked: %v", p)
 		}
 	}()
-	cfg.Seed = o.Seed
-	if o.CPUs > 0 {
-		cfg.CPUs = o.CPUs
-		cfg.IRQCPUs = o.IRQCPUs
-	}
-	return run(cfg, rate, o.Warmup, o.Measure), nil
+	return run(o.config(cfg), rate, o.Warmup, o.Measure)
 }

@@ -11,6 +11,7 @@ import (
 	"livelock/internal/fault"
 	"livelock/internal/kernel"
 	"livelock/internal/sim"
+	"livelock/internal/workload"
 )
 
 // TestParallelMatchesSerial is the executor's determinism contract: a
@@ -82,7 +83,10 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 		RunFor:   200 * sim.Millisecond,
 	}
 	render := func(cfg kernel.Config) []byte {
-		res := kernel.RunTimeline(cfg, 9000, topt)
+		res, err := kernel.RunTimeline(cfg, 9000, topt)
+		if err != nil {
+			t.Error(err)
+		}
 		var b bytes.Buffer
 		if err := res.Series.WriteCSV(&b); err != nil {
 			t.Error(err)
@@ -119,12 +123,12 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 
 // stubTrial returns a deterministic result derived from the arguments,
 // without running a simulation.
-func stubTrial(cfg kernel.Config, rate float64, warmup, measure sim.Duration) kernel.TrialResult {
-	return kernel.TrialResult{InputRate: rate, OutputRate: rate * float64(cfg.Quota)}
+func stubTrial(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+	return kernel.TrialResult{InputRate: rate, OutputRate: rate * float64(cfg.Quota)}, nil
 }
 
 func TestSweepPanicRecovery(t *testing.T) {
-	boom := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) kernel.TrialResult {
+	boom := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
 		if rate == 2000 {
 			panic("rate 2000 exploded")
 		}
@@ -135,7 +139,7 @@ func TestSweepPanicRecovery(t *testing.T) {
 		{"a", kernel.Config{Quota: 2}},
 		{"b", kernel.Config{Quota: 3}},
 	}
-	series, errs := runSeriesWith(boom, specs, o)
+	series, errs := runSeries(boom, specs, o)
 	if len(series) != 2 {
 		t.Fatalf("series = %d, want 2", len(series))
 	}
@@ -175,7 +179,7 @@ func TestSweepProgress(t *testing.T) {
 		},
 	}
 	specs := []seriesSpec{{"a", kernel.Config{}}, {"b", kernel.Config{}}}
-	runSeriesWith(stubTrial, specs, o)
+	runSeries(stubTrial, specs, o)
 	if total != 6 {
 		t.Fatalf("total = %d, want 6", total)
 	}
@@ -236,12 +240,12 @@ func TestOptionsWithDefaults(t *testing.T) {
 // runnable end to end — the regression that motivated the sentinels.
 func TestZeroWarmupTrial(t *testing.T) {
 	var gotWarmup, gotMeasure sim.Duration
-	capture := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) kernel.TrialResult {
+	capture := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
 		gotWarmup, gotMeasure = warmup, measure
-		return kernel.TrialResult{}
+		return kernel.TrialResult{}, nil
 	}
 	o := Options{Rates: []float64{500}, Warmup: ZeroWarmup, Measure: 100 * sim.Millisecond}
-	runSeriesWith(capture, []seriesSpec{{"x", kernel.Config{}}}, o.withDefaults(nil))
+	runSeries(capture, []seriesSpec{{"x", kernel.Config{}}}, o.withDefaults(nil))
 	if gotWarmup != 0 {
 		t.Fatalf("trial ran with warmup %v, want 0", gotWarmup)
 	}
@@ -250,9 +254,83 @@ func TestZeroWarmupTrial(t *testing.T) {
 	}
 
 	// And the real kernel tolerates it (including a zero measure).
-	res := kernel.RunTrial(kernel.Config{Mode: kernel.ModePolled, Quota: 5, UserProcess: true},
+	res, err := kernel.RunTrial(kernel.Config{Mode: kernel.ModePolled, Quota: 5, UserProcess: true},
 		1000, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.UserCPUFrac != 0 || res.OutputRate != 0 {
 		t.Fatalf("zero-window trial produced %+v", res)
+	}
+}
+
+// TestSweepReportsAuditFailure pins the executor's error path for a
+// failed audit: a trial whose router leaked a pool buffer returns
+// Finish's error, and the sweep reports it as that trial's TrialError
+// while the other trials complete.
+func TestSweepReportsAuditFailure(t *testing.T) {
+	leaky := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+		r := kernel.NewRouter(sim.NewEngine(), cfg)
+		r.AttachGenerator(0, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
+		res := r.Measure(warmup, measure)
+		if rate == 2000 && r.Pool.Get(64) == nil {
+			t.Error("pool exhausted")
+		}
+		_, err := r.Finish(0)
+		return res, err
+	}
+	o := Options{Rates: []float64{1000, 2000}, Warmup: 50 * sim.Millisecond, Measure: 100 * sim.Millisecond, Seed: 1, Parallel: 2}
+	series, errs := runSeries(leaky, []seriesSpec{{"leaky", kernel.Config{Mode: kernel.ModePolled, Quota: 5}}}, o)
+	if len(errs) != 1 || errs[0].Rate != 2000 ||
+		!strings.Contains(errs[0].Error(), "packet conservation violated") {
+		t.Fatalf("errors = %v, want one conservation failure @2000", errs)
+	}
+	if p := series[0].Points[0]; p.OutputRate == 0 {
+		t.Errorf("clean trial left a zero point %+v", p)
+	}
+	if p := series[0].Points[1]; p != (Point{}) {
+		t.Errorf("failed trial left a non-zero point %+v", p)
+	}
+}
+
+// TestTrialConfig pins the one Options→Config step every runner takes:
+// the sweep's seed always, its core counts only when CPUs is set.
+func TestTrialConfig(t *testing.T) {
+	base := kernel.Config{Mode: kernel.ModePolled, Quota: 5, CPUs: 2, IRQCPUs: 1}
+	if got := (Options{Seed: 9}).config(base); got.Seed != 9 || got.CPUs != 2 || got.IRQCPUs != 1 {
+		t.Errorf("no CPUs override: got seed %d cpus %d irq %d, want 9 2 1", got.Seed, got.CPUs, got.IRQCPUs)
+	}
+	if got := (Options{Seed: 9, CPUs: 4}).config(base); got.CPUs != 4 || got.IRQCPUs != 0 {
+		t.Errorf("CPUs 4: got cpus %d irq %d, want 4 0", got.CPUs, got.IRQCPUs)
+	}
+	var seen kernel.Config
+	capture := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+		seen = cfg
+		return kernel.TrialResult{}, nil
+	}
+	runSeries(capture, []seriesSpec{{"x", base}}, Options{Rates: []float64{1}, Seed: 7, CPUs: 8, IRQCPUs: 3})
+	if seen.Seed != 7 || seen.CPUs != 8 || seen.IRQCPUs != 3 {
+		t.Errorf("executor trial config: seed %d cpus %d irq %d, want 7 8 3", seen.Seed, seen.CPUs, seen.IRQCPUs)
+	}
+}
+
+// TestCoreAxisIgnoresCPUs pins S-2's documented exception to
+// Options.CPUs: its x-axis is the core count and each series sets its
+// own interrupt cores, so a -cpus/-irqcpus override must not collapse
+// the series onto one IRQ split.
+func TestCoreAxisIgnoresCPUs(t *testing.T) {
+	o := Options{Warmup: 20 * sim.Millisecond, Measure: 50 * sim.Millisecond, Parallel: 2}
+	want := FigSMP2(o)
+	o.CPUs, o.IRQCPUs = 4, 1
+	got := FigSMP2(o)
+	var a, b bytes.Buffer
+	if err := want.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("S-2 moved under -cpus 4 -irqcpus 1:\n%s\nwant\n%s", b.String(), a.String())
 	}
 }

@@ -83,12 +83,11 @@ type tcpArm struct {
 // unbounded bulk transfer through one configuration: warm up, then
 // count in-order bytes delivered over the measurement window. The
 // kernel.RunTrial generator path is not used — the TCP sender's ACK
-// clock is the workload.
+// clock is the workload. cfg carries the sweep's seed.
 func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
-	seed uint64, warmup, measure sim.Duration,
-) kernel.TrialResult {
-	eng := sim.NewEngine()
-	cfg := kernel.Config{Mode: kernel.ModePolled, Quota: 5, Seed: seed}
+	cfg kernel.Config, warmup, measure sim.Duration,
+) (kernel.TrialResult, error) {
+	cfg.Mode, cfg.Quota = kernel.ModePolled, 5
 	cfg.NIC.Coalesce = co
 	cfg.Fault = fault.Config{
 		DropProb:     tcpLossPM / 1000.0,
@@ -97,7 +96,7 @@ func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
 		ReorderMode:  fault.ReorderDisplace,
 		ReorderFlush: tcpReorderFlush,
 	}
-	r := kernel.NewRouter(eng, cfg)
+	r := kernel.NewRouter(sim.NewEngine(), cfg)
 	rx := r.OpenTCPReceiver(8080)
 	if arm.variant == kernel.VariantSACK {
 		rx.EnableSACK()
@@ -110,12 +109,8 @@ func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
 		RTO: tcpRTO,
 	})
 	snd.Start()
-	eng.Run(sim.Time(warmup))
-	start := rx.GoodputBytes
-	eng.RunFor(measure)
-	return kernel.TrialResult{
-		OutputRate: float64(rx.GoodputBytes-start) * 8 / 1000 / measure.Seconds(),
-	}
+	goodput, err := goodputWindow(r, rx, warmup, measure)
+	return kernel.TrialResult{OutputRate: float64(goodput) * 8 / 1000 / measure.Seconds()}, err
 }
 
 // runTCPArms adapts the parallel trial executor to the T-figures: the
@@ -123,12 +118,15 @@ func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
 // or the reorder intensity, and the arm's variant and sorting flag ride
 // in a closure because they are not kernel.Config state. Arms run one
 // at a time; points within an arm still fan out across the worker pool.
+// The Options CPUs override does not apply: the in-kernel TCP receiver
+// runs on one CPU only.
 func runTCPArms(arms []tcpArm, axisIsCount bool, o Options) ([]Series, []TrialError) {
+	o.CPUs = 0
 	var series []Series
 	var errs []TrialError
 	for _, arm := range arms {
 		arm := arm
-		run := func(cfg kernel.Config, axis float64, warmup, measure sim.Duration) kernel.TrialResult {
+		run := func(cfg kernel.Config, axis float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
 			co := nic.CoalesceConfig{Policy: nic.CoalesceCount,
 				CountThresh: tcpCoalesceCount, TimerThresh: tcpCoalesceTimer}
 			perMill := arm.perMill
@@ -137,11 +135,11 @@ func runTCPArms(arms []tcpArm, axisIsCount bool, o Options) ([]Series, []TrialEr
 			} else {
 				perMill = axis
 			}
-			res := tcpGoodputTrial(arm, co, perMill, cfg.Seed, warmup, measure)
+			res, err := tcpGoodputTrial(arm, co, perMill, cfg, warmup, measure)
 			res.InputRate = axis
-			return res
+			return res, err
 		}
-		ss, es := runSeriesWith(run, []seriesSpec{{arm.label, kernel.Config{}}}, o)
+		ss, es := runSeries(run, []seriesSpec{{arm.label, kernel.Config{}}}, o)
 		series = append(series, ss...)
 		errs = append(errs, es...)
 	}

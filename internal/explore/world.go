@@ -288,7 +288,7 @@ func (w *world) check() (string, string) {
 		return "lockdep", w.lockdepErr
 	}
 	if on&InvConservation != 0 {
-		if err := w.r.Audit(w.generated()); err != nil {
+		if err := w.r.Audit(w.r.Offered()); err != nil {
 			return "conservation", err.Error()
 		}
 	}
@@ -396,17 +396,6 @@ func (w *world) checkEnd() {
 			return
 		}
 	}
-}
-
-func (w *world) generated() uint64 {
-	var n uint64
-	for _, g := range w.gens {
-		n += g.Sent.Value()
-	}
-	if w.snd != nil {
-		n += w.snd.SegmentsSent.Value()
-	}
-	return n
 }
 
 // tieLabels renders a tie set for the controller; the returned slice

@@ -8,8 +8,9 @@ import (
 )
 
 // quickTrial runs a short calibration trial.
-func quickTrial(cfg Config, rate float64) TrialResult {
-	return RunTrial(cfg, rate, 500*sim.Millisecond, 2*sim.Second)
+func quickTrial(t *testing.T, cfg Config, rate float64) TrialResult {
+	t.Helper()
+	return mustTrial(t, cfg, rate, 500*sim.Millisecond, 2*sim.Second)
 }
 
 // TestCalibrationSweep prints the throughput curves for the main kernel
@@ -35,7 +36,7 @@ func TestCalibrationSweep(t *testing.T) {
 	for _, c := range configs {
 		line := c.name + ":"
 		for _, rate := range rates {
-			res := quickTrial(c.cfg, rate)
+			res := quickTrial(t, c.cfg, rate)
 			line += fmt.Sprintf(" %5.0f", res.OutputRate)
 		}
 		t.Log(line)

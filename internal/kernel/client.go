@@ -81,6 +81,7 @@ func (r *Router) AttachClient(i int, cfg ClientConfig) *Client {
 		}
 		c.onReply(p)
 	}
+	r.clients = append(r.clients, c)
 	return c
 }
 

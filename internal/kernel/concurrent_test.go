@@ -31,7 +31,11 @@ func TestRunTrialConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(i, j int, cfg Config) {
 				defer wg.Done()
-				results[i][j] = RunTrial(cfg, 6000, 150*sim.Millisecond, 500*sim.Millisecond)
+				res, err := RunTrial(cfg, 6000, 150*sim.Millisecond, 500*sim.Millisecond)
+				if err != nil {
+					t.Error(err)
+				}
+				results[i][j] = res
 			}(i, j, cfg)
 		}
 	}

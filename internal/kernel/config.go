@@ -199,7 +199,7 @@ func ModernCosts() Costs {
 		&c.ScreendRuleCost, &c.ScreendSendPerPkt,
 		&c.PollWakeup, &c.PollRound, &c.PolledRxPerPkt,
 		&c.PolledRxToScreendPerPkt, &c.PolledRxLocalPerPkt,
-		&c.PolledTxPerPkt, &c.CompatPenalty, &c.LockOp,
+		&c.PolledTxPerPkt, &c.CompatPenalty, &c.FastPathSavings, &c.LockOp,
 		&c.ClockTickCost, &c.HousekeepPerTick,
 	} {
 		scale(d)
@@ -369,8 +369,9 @@ type Config struct {
 	// Seed seeds the simulation's RNG.
 	Seed uint64
 
-	// Costs is the CPU cost model; zero-valued fields are replaced by
-	// DefaultCosts.
+	// Costs is the CPU cost model. An all-zero Costs is replaced by
+	// DefaultCosts; a partly set one is used exactly as given, its zero
+	// fields included.
 	Costs Costs
 
 	// Trace, if non-nil, receives a packet-lifecycle event at every

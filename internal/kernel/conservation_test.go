@@ -183,7 +183,7 @@ func TestFaultDeterminism(t *testing.T) {
 		},
 	}
 	csv := func() []byte {
-		res := RunTimeline(cfg, 7000, TimelineOptions{RunFor: 500 * sim.Millisecond})
+		res := mustTimeline(t, cfg, 7000, TimelineOptions{RunFor: 500 * sim.Millisecond})
 		var buf bytes.Buffer
 		if err := res.Series.WriteCSV(&buf); err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ func TestDebugFig71(t *testing.T) {
 				CycleLimitThreshold: th,
 				UserProcess:         true,
 			}
-			res := RunTrial(cfg, rate, 500*sim.Millisecond, 2*sim.Second)
+			res := mustTrial(t, cfg, rate, 500*sim.Millisecond, 2*sim.Second)
 			line += fmt.Sprintf(" %4.1f", res.UserCPUFrac*100)
 		}
 		t.Log(line)

@@ -204,6 +204,11 @@ type Router struct {
 	fault *fault.Plane
 	reasm *netstack.Reassembler
 	prof  *prof.Profile
+
+	// The attached sources, whose sent counts Offered sums.
+	gens    []*workload.Generator
+	senders []*TCPSender
+	clients []*Client
 }
 
 // NewRouter builds and starts a router. The clock begins ticking
@@ -652,8 +657,8 @@ func (r *Router) VisitCPUs(fn func(*cpu.CPU)) { r.Sys.Visit(fn) }
 
 // AuditCycles verifies cycle conservation on every core: the per-center
 // ledger must sum to total busy time, and busy + idle must equal
-// elapsed simulated time, per core. Run alongside the
-// packet-conservation Audit at the end of every trial.
+// elapsed simulated time, per core. Finish runs it after the
+// packet-conservation audit at the end of every run.
 func (r *Router) AuditCycles() error {
 	return r.Sys.AuditCycles(r.Eng.Now())
 }
@@ -1024,7 +1029,9 @@ func (r *Router) AttachGeneratorTo(i int, dst netstack.Addr, dstPort uint16,
 		PayloadBytes:  4,
 		MaxPackets:    maxPackets,
 	}
-	return workload.NewGenerator(r.Eng, r.RNG, r.SourceWires[i], r.Pool, cfg)
+	g := workload.NewGenerator(r.Eng, r.RNG, r.SourceWires[i], r.Pool, cfg)
+	r.gens = append(r.gens, g)
+	return g
 }
 
 // UserCPUTime returns the CPU time consumed by the compute-bound user
@@ -1134,29 +1141,12 @@ func (r *Router) Account() Accounting {
 	return a
 }
 
-// Sources is the ledger's left-hand side: every frame put into the
-// system — offered by generators, originated by the router, or injected
-// by the fault plane.
-func (a Accounting) Sources(generated uint64) uint64 {
-	return generated + a.Originated + a.Duplicated
-}
-
-// Sinks is the ledger's right-hand side: every terminal bucket a frame
-// can end in — delivered on either side, rejected by a sink's
-// validator, dropped at a counted point, consumed by the router or an
-// application, or still buffered.
-func (a Accounting) Sinks() uint64 {
-	return a.Delivered + a.RevDelivered + a.Malformed + a.Dropped() +
-		a.AppConsumed + a.FragsConsumed + a.EchoConsumed + a.TCPConsumed +
-		uint64(a.Alive)
-}
-
 // Audit verifies packet conservation: every frame generators offered
 // (plus router-originated and fault-injected ones) must be accounted in
 // exactly one terminal bucket. A non-nil error means the router lost or
-// invented a buffer — the backbone correctness oracle behind the trial
-// runners and the fault-injection tests. generated is the count of
-// frames the workload put on the input wires (Generator.Sent).
+// invented a buffer — the backbone correctness oracle behind every
+// harness run (Finish) and the explore plane. generated is the count
+// of frames the workload put on the input wires (Offered).
 //
 // The ledger balances at any event boundary, not just after a drain:
 // in-flight frames hold pool buffers and are counted in Alive. The one
@@ -1166,9 +1156,20 @@ func (a Accounting) Sinks() uint64 {
 //
 //lkvet:requires boot
 func (r *Router) Audit(generated uint64) error {
-	a := r.Account()
-	sources := a.Sources(generated)
-	sinks := a.Sinks()
+	return r.Account().audit(generated)
+}
+
+// audit checks that the snapshot balances against generated. Sources
+// are every frame put into the system: offered, originated by the
+// router, or injected by the fault plane. Sinks are every terminal
+// bucket: delivered on either side, rejected by a sink's validator,
+// dropped at a counted point, consumed by the router or an
+// application, or still buffered.
+func (a Accounting) audit(generated uint64) error {
+	sources := generated + a.Originated + a.Duplicated
+	sinks := a.Delivered + a.RevDelivered + a.Malformed + a.Dropped() +
+		a.AppConsumed + a.FragsConsumed + a.EchoConsumed + a.TCPConsumed +
+		uint64(a.Alive)
 	if sources == sinks {
 		return nil
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // trial is the standard short measurement used by these tests.
-func trial(cfg Config, rate float64) TrialResult {
-	return RunTrial(cfg, rate, 500*sim.Millisecond, 2*sim.Second)
+func trial(t *testing.T, cfg Config, rate float64) TrialResult {
+	t.Helper()
+	return mustTrial(t, cfg, rate, 500*sim.Millisecond, 2*sim.Second)
 }
 
 func TestLowLoadDeliversEverything(t *testing.T) {
@@ -21,7 +22,7 @@ func TestLowLoadDeliversEverything(t *testing.T) {
 		"polled+screend": {Mode: ModePolled, Quota: 5, Screend: true, Feedback: true},
 	}
 	for name, cfg := range configs {
-		res := trial(cfg, 1000)
+		res := trial(t, cfg, 1000)
 		if res.OutputRate < 0.99*res.InputRate {
 			t.Errorf("%s: output %.0f < input %.0f at low load", name, res.OutputRate, res.InputRate)
 		}
@@ -38,7 +39,7 @@ func TestUnmodifiedPeakNearPaper(t *testing.T) {
 	// §6.2: "without screend, the router peaked at 4700 packets/sec".
 	best := 0.0
 	for _, rate := range []float64{4000, 4500, 5000} {
-		if r := trial(Config{Mode: ModeUnmodified}, rate); r.OutputRate > best {
+		if r := trial(t, Config{Mode: ModeUnmodified}, rate); r.OutputRate > best {
 			best = r.OutputRate
 		}
 	}
@@ -50,9 +51,9 @@ func TestUnmodifiedPeakNearPaper(t *testing.T) {
 func TestUnmodifiedDeclinesPastMLFRR(t *testing.T) {
 	// A system prone to livelock: throughput decreases with offered load
 	// above the MLFRR (§4.2).
-	peak := trial(Config{Mode: ModeUnmodified}, 5000).OutputRate
-	mid := trial(Config{Mode: ModeUnmodified}, 8000).OutputRate
-	high := trial(Config{Mode: ModeUnmodified}, 12000).OutputRate
+	peak := trial(t, Config{Mode: ModeUnmodified}, 5000).OutputRate
+	mid := trial(t, Config{Mode: ModeUnmodified}, 8000).OutputRate
+	high := trial(t, Config{Mode: ModeUnmodified}, 12000).OutputRate
 	if !(peak > mid && mid > high) {
 		t.Fatalf("throughput not monotonically declining: %.0f, %.0f, %.0f", peak, mid, high)
 	}
@@ -65,17 +66,17 @@ func TestUnmodifiedScreendLivelock(t *testing.T) {
 	// §6.2: with screend, peak ≈2000 pps and complete livelock at
 	// ≈6000 pps.
 	cfg := Config{Mode: ModeUnmodified, Screend: true}
-	peak := trial(cfg, 2000).OutputRate
+	peak := trial(t, cfg, 2000).OutputRate
 	if peak < 1700 || peak > 2300 {
 		t.Fatalf("screend peak = %.0f, want ≈2000", peak)
 	}
-	dead := trial(cfg, 7000).OutputRate
+	dead := trial(t, cfg, 7000).OutputRate
 	if dead > 100 {
 		t.Fatalf("screend at 7000 pps: output %.0f, want livelock (~0)", dead)
 	}
 	// The drops at livelock happen at the screend queue, after kernel
 	// work was invested — the wasted-work signature of §6.3.
-	acct := trial(cfg, 7000).Accounting
+	acct := trial(t, cfg, 7000).Accounting
 	if acct.ScreendDrops == 0 {
 		t.Fatalf("no wasted-work drops at the screend queue: %+v", acct)
 	}
@@ -85,8 +86,8 @@ func TestPolledFlatUnderOverload(t *testing.T) {
 	// Figure 6-3: with a quota, the modified kernel holds its peak
 	// throughput out to the highest input rates.
 	cfg := Config{Mode: ModePolled, Quota: 5}
-	peak := trial(cfg, 5000).OutputRate
-	over := trial(cfg, 12000).OutputRate
+	peak := trial(t, cfg, 5000).OutputRate
+	over := trial(t, cfg, 12000).OutputRate
 	if over < 0.95*peak {
 		t.Fatalf("polled throughput sagged: %.0f at 12k vs peak %.0f", over, peak)
 	}
@@ -98,8 +99,8 @@ func TestPolledFlatUnderOverload(t *testing.T) {
 func TestPolledSlightlyImprovesMLFRR(t *testing.T) {
 	// §6.5: "The modified kernel (square marks) slightly improves the
 	// MLFRR, and avoids livelock at higher input rates."
-	unmod := trial(Config{Mode: ModeUnmodified}, 5000).OutputRate
-	polled := trial(Config{Mode: ModePolled, Quota: 5}, 5000).OutputRate
+	unmod := trial(t, Config{Mode: ModeUnmodified}, 5000).OutputRate
+	polled := trial(t, Config{Mode: ModePolled, Quota: 5}, 5000).OutputRate
 	if polled <= unmod {
 		t.Fatalf("polled MLFRR %.0f not above unmodified %.0f", polled, unmod)
 	}
@@ -112,8 +113,8 @@ func TestCompatSlightlyWorseThanUnmodified(t *testing.T) {
 	// §6.5: the modified kernel configured as if unmodified "seems to
 	// perform slightly worse" than the actual unmodified system.
 	// Compare above both systems' saturation points.
-	unmod := trial(Config{Mode: ModeUnmodified}, 5500).OutputRate
-	compat := trial(Config{Mode: ModePolledCompat}, 5500).OutputRate
+	unmod := trial(t, Config{Mode: ModeUnmodified}, 5500).OutputRate
+	compat := trial(t, Config{Mode: ModePolledCompat}, 5500).OutputRate
 	if compat >= unmod {
 		t.Fatalf("compat %.0f not below unmodified %.0f", compat, unmod)
 	}
@@ -128,7 +129,7 @@ func TestPolledNoQuotaCollapses(t *testing.T) {
 	// returns and transmit-buffer descriptors are never released
 	// (§6.6). The drops move to the output queue.
 	cfg := Config{Mode: ModePolled, Quota: -1}
-	res := trial(cfg, 9000)
+	res := trial(t, cfg, 9000)
 	if res.OutputRate > 500 {
 		t.Fatalf("no-quota output at 9000 pps = %.0f, want near zero", res.OutputRate)
 	}
@@ -142,7 +143,7 @@ func TestPolledScreendNoFeedbackPerformsBadly(t *testing.T) {
 	// about as badly as the unmodified kernel" once screend is in the
 	// path.
 	cfg := Config{Mode: ModePolled, Quota: 5, Screend: true}
-	res := trial(cfg, 8000)
+	res := trial(t, cfg, 8000)
 	if res.OutputRate > 300 {
 		t.Fatalf("no-feedback output at 8000 = %.0f, want near-livelock", res.OutputRate)
 	}
@@ -156,8 +157,8 @@ func TestFeedbackPreventsLivelock(t *testing.T) {
 	// livelock, and much improved peak throughput" relative to the
 	// overloaded alternatives.
 	cfg := Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true}
-	peak := trial(cfg, 3000).OutputRate
-	over := trial(cfg, 12000).OutputRate
+	peak := trial(t, cfg, 3000).OutputRate
+	over := trial(t, cfg, 12000).OutputRate
 	if over < 0.9*peak {
 		t.Fatalf("feedback throughput sagged: %.0f at 12k vs %.0f peak", over, peak)
 	}
@@ -165,12 +166,12 @@ func TestFeedbackPreventsLivelock(t *testing.T) {
 		t.Fatalf("feedback sustained rate %.0f too low", over)
 	}
 	// And it beats the unmodified kernel's peak.
-	unmodPeak := trial(Config{Mode: ModeUnmodified, Screend: true}, 2000).OutputRate
+	unmodPeak := trial(t, Config{Mode: ModeUnmodified, Screend: true}, 2000).OutputRate
 	if over <= unmodPeak {
 		t.Fatalf("feedback sustained %.0f does not beat unmodified peak %.0f", over, unmodPeak)
 	}
 	// Drops now happen at the cheap place: the interface ring.
-	acct := trial(cfg, 12000).Accounting
+	acct := trial(t, cfg, 12000).Accounting
 	if acct.RingDrops == 0 {
 		t.Fatal("overload drops should land on the NIC ring with feedback")
 	}
@@ -184,7 +185,7 @@ func TestQuotaSweepOrdering(t *testing.T) {
 	// screend; very large quotas approach the no-quota collapse.
 	out := map[int]float64{}
 	for _, q := range []int{5, 10, 100, -1} {
-		out[q] = trial(Config{Mode: ModePolled, Quota: q}, 10000).OutputRate
+		out[q] = trial(t, Config{Mode: ModePolled, Quota: q}, 10000).OutputRate
 	}
 	if !(out[5] > 0.9*out[10] && out[10] > out[100] && out[100] > out[-1]) {
 		t.Fatalf("quota ordering violated at 10k pps: q5=%.0f q10=%.0f q100=%.0f qInf=%.0f",
@@ -201,7 +202,7 @@ func TestQuotaWithFeedbackAllStable(t *testing.T) {
 	rates := map[int]float64{}
 	for _, q := range []int{5, 20, 100, -1} {
 		cfg := Config{Mode: ModePolled, Quota: q, Screend: true, Feedback: true}
-		rates[q] = trial(cfg, 10000).OutputRate
+		rates[q] = trial(t, cfg, 10000).OutputRate
 		if rates[q] < 1700 {
 			t.Errorf("quota %d with feedback: output %.0f, want stable ≈2000", q, rates[q])
 		}
@@ -216,7 +217,7 @@ func TestUserProcessStarvedWithoutLimiter(t *testing.T) {
 	// §7: flooding the modified router starves a compute-bound process
 	// completely while forwarding continues at full rate.
 	cfg := Config{Mode: ModePolled, Quota: 5, UserProcess: true}
-	res := trial(cfg, 12000)
+	res := trial(t, cfg, 12000)
 	if res.UserCPUFrac > 0.01 {
 		t.Fatalf("user process got %.1f%% CPU under flood, want ~0", res.UserCPUFrac*100)
 	}
@@ -239,7 +240,7 @@ func TestCycleLimiterGuaranteesUserProgress(t *testing.T) {
 	} {
 		cfg := Config{Mode: ModePolled, Quota: 5, UserProcess: true,
 			CycleLimitThreshold: tc.threshold}
-		res := trial(cfg, 10000)
+		res := trial(t, cfg, 10000)
 		if res.UserCPUFrac < tc.minUser || res.UserCPUFrac > tc.maxUser {
 			t.Errorf("threshold %.0f%%: user CPU %.1f%%, want in [%.0f%%, %.0f%%]",
 				tc.threshold*100, res.UserCPUFrac*100, tc.minUser*100, tc.maxUser*100)
@@ -251,7 +252,7 @@ func TestCycleLimiterIdleBaseline(t *testing.T) {
 	// §7: "even with no input load, the user process gets about 94% of
 	// the CPU cycles."
 	cfg := Config{Mode: ModePolled, Quota: 5, UserProcess: true, CycleLimitThreshold: 0.25}
-	res := trial(cfg, 0)
+	res := trial(t, cfg, 0)
 	if res.UserCPUFrac < 0.92 || res.UserCPUFrac > 0.96 {
 		t.Fatalf("idle user CPU = %.1f%%, want ≈94%%", res.UserCPUFrac*100)
 	}
@@ -312,7 +313,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestForwardedFramesAreValid(t *testing.T) {
 	// The sink validates every frame (checksums, TTL decrement).
-	res := trial(Config{Mode: ModePolled, Quota: 5}, 3000)
+	res := trial(t, Config{Mode: ModePolled, Quota: 5}, 3000)
 	if res.Accounting.Malformed != 0 {
 		t.Fatalf("%d malformed frames", res.Accounting.Malformed)
 	}
@@ -327,7 +328,7 @@ func TestForwardedFramesAreValid(t *testing.T) {
 }
 
 func TestLatencyLowAtLowLoad(t *testing.T) {
-	res := trial(Config{Mode: ModePolled, Quota: 5}, 500)
+	res := trial(t, Config{Mode: ModePolled, Quota: 5}, 500)
 	if res.LatencyP50 > sim.Millisecond {
 		t.Fatalf("median latency %v at 500 pps, want < 1ms", res.LatencyP50)
 	}
@@ -339,13 +340,13 @@ func TestBatchingShiftsLivelockPoint(t *testing.T) {
 	// outpace the handler, so compare near the livelock point: there,
 	// per-packet interrupt dispatch costs push the unbatched kernel
 	// measurably closer to zero.
-	batched := trial(Config{Mode: ModeUnmodified}, 13500).OutputRate
-	unbatched := trial(Config{Mode: ModeUnmodified, DisableBatching: true}, 13500).OutputRate
+	batched := trial(t, Config{Mode: ModeUnmodified}, 13500).OutputRate
+	unbatched := trial(t, Config{Mode: ModeUnmodified, DisableBatching: true}, 13500).OutputRate
 	if unbatched >= 0.8*batched {
 		t.Fatalf("unbatched %.0f not clearly worse than batched %.0f at 13500 pps", unbatched, batched)
 	}
 	// And neither prevents decline: both are below their peaks.
-	peak := trial(Config{Mode: ModeUnmodified}, 5000).OutputRate
+	peak := trial(t, Config{Mode: ModeUnmodified}, 5000).OutputRate
 	if batched >= peak {
 		t.Fatalf("batched kernel did not decline: %.0f vs peak %.0f", batched, peak)
 	}
@@ -379,14 +380,14 @@ func TestRuleCountLowersMLFRR(t *testing.T) {
 	// likelihood that livelock will occur." A longer screend rule list
 	// is exactly such inefficiency: peak throughput drops and the
 	// livelock point moves earlier.
-	lean := trial(Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 1}, 2000).OutputRate
-	fat := trial(Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 60}, 2000).OutputRate
+	lean := trial(t, Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 1}, 2000).OutputRate
+	fat := trial(t, Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 60}, 2000).OutputRate
 	if fat >= 0.95*lean {
 		t.Fatalf("60-rule screend peak %.0f not clearly below 1-rule %.0f", fat, lean)
 	}
 	// And the fat configuration reaches livelock at a lower input rate.
-	leanAt4500 := trial(Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 1}, 4500).OutputRate
-	fatAt4500 := trial(Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 60}, 4500).OutputRate
+	leanAt4500 := trial(t, Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 1}, 4500).OutputRate
+	fatAt4500 := trial(t, Config{Mode: ModeUnmodified, Screend: true, ScreendRules: 60}, 4500).OutputRate
 	if fatAt4500 >= leanAt4500 {
 		t.Fatalf("at 4500 pps: 60-rule %.0f not below 1-rule %.0f", fatAt4500, leanAt4500)
 	}
@@ -398,7 +399,7 @@ func TestJitterMetricPopulated(t *testing.T) {
 	// small; at saturation the latency distribution collapses onto the
 	// standing-queue delay (nearly constant), so jitter is not the
 	// overload discriminator — burst latency (§4.3) is.
-	low := trial(Config{Mode: ModePolled, Quota: 5}, 2000)
+	low := trial(t, Config{Mode: ModePolled, Quota: 5}, 2000)
 	if low.Jitter <= 0 || low.Jitter > sim.Millisecond {
 		t.Fatalf("low-load jitter = %v, want small positive", low.Jitter)
 	}
@@ -413,13 +414,13 @@ func TestFastPathPostponesLivelock(t *testing.T) {
 	// The flood hits one destination, so the forwarding cache hits on
 	// effectively every packet and both the MLFRR and the overload
 	// throughput improve.
-	slowPeak := trial(Config{Mode: ModeUnmodified}, 6000).OutputRate
-	fastPeak := trial(Config{Mode: ModeUnmodified, FastPath: true}, 6000).OutputRate
+	slowPeak := trial(t, Config{Mode: ModeUnmodified}, 6000).OutputRate
+	fastPeak := trial(t, Config{Mode: ModeUnmodified, FastPath: true}, 6000).OutputRate
 	if fastPeak <= 1.05*slowPeak {
 		t.Fatalf("fast path peak %.0f not clearly above %.0f", fastPeak, slowPeak)
 	}
-	slowOver := trial(Config{Mode: ModeUnmodified}, 11000).OutputRate
-	fastOver := trial(Config{Mode: ModeUnmodified, FastPath: true}, 11000).OutputRate
+	slowOver := trial(t, Config{Mode: ModeUnmodified}, 11000).OutputRate
+	fastOver := trial(t, Config{Mode: ModeUnmodified, FastPath: true}, 11000).OutputRate
 	if fastOver <= slowOver {
 		t.Fatalf("fast path did not postpone livelock: %.0f vs %.0f", fastOver, slowOver)
 	}

@@ -88,7 +88,7 @@ func TestWastedWorkRegression(t *testing.T) {
 		cfg.Seed = 3
 		cfg.Screend = true
 		cfg.Profile = prof.New()
-		res := RunTrial(cfg, 12000, 500*sim.Millisecond, sim.Second)
+		res := mustTrial(t, cfg, 12000, 500*sim.Millisecond, sim.Second)
 		if res.OutputRate < 0 {
 			t.Fatal("negative output rate")
 		}
@@ -155,7 +155,7 @@ func TestDropProvenance(t *testing.T) {
 // while deliveries stall.
 func TestLivelockDetector(t *testing.T) {
 	cfg := Config{Mode: ModeUnmodified, Screend: true, Seed: 1, Profile: prof.New()}
-	res := RunTimeline(cfg, 10000, TimelineOptions{RunFor: 2 * sim.Second})
+	res := mustTimeline(t, cfg, 10000, TimelineOptions{RunFor: 2 * sim.Second})
 	p := res.Profile
 	if p == nil {
 		t.Fatal("no profile attached")
@@ -173,7 +173,7 @@ func TestLivelockDetector(t *testing.T) {
 
 	// The polled kernel at the same load keeps delivering: no diagnosis.
 	cfg2 := Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true, Seed: 1, Profile: prof.New()}
-	res2 := RunTimeline(cfg2, 10000, TimelineOptions{RunFor: 2 * sim.Second})
+	res2 := mustTimeline(t, cfg2, 10000, TimelineOptions{RunFor: 2 * sim.Second})
 	if res2.Profile.Livelocked() {
 		t.Error("polled kernel flagged as livelocked")
 	}

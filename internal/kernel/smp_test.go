@@ -32,7 +32,7 @@ var smpModes = []struct {
 // timelineCSV runs a short instrumented trial and returns its CSV bytes.
 func timelineCSV(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	res := RunTimeline(cfg, 6000, TimelineOptions{RunFor: 300 * sim.Millisecond})
+	res := mustTimeline(t, cfg, 6000, TimelineOptions{RunFor: 300 * sim.Millisecond})
 	var buf bytes.Buffer
 	if err := res.Series.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

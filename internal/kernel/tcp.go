@@ -476,6 +476,7 @@ func (r *Router) AttachTCPSender(i int, cfg TCPSenderConfig) *TCPSender {
 		}
 		s.onFrame(p)
 	}
+	r.senders = append(r.senders, s)
 	return s
 }
 

@@ -53,12 +53,12 @@ type TimelineResult struct {
 // included), lkfigures -timeline-dir and the tests, so they cannot
 // drift apart. The instruments never perturb the run: a plain traced
 // router run produces the same records (TestTimelineMatchesPlainRun).
-// A harness
-// entry point: the caller owns the engine, so the whole run is
+// The run ends in Finish with no drain, whose audit is the error. A
+// harness entry point: the caller owns the engine, so the whole run is
 // serialized.
 //
 //lkvet:requires boot
-func RunTimeline(cfg Config, rate float64, o TimelineOptions) TimelineResult {
+func RunTimeline(cfg Config, rate float64, o TimelineOptions) (TimelineResult, error) {
 	if o.Interval <= 0 {
 		o.Interval = 10 * sim.Millisecond
 	}
@@ -74,7 +74,7 @@ func RunTimeline(cfg Config, rate float64, o TimelineOptions) TimelineResult {
 	if o.Profile && cfg.Profile == nil {
 		cfg.Profile = prof.New()
 	}
-	r := NewRouter(eng, cfg)
+	r := newRouter(eng, cfg)
 
 	var spans *metrics.SpanLog
 	if o.Spans {
@@ -88,18 +88,15 @@ func RunTimeline(cfg Config, rate float64, o TimelineOptions) TimelineResult {
 
 	sampler := metrics.NewSampler(eng, reg, o.Interval)
 	sampler.Start()
-	eng.Run(sim.Time(o.RunFor))
+	// A timeline exists to show the transient, so the whole run is the
+	// window.
+	r.Measure(0, o.RunFor)
 	sampler.Flush()
 	sampler.Stop()
 
-	// The conservation ledger balances at any event boundary (in-flight
-	// frames count as Alive), so timelines are audited too — even
-	// without a drain.
-	if err := r.Audit(gen.Sent.Value()); err != nil {
-		panic(err)
-	}
-	if err := r.AuditCycles(); err != nil {
-		panic(err)
+	// The ledger balances at any event boundary, so no drain is needed.
+	if _, err := r.Finish(0); err != nil {
+		return TimelineResult{}, err
 	}
 
 	res := TimelineResult{
@@ -107,15 +104,15 @@ func RunTimeline(cfg Config, rate float64, o TimelineOptions) TimelineResult {
 		Spans:     spans,
 		Trace:     cfg.Trace,
 		Profile:   cfg.Profile,
-		Sent:      gen.Sent.Value(),
+		Sent:      r.Offered(),
 		Delivered: r.Delivered(),
 	}
 	if cfg.Profile != nil {
 		var sb strings.Builder
 		if err := r.WriteFolded(&sb); err != nil {
-			panic(err)
+			return TimelineResult{}, err
 		}
 		res.Folded = sb.String()
 	}
-	return res
+	return res, nil
 }

@@ -56,7 +56,7 @@ func TestTimelineMatchesPlainRun(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			res := RunTimeline(tc.cfg, tc.rate, TimelineOptions{RunFor: runFor, TraceCap: keep, Profile: true})
+			res := mustTimeline(t, tc.cfg, tc.rate, TimelineOptions{RunFor: runFor, TraceCap: keep, Profile: true})
 
 			if got, want := dumpTrace(t, res.Trace), dumpTrace(t, plain.Trace); got != want {
 				t.Errorf("trace differs:\ntimeline: %.300s\nplain:    %.300s", got, want)

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"livelock/internal/sim"
-	"livelock/internal/stats"
 	"livelock/internal/workload"
 )
 
@@ -33,68 +32,93 @@ type TrialResult struct {
 	Accounting Accounting
 }
 
-// RunTrial builds a router with cfg, offers load at rate pkts/s for the
-// given duration (after a warmup), and returns measured rates. The
-// measurement window excludes warmup so queue-fill transients do not
-// bias the averages, mirroring the paper's before/after netstat
-// sampling. A harness entry point: the caller owns the engine, so the
-// whole run is serialized.
+// newRouter builds the routers of RunTrial and RunTimeline; tests wrap it.
+var newRouter = NewRouter
+
+// Offered returns the frames every attached generator, TCP sender and
+// client has put on the input wires so far: the generated count of the
+// conservation audit.
+func (r *Router) Offered() uint64 {
+	var n uint64
+	for _, g := range r.gens {
+		n += g.Sent.Value()
+	}
+	for _, s := range r.senders {
+		n += s.SegmentsSent.Value()
+	}
+	for _, c := range r.clients {
+		n += c.Sent.Value()
+	}
+	return n
+}
+
+// Measure runs one measurement window the way the paper samples
+// netstat before and after a fixed interval (§6.1): it runs warmup,
+// re-baselines the offered and delivered counts, sink latency, profile
+// and user CPU time at one instant, then runs measure. Start the
+// sources first. Accounting and WastedFrac are left zero: they
+// describe the router after Finish.
 //
 //lkvet:requires boot
-func RunTrial(cfg Config, rate float64, warmup, measure sim.Duration) TrialResult {
-	eng := sim.NewEngine()
-	r := NewRouter(eng, cfg)
-	gen := r.AttachGenerator(0, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-	gen.Start()
-
-	eng.Run(sim.Time(warmup))
-
-	inMeter := stats.NewRateMeter(gen.Sent, eng.Now())
-	outMeter := stats.NewRateMeter(r.Out.OutPkts, eng.Now())
-	userBefore := r.UserCPUTime()
-	// Latency quantiles must cover only the measurement window: discard
-	// the queue-fill transient recorded during warmup, mirroring how the
-	// rate meters re-baseline at the same instant.
+func (r *Router) Measure(warmup, measure sim.Duration) TrialResult {
+	r.Eng.RunFor(warmup)
+	offered, delivered, user := r.Offered(), r.Delivered(), r.UserCPUTime()
 	r.Sink.Latency.Reset()
-	// The wasted-work ledger re-baselines with the meters: warmup cycles
-	// (spent filling queues that will drain into the window) are not
-	// charged to either side.
-	if cfg.Profile != nil {
-		cfg.Profile.ResetStats()
+	if r.prof != nil {
+		r.prof.ResetStats()
 	}
+	r.Eng.RunFor(measure)
 
-	eng.RunFor(measure)
-
+	lat := r.Sink.Latency
 	res := TrialResult{
-		InputRate:  inMeter.Sample(eng.Now()),
-		OutputRate: outMeter.Sample(eng.Now()),
-		LatencyP50: r.Sink.Latency.Quantile(0.50),
-		LatencyP99: r.Sink.Latency.Quantile(0.99),
-		Jitter:     r.Sink.Latency.Quantile(0.90) - r.Sink.Latency.Quantile(0.10),
+		LatencyP50: lat.Quantile(0.50),
+		LatencyP99: lat.Quantile(0.99),
+		Jitter:     lat.Quantile(0.90) - lat.Quantile(0.10),
 	}
-	if cfg.UserProcess && measure > 0 {
-		res.UserCPUFrac = float64(r.UserCPUTime()-userBefore) / float64(measure)
-	}
-
-	// Stop the source and let the system drain so the conservation
-	// snapshot reflects a quiesced router.
-	gen.Stop()
-	eng.RunFor(200 * sim.Millisecond)
-	res.Accounting = r.Account()
-	if cfg.Profile != nil {
-		res.WastedFrac = cfg.Profile.WastedFrac()
-	}
-	// Every trial is audited: an unbalanced ledger means the router
-	// lost or invented a buffer, and the run's numbers cannot be
-	// trusted. The panic is recovered by the parallel trial executor
-	// and surfaces as a TrialError.
-	if err := r.Audit(gen.Sent.Value()); err != nil {
-		panic(err)
-	}
-	// The cycle ledger must balance too: every busy cycle attributed to
-	// exactly one cost center, busy+idle spanning the whole run.
-	if err := r.AuditCycles(); err != nil {
-		panic(err)
+	if s := measure.Seconds(); s > 0 {
+		res.InputRate = float64(r.Offered()-offered) / s
+		res.OutputRate = float64(r.Delivered()-delivered) / s
+		res.UserCPUFrac = float64(r.UserCPUTime()-user) / float64(measure)
 	}
 	return res
+}
+
+// Finish ends a run: it stops the attached generators, runs drain, and
+// returns the post-drain Accounting with the audit of packet
+// conservation against Offered, then of every core's cycle ledger. An
+// error means the router lost or invented a buffer or a cycle, and the
+// run's numbers cannot be trusted.
+//
+//lkvet:requires boot
+func (r *Router) Finish(drain sim.Duration) (Accounting, error) {
+	for _, g := range r.gens {
+		g.Stop()
+	}
+	r.Eng.RunFor(drain)
+	a := r.Account()
+	if err := a.audit(r.Offered()); err != nil {
+		return a, err
+	}
+	return a, r.AuditCycles()
+}
+
+// RunTrial builds a router with cfg, offers load at rate pkts/s, and
+// returns the rates measured over one window after a warmup, mirroring
+// the paper's before/after netstat sampling. The error is the audit
+// Finish returns. A harness entry point: the caller owns the engine,
+// so the whole run is serialized.
+//
+//lkvet:requires boot
+func RunTrial(cfg Config, rate float64, warmup, measure sim.Duration) (TrialResult, error) {
+	r := newRouter(sim.NewEngine(), cfg)
+	r.AttachGenerator(0, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0).Start()
+	res := r.Measure(warmup, measure)
+	var err error
+	res.Accounting, err = r.Finish(200 * sim.Millisecond) // so Accounting sees a quiesced router
+	// A cycle is wasted or useful by its packet's fate: read the
+	// fraction once the drain has settled the window's packets.
+	if r.prof != nil {
+		res.WastedFrac = r.prof.WastedFrac()
+	}
+	return res, err
 }

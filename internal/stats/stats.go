@@ -45,35 +45,6 @@ func (c *Counter) Delta(prev uint64) uint64 { return c.value - prev }
 // String implements fmt.Stringer.
 func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.value) }
 
-// RateMeter measures the average rate of a counter between two sample
-// points, the way the paper computes forwarding rates from before/after
-// netstat samples.
-type RateMeter struct {
-	counter   *Counter
-	lastCount uint64
-	lastTime  sim.Time
-}
-
-// NewRateMeter returns a meter over counter, with the baseline sample
-// taken at instant now.
-func NewRateMeter(counter *Counter, now sim.Time) *RateMeter {
-	return &RateMeter{counter: counter, lastCount: counter.Value(), lastTime: now}
-}
-
-// Sample returns the average events/second since the previous sample (or
-// construction) and resets the baseline to now. It returns 0 if no time
-// has passed.
-func (m *RateMeter) Sample(now sim.Time) float64 {
-	dc := m.counter.Value() - m.lastCount
-	dt := now.Sub(m.lastTime)
-	m.lastCount = m.counter.Value()
-	m.lastTime = now
-	if dt <= 0 {
-		return 0
-	}
-	return float64(dc) / dt.Seconds()
-}
-
 // TimeWeighted tracks the time-weighted average of a piecewise-constant
 // value, e.g. queue occupancy.
 type TimeWeighted struct {

@@ -64,31 +64,6 @@ func TestCounterDeltaWraps(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	c := NewCounter("x")
-	m := NewRateMeter(c, 0)
-	c.Add(1000)
-	got := m.Sample(sim.Time(2 * sim.Second))
-	if math.Abs(got-500) > 1e-9 {
-		t.Fatalf("rate = %v, want 500", got)
-	}
-	// Second window: 300 more events over 1s.
-	c.Add(300)
-	got = m.Sample(sim.Time(3 * sim.Second))
-	if math.Abs(got-300) > 1e-9 {
-		t.Fatalf("rate = %v, want 300", got)
-	}
-}
-
-func TestRateMeterZeroInterval(t *testing.T) {
-	c := NewCounter("x")
-	m := NewRateMeter(c, 0)
-	c.Add(10)
-	if got := m.Sample(0); got != 0 {
-		t.Fatalf("zero-interval rate = %v, want 0", got)
-	}
-}
-
 func TestTimeWeightedMean(t *testing.T) {
 	w := NewTimeWeighted(0, 0)
 	w.Set(sim.Time(1*sim.Second), 10) // value 0 for 1s

@@ -17,8 +17,11 @@
 //
 // Quick start:
 //
-//	res := livelock.RunTrial(livelock.Config{Mode: livelock.ModePolled, Quota: 5},
+//	res, err := livelock.RunTrial(livelock.Config{Mode: livelock.ModePolled, Quota: 5},
 //		8000, livelock.Warmup, livelock.Measure)
+//	if err != nil {
+//		log.Fatal(err) // the run failed its conservation audit
+//	}
 //	fmt.Printf("forwarded %.0f pkts/s\n", res.OutputRate)
 //
 // Everything is driven by simulated time and a seeded RNG: identical
@@ -167,8 +170,9 @@ func ModernCosts() Costs { return kernel.ModernCosts() }
 func NewRouter(eng *Engine, cfg Config) *Router { return kernel.NewRouter(eng, cfg) }
 
 // RunTrial offers a constant-rate load to a fresh router and measures
-// forwarding throughput, latency, and user-process CPU share.
-func RunTrial(cfg Config, rate float64, warmup, measure Duration) TrialResult {
+// forwarding throughput, latency, and user-process CPU share. The error
+// reports a failed conservation or cycle audit (Router.Finish).
+func RunTrial(cfg Config, rate float64, warmup, measure Duration) (TrialResult, error) {
 	return kernel.RunTrial(cfg, rate, warmup, measure)
 }
 
@@ -199,8 +203,8 @@ type (
 	Series = experiment.Series
 	// Point is one (input rate, measurement) pair.
 	Point = experiment.Point
-	// TrialError records a sweep trial whose panic was recovered by the
-	// executor; see Figure.Errors.
+	// TrialError records a sweep trial whose audit failed or whose panic
+	// was recovered by the executor; see Figure.Errors.
 	TrialError = experiment.TrialError
 )
 
@@ -221,12 +225,12 @@ func FigureByID(id string) func(Options) Figure { return experiment.ByID(id) }
 
 // MLFRR estimates the Maximum Loss Free Receive Rate of a configuration
 // (§3): the highest offered load forwarded with at most the given loss.
-func MLFRR(cfg Config, lossTolerance float64, o Options) float64 {
+func MLFRR(cfg Config, lossTolerance float64, o Options) (float64, error) {
 	return experiment.MLFRR(cfg, lossTolerance, o)
 }
 
 // BurstLatency measures §4.3's first-of-burst latency effect.
-func BurstLatency(mode Mode, burstLen int, o Options) experiment.LatencyPoint {
+func BurstLatency(mode Mode, burstLen int, o Options) (experiment.LatencyPoint, error) {
 	return experiment.BurstLatency(mode, burstLen, o)
 }
 
@@ -238,13 +242,13 @@ func WriteBurstLatencyTable(w io.Writer, o Options) error {
 
 // TransmitStarvation demonstrates §4.4's transmit starvation on the
 // no-quota polled kernel.
-func TransmitStarvation(o Options) experiment.StarvationResult {
+func TransmitStarvation(o Options) (experiment.StarvationResult, error) {
 	return experiment.TransmitStarvation(o)
 }
 
 // ClockedPollingSweep measures the §8 "clocked interrupts" (periodic
 // polling) alternative across poll intervals.
-func ClockedPollingSweep(intervals []Duration, o Options) []experiment.ClockedPoint {
+func ClockedPollingSweep(intervals []Duration, o Options) ([]experiment.ClockedPoint, error) {
 	return experiment.ClockedPollingSweep(intervals, o)
 }
 
@@ -288,7 +292,7 @@ func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 // RunTimeline offers a constant-rate load to a fresh router and records
 // a sampled timeline of every instrument (plus, optionally, CPU
 // scheduling spans and packet lifecycle events).
-func RunTimeline(cfg Config, rate float64, o TimelineOptions) TimelineResult {
+func RunTimeline(cfg Config, rate float64, o TimelineOptions) (TimelineResult, error) {
 	return kernel.RunTimeline(cfg, rate, o)
 }
 
@@ -306,7 +310,7 @@ type (
 
 // TCPUnderFlood measures Tahoe bulk-transfer goodput against competing
 // floods (§7.1's unmeasured experiment).
-func TCPUnderFlood(mode Mode, floodRates []float64, o Options) []experiment.TCPPoint {
+func TCPUnderFlood(mode Mode, floodRates []float64, o Options) ([]experiment.TCPPoint, error) {
 	return experiment.TCPUnderFlood(mode, floodRates, o)
 }
 
@@ -322,6 +326,6 @@ func WriteClockedTable(w io.Writer, o Options) error {
 
 // Fairness floods n input interfaces and reports how processing divides
 // among them (§5.2 round-robin fairness).
-func Fairness(mode Mode, quota, n int, rate float64, o Options) experiment.FairnessResult {
+func Fairness(mode Mode, quota, n int, rate float64, o Options) (experiment.FairnessResult, error) {
 	return experiment.Fairness(mode, quota, n, rate, o)
 }

@@ -10,7 +10,10 @@ import (
 // is covered in the internal packages.
 
 func TestPublicRunTrial(t *testing.T) {
-	res := RunTrial(Config{Mode: ModePolled, Quota: 5}, 2000, 200*Millisecond, Second)
+	res, err := RunTrial(Config{Mode: ModePolled, Quota: 5}, 2000, 200*Millisecond, Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.OutputRate < 1900 || res.OutputRate > 2100 {
 		t.Fatalf("OutputRate = %.0f, want ≈2000", res.OutputRate)
 	}
@@ -50,14 +53,17 @@ func TestPublicRouterAssembly(t *testing.T) {
 
 func TestPublicHelpers(t *testing.T) {
 	o := Options{Warmup: 200 * Millisecond, Measure: 500 * Millisecond}
-	if m := MLFRR(Config{Mode: ModeUnmodified}, 0.98, o); m < 3500 || m > 6000 {
-		t.Fatalf("MLFRR = %.0f", m)
+	if m, err := MLFRR(Config{Mode: ModeUnmodified}, 0.98, o); err != nil || m < 3500 || m > 6000 {
+		t.Fatalf("MLFRR = %.0f, %v", m, err)
 	}
-	st := TransmitStarvation(o)
-	if st.OutputRate > 500 {
-		t.Fatalf("starvation output = %.0f", st.OutputRate)
+	st, err := TransmitStarvation(o)
+	if err != nil || st.OutputRate > 500 {
+		t.Fatalf("starvation output = %.0f, %v", st.OutputRate, err)
 	}
-	f := Fairness(ModePolled, 5, 2, 8000, o)
+	f, err := Fairness(ModePolled, 5, 2, 8000, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f.Imbalance() > 1.2 {
 		t.Fatalf("imbalance %.2f", f.Imbalance())
 	}
@@ -89,10 +95,10 @@ func TestPublicEndSystemAPI(t *testing.T) {
 }
 
 func TestPublicTCP(t *testing.T) {
-	pts := TCPUnderFlood(ModePolled, []float64{0},
+	pts, err := TCPUnderFlood(ModePolled, []float64{0},
 		Options{Warmup: 200 * Millisecond, Measure: Second})
-	if len(pts) != 1 || pts[0].GoodputBps < 500_000 {
-		t.Fatalf("TCP goodput = %+v", pts)
+	if err != nil || len(pts) != 1 || pts[0].GoodputBps < 500_000 {
+		t.Fatalf("TCP goodput = %+v, %v", pts, err)
 	}
 	var buf bytes.Buffer
 	if err := WriteTCPTable(&buf, Options{Warmup: 100 * Millisecond, Measure: 300 * Millisecond}); err != nil {
@@ -112,11 +118,11 @@ func TestPublicClockedAndLatencyTables(t *testing.T) {
 	if err := WriteBurstLatencyTable(&buf, o); err != nil {
 		t.Fatal(err)
 	}
-	if pts := ClockedPollingSweep([]Duration{Millisecond}, o); len(pts) != 1 {
-		t.Fatalf("clocked sweep: %v", pts)
+	if pts, err := ClockedPollingSweep([]Duration{Millisecond}, o); err != nil || len(pts) != 1 {
+		t.Fatalf("clocked sweep: %v, %v", pts, err)
 	}
-	if bl := BurstLatency(ModePolled, 8, o); bl.FirstPkt <= 0 {
-		t.Fatalf("burst latency: %+v", bl)
+	if bl, err := BurstLatency(ModePolled, 8, o); err != nil || bl.FirstPkt <= 0 {
+		t.Fatalf("burst latency: %+v, %v", bl, err)
 	}
 }
 
