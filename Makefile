@@ -83,7 +83,7 @@ cover:
 FUZZTIME ?= 10s
 fuzz:
 	for target in FuzzIPv4Unmarshal FuzzUDPParse FuzzTCPParse \
-	              FuzzARPParse FuzzICMPParse FuzzFragReassembly; do \
+	              FuzzICMPParse; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" \
 			-fuzztime=$(FUZZTIME) ./internal/netstack/ || exit 1; \
 	done

@@ -662,12 +662,8 @@ func BenchmarkAblationFastPath(b *testing.B) {
 // BenchmarkAblationTCPFlavor compares Tahoe and Reno loss recovery for
 // the same lossy transfer.
 func BenchmarkAblationTCPFlavor(b *testing.B) {
-	for _, reno := range []bool{false, true} {
-		name := "tahoe"
-		if reno {
-			name = "reno"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, variant := range []kernel.TCPVariant{kernel.VariantTahoe, kernel.VariantReno} {
+		b.Run(variant.String(), func(b *testing.B) {
 			var segs, goodput float64
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
@@ -675,7 +671,7 @@ func BenchmarkAblationTCPFlavor(b *testing.B) {
 					Mode: kernel.ModeUnmodified, InputNICs: 2})
 				rx := r.OpenTCPReceiver(8080)
 				snd := r.AttachTCPSender(0, kernel.TCPSenderConfig{
-					Port: 8080, MSS: 512, Reno: reno})
+					Port: 8080, MSS: 512, Variant: variant})
 				gen := r.AttachGenerator(1, workload.ConstantRate{Rate: 3500, JitterFrac: 0.05}, 0)
 				gen.Start()
 				snd.Start()

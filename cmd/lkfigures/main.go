@@ -17,6 +17,8 @@
 // Trials of a sweep are fanned out across a worker pool (all CPU cores
 // by default). Results are deterministic: every worker count, including
 // -parallel 1 (fully serial), produces byte-identical tables and CSV.
+// A trial that fails its audit or panics is reported on stderr; every
+// figure is still written, and then lkfigures exits 1.
 package main
 
 import (
@@ -32,6 +34,10 @@ import (
 
 	"livelock"
 )
+
+// allFigures runs every figure; tests replace it to inject trial
+// failures.
+var allFigures = livelock.AllFigures
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -51,7 +57,7 @@ func run(args []string, w io.Writer) error {
 	warmup := fs.Duration("warmup", 500*time.Millisecond, "simulated warmup excluded from measurement")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "concurrent trials per sweep; 0 = all CPU cores, 1 = serial")
-	cpus := fs.Int("cpus", 0, "run every trial with this many virtual CPUs (0 = per-figure default; S-1/S-2 ignore it)")
+	cpus := fs.Int("cpus", 0, "run every trial with this many virtual CPUs (0 = per-figure default; S-1/S-2, 7-1 and the TCP figures ignore it)")
 	irqcpus := fs.Int("irqcpus", 0, "with -cpus: cores dedicated to interrupt handling in polled mode")
 	progress := fs.Bool("progress", false, "report per-sweep trial progress on stderr")
 	timelineDir := fs.String("timeline-dir", "", "also write overload timeline CSVs for the headline kernel configurations to this directory")
@@ -137,7 +143,7 @@ func run(args []string, w io.Writer) error {
 
 	var figs []livelock.Figure
 	if *figID == "all" {
-		figs = livelock.AllFigures(opts)
+		figs = allFigures(opts)
 	} else {
 		runner := livelock.FigureByID(*figID)
 		if runner == nil {
@@ -146,12 +152,15 @@ func run(args []string, w io.Writer) error {
 		figs = []livelock.Figure{runner(opts)}
 	}
 
+	failed := 0
 	for _, fig := range figs {
 		// A failed or panicking trial does not kill the sweep; surface
-		// what failed next to the (zero-valued) points it left behind.
+		// what failed next to the (zero-valued) points it left behind,
+		// write every figure, then fail the run.
 		for _, te := range fig.Errors {
 			fmt.Fprintf(os.Stderr, "lkfigures: %v\n", te)
 		}
+		failed += len(fig.Errors)
 		switch {
 		case *outDir != "":
 			path := filepath.Join(*outDir, "fig-"+fig.ID+".csv")
@@ -183,6 +192,9 @@ func run(args []string, w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d trial(s) failed", failed)
 	}
 	return nil
 }

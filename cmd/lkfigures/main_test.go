@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"livelock"
 )
 
 // fastArgs keeps the sweeps short for testing.
@@ -98,5 +101,33 @@ func TestRunUnknownFigure(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-fig", "9-9"}, &buf); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+// TestRunTrialFailureExitStatus: a failed trial makes run return an
+// error naming the failure count, but only after every figure has
+// been written.
+func TestRunTrialFailureExitStatus(t *testing.T) {
+	defer func(orig func(livelock.Options) []livelock.Figure) { allFigures = orig }(allFigures)
+	allFigures = func(livelock.Options) []livelock.Figure {
+		fig := func(id string, errs ...livelock.TrialError) livelock.Figure {
+			return livelock.Figure{ID: id, Title: "stub", Series: []livelock.Series{
+				{Label: "s", Points: []livelock.Point{{InputRate: 1000}}}}, Errors: errs}
+		}
+		return []livelock.Figure{
+			fig("X-1", livelock.TrialError{Series: "s", Rate: 1000, Err: errors.New("injected")}),
+			fig("X-2"),
+		}
+	}
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run([]string{"-out", dir}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "1 trial(s) failed") {
+		t.Fatalf("run error = %v, want the failure count", err)
+	}
+	for _, id := range []string{"X-1", "X-2"} {
+		if _, err := os.Stat(filepath.Join(dir, "fig-"+id+".csv")); err != nil {
+			t.Errorf("figure %s not written before the error: %v", id, err)
+		}
 	}
 }

@@ -62,10 +62,12 @@ type Options struct {
 	// CPUs, when > 0, overrides the virtual CPU count of every trial
 	// (the -cpus sweep); IRQCPUs then sets how many cores the polled
 	// kernel dedicates to interrupts. Zero leaves each figure's own
-	// configuration — the uniprocessor default — untouched. Two kinds
+	// configuration — the uniprocessor default — untouched. Three kinds
 	// of runner ignore the override: figures S-1/S-2, whose x-axis is
-	// the core count, and the TCP runners (figures T-1/T-2 and
-	// TCPUnderFlood), whose in-kernel receiver runs on one CPU only.
+	// the core count; figure 7-1, whose user process runs on one CPU
+	// only (kernel.ErrUserProcessSMP); and the TCP runners (figures
+	// T-1/T-2 and TCPUnderFlood), whose in-kernel receiver runs on one
+	// CPU only.
 	CPUs    int
 	IRQCPUs int
 }
@@ -258,8 +260,11 @@ func Fig66(o Options) Figure {
 
 // Fig71 reproduces figure 7-1: CPU time available to a compute-bound
 // user process under input load, for several cycle-limit thresholds.
+// The Options CPUs override does not apply: the user process runs on a
+// uniprocessor only (kernel.ErrUserProcessSMP).
 func Fig71(o Options) Figure {
 	o = o.withDefaults(defaultUserCPURates)
+	o.CPUs = 0
 	fig := Figure{
 		ID:     "7-1",
 		Title:  "User-mode CPU time available using cycle-limit mechanism",

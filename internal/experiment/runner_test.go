@@ -334,3 +334,28 @@ func TestCoreAxisIgnoresCPUs(t *testing.T) {
 		t.Errorf("S-2 moved under -cpus 4 -irqcpus 1:\n%s\nwant\n%s", b.String(), a.String())
 	}
 }
+
+// TestUserCPUFigureIgnoresCPUs pins 7-1's exception to Options.CPUs:
+// its user process runs on a uniprocessor only, so under a -cpus
+// override every trial used to fail validation and leave an all-zero
+// figure. The override must leave the figure unchanged and error-free.
+func TestUserCPUFigureIgnoresCPUs(t *testing.T) {
+	o := Options{Rates: []float64{2000, 8000}, Warmup: 20 * sim.Millisecond,
+		Measure: 50 * sim.Millisecond, Parallel: 2}
+	want := Fig71(o)
+	o.CPUs = 2
+	got := Fig71(o)
+	if len(got.Errors) != 0 {
+		t.Fatalf("7-1 under -cpus 2: %d failed trials, first: %v", len(got.Errors), got.Errors[0])
+	}
+	var a, b bytes.Buffer
+	if err := want.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("7-1 moved under -cpus 2:\n%s\nwant\n%s", b.String(), a.String())
+	}
+}

@@ -423,9 +423,10 @@ var (
 	// ErrUnknownMode rejects a Mode outside the three kernel modes.
 	ErrUnknownMode = errors.New("kernel: unknown mode")
 	// ErrUserProcessSMP rejects UserProcess with more than one CPU. The
-	// application plane (AppServer replies via transmitOwn) reaches the
-	// output queues without taking netLock; it has only ever run on the
-	// uniprocessor model, so NewRouter refuses rather than race.
+	// compute-bound process and the cycle limit that protects it are
+	// modelled and pinned on the uniprocessor only (figure 7-1 reports
+	// its share of the one CPU), so NewRouter refuses it on SMP rather
+	// than run an unvalidated configuration.
 	ErrUserProcessSMP = errors.New("kernel: Config.UserProcess requires CPUs == 1")
 )
 

@@ -197,12 +197,8 @@ type Router struct {
 	// RouterOriginated counts frames the router itself generated (for
 	// conservation accounting).
 	RouterOriginated *stats.Counter
-	// FragsConsumed counts fragment frames absorbed by the router's
-	// reassembly queue.
-	FragsConsumed *stats.Counter
 
 	fault *fault.Plane
-	reasm *netstack.Reassembler
 	prof  *prof.Profile
 
 	// The attached sources, whose sent counts Offered sums.
@@ -243,7 +239,6 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 		ICMPFailures:     stats.NewCounter("icmp.failures"),
 		NoSocketDrops:    stats.NewCounter("sock.nosocket"),
 		RouterOriginated: stats.NewCounter("router.originated"),
-		FragsConsumed:    stats.NewCounter("router.fragsconsumed"),
 		prof:             cfg.Profile,
 	}
 	clock := func() sim.Time { return eng.Now() }
@@ -890,16 +885,17 @@ func (r *Router) ifStart(port *netPort) {
 	}
 }
 
-// deliverLocal is ip_input's local-delivery branch: fragments go to the
-// reassembly queue (§5.3: a packet whose "companion fragments are not
-// yet available" must be queued); ICMP echo requests are answered in
-// place; UDP datagrams go to the listening socket. The caller has
-// already charged the CPU cost.
+// deliverLocal is ip_input's local-delivery branch: ICMP echo requests
+// are answered in place; TCP segments go to the in-kernel receiver; UDP
+// datagrams go to the listening socket. The router does not reassemble:
+// no simulated host fragments, so a fragment (only ever injected) is a
+// malformed drop. The caller has already charged the CPU cost.
 //
 //lkvet:requires netLock
 func (r *Router) deliverLocal(p *netstack.Packet) {
 	if netstack.IsFragment(p.Data) {
-		r.reassembleLocal(p)
+		r.drop(p, prov.ReasonMalformed)
+		p.Release()
 		return
 	}
 	proto := p.Data[netstack.EthHeaderLen+9]
@@ -926,38 +922,6 @@ func (r *Router) deliverLocal(p *netstack.Packet) {
 		r.drop(p, prov.ReasonMalformed)
 		p.Release()
 	}
-}
-
-// reassembleLocal feeds a locally-addressed fragment to the router's
-// reassembly queue; a completed datagram re-enters local delivery as a
-// synthesized packet (heap-allocated: reassembled datagrams can exceed
-// the wire-frame pool's buffer size).
-//
-//lkvet:requires netLock
-func (r *Router) reassembleLocal(p *netstack.Packet) {
-	if r.reasm == nil {
-		r.reasm = netstack.NewReassembler(func() sim.Time { return r.Eng.Now() }, 30*sim.Second)
-	}
-	full, done, err := r.reasm.Submit(p.Data)
-	born := p.Born
-	r.FragsConsumed.Inc()
-	// An absorbed fragment's cycles were useful: they become part of the
-	// reassembled datagram delivered below (or time out with it).
-	r.finalizeDeliver(prov.StageFragReassembly, p)
-	p.Release()
-	if err != nil {
-		r.FwdErrors.Inc()
-		return
-	}
-	if !done {
-		return
-	}
-	whole := &netstack.Packet{Data: full, ID: r.ownID(), Born: born}
-	// The synthesized datagram is router-originated for conservation
-	// purposes: its fragments were consumed above.
-	r.RouterOriginated.Inc()
-	r.observe(prov.StageReassembled, whole)
-	r.deliverLocal(whole)
 }
 
 // handleEcho turns an ICMP echo request into an echo reply in place and
@@ -1066,7 +1030,6 @@ type Accounting struct {
 	Malformed     uint64 // frames a sink failed to validate (0 without faults)
 	Originated    uint64 // frames generated by the router (ICMP, replies)
 	AppConsumed   uint64 // datagrams consumed by local applications
-	FragsConsumed uint64 // fragment frames absorbed by reassembly
 	EchoConsumed  uint64 // echo requests consumed by in-place reply conversion
 	TCPConsumed   uint64 // TCP segments consumed by in-kernel receivers
 	Alive         int    // packets still buffered in rings/queues/wires
@@ -1128,7 +1091,6 @@ func (r *Router) Account() Accounting {
 	if r.screend != nil {
 		a.FilterDrops = r.screend.Rejected.Value()
 	}
-	a.FragsConsumed = r.FragsConsumed.Value()
 	for _, rx := range r.tcpPorts {
 		a.TCPConsumed += rx.Segments.Value()
 	}
@@ -1149,10 +1111,7 @@ func (r *Router) Account() Accounting {
 // of frames the workload put on the input wires (Offered).
 //
 // The ledger balances at any event boundary, not just after a drain:
-// in-flight frames hold pool buffers and are counted in Alive. The one
-// known exception is a reassembled datagram parked in a local socket
-// buffer (heap-allocated, so invisible to Alive) — none of the audited
-// scenarios deliver fragments to local sockets.
+// in-flight frames hold pool buffers and are counted in Alive.
 //
 //lkvet:requires boot
 func (r *Router) Audit(generated uint64) error {
@@ -1168,7 +1127,7 @@ func (r *Router) Audit(generated uint64) error {
 func (a Accounting) audit(generated uint64) error {
 	sources := generated + a.Originated + a.Duplicated
 	sinks := a.Delivered + a.RevDelivered + a.Malformed + a.Dropped() +
-		a.AppConsumed + a.FragsConsumed + a.EchoConsumed + a.TCPConsumed +
+		a.AppConsumed + a.EchoConsumed + a.TCPConsumed +
 		uint64(a.Alive)
 	if sources == sinks {
 		return nil
@@ -1177,13 +1136,13 @@ func (a Accounting) audit(generated uint64) error {
 		"kernel: packet conservation violated: sources=%d (generated=%d originated=%d duplicated=%d) != sinks=%d "+
 			"(delivered=%d rev=%d malformed=%d ring=%d ipintrq=%d screendq=%d outq=%d filter=%d socket=%d "+
 			"fwderr=%d badcksum=%d truncated=%d ttl=%d wire=%d stall=%d reset=%d "+
-			"app=%d frags=%d echo=%d tcp=%d alive=%d): %d frame(s) unaccounted",
+			"app=%d echo=%d tcp=%d alive=%d): %d frame(s) unaccounted",
 		sources, generated, a.Originated, a.Duplicated, sinks,
 		a.Delivered, a.RevDelivered, a.Malformed, a.RingDrops, a.IPIntrQDrops, a.ScreendDrops,
 		a.OutQueueDrops, a.FilterDrops, a.SocketDrops,
 		a.FwdErrors, a.BadChecksums, a.Truncated, a.TTLDrops,
 		a.WireDrops, a.StallDrops, a.ResetDrops,
-		a.AppConsumed, a.FragsConsumed, a.EchoConsumed, a.TCPConsumed, a.Alive,
+		a.AppConsumed, a.EchoConsumed, a.TCPConsumed, a.Alive,
 		int64(sources)-int64(sinks))
 }
 

@@ -116,6 +116,39 @@ func TestUDPServerServesRequests(t *testing.T) {
 	}
 }
 
+// TestAppPlaneLockCorrectOnSMP: on a 2-CPU router the server's recv
+// dequeue and reply transmit run under netLock, so an armed lockdep
+// sees no violation, and the run audits clean.
+func TestAppPlaneLockCorrectOnSMP(t *testing.T) {
+	for _, mode := range []Mode{ModeUnmodified, ModePolled} {
+		eng := sim.NewEngine()
+		r := NewRouter(eng, Config{Mode: mode, Quota: 5, CPUs: 2, Lockdep: true})
+		var violations []string
+		r.Lockdep().SetOnViolation(func(msg string) { violations = append(violations, msg) })
+		app := r.StartApp(AppConfig{
+			Port:        2049,
+			RecvCost:    80 * sim.Microsecond,
+			ProcessCost: 120 * sim.Microsecond,
+			ReplyBytes:  64,
+			ReplyCost:   80 * sim.Microsecond,
+		})
+		gen := r.AttachGeneratorTo(0, RouterIP(0), 2049,
+			workload.ConstantRate{Rate: 2000, JitterFrac: 0.05}, 0)
+		gen.Start()
+		eng.Run(sim.Time(200 * sim.Millisecond))
+		if _, err := r.Finish(50 * sim.Millisecond); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+		if len(violations) > 0 {
+			t.Errorf("%v: %d lockdep violations, first: %s", mode, len(violations), violations[0])
+		}
+		if app.Replied.Value() == 0 || r.Lockdep().Checks() == 0 {
+			t.Errorf("%v: replied %d with %d lockdep checks; want both > 0",
+				mode, app.Replied.Value(), r.Lockdep().Checks())
+		}
+	}
+}
+
 // TestNoSocketCountsDrop: locally-addressed UDP with no listener is
 // counted.
 func TestNoSocketCountsDrop(t *testing.T) {

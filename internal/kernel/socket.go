@@ -20,15 +20,21 @@ import (
 type Socket struct {
 	r    *Router
 	port uint16
-	buf  *queue.Queue
-	app  *AppServer
+	// buf is filled by ip_input and drained by the application's recv
+	// syscall; on SMP both hold netLock.
+	//lkvet:guards netLock
+	buf *queue.Queue
+	app *AppServer
 
 	// Received counts datagrams accepted into the socket buffer.
 	Received *stats.Counter
 }
 
 // OpenSocket binds a UDP port with the given receive-buffer capacity
-// (in packets). It panics if the port is already bound.
+// (in packets). It panics if the port is already bound. Runs before the
+// engine: fully serialized.
+//
+//lkvet:requires boot
 func (r *Router) OpenSocket(port uint16, bufPackets int) *Socket {
 	if _, dup := r.sockets[port]; dup {
 		panic("kernel: port already bound")
@@ -43,19 +49,29 @@ func (r *Router) OpenSocket(port uint16, bufPackets int) *Socket {
 		Received: stats.NewCounter("sock.received"),
 	}
 	s.buf.Reason = prov.ReasonSockBufFull
+	r.ld.Guard(s.buf, r.netLock, fmt.Sprintf("sockbuf %d", port))
 	r.sockets[port] = s
 	return s
 }
 
-// Buffered returns the current socket-buffer occupancy.
+// Buffered returns the current socket-buffer occupancy. An observer
+// API, like Router.Account.
+//
+//lkvet:requires boot
 func (s *Socket) Buffered() int { return s.buf.Len() }
 
 // Drops returns datagrams dropped because the socket buffer was full.
+// An observer API, like Router.Account.
+//
+//lkvet:requires boot
 func (s *Socket) Drops() uint64 { return s.buf.Drops.Value() }
 
 // deliver is ip_input's hand-off into the socket buffer; the caller has
 // charged the CPU cost.
+//
+//lkvet:requires netLock
 func (s *Socket) deliver(p *netstack.Packet) {
+	s.r.ld.Check(s.buf)
 	ok := s.buf.Enqueue(p)
 	if !ok {
 		s.r.drop(p, prov.ReasonSockBufFull)
@@ -105,6 +121,9 @@ type AppConfig struct {
 }
 
 // AppServer is a user-mode request/response server driven by a socket.
+// On SMP the recv syscall's dequeue and the send syscall's output path
+// run under r.netLock, their holds carved out of the syscall costs, so
+// per-request totals match the uniprocessor exactly.
 type AppServer struct {
 	r    *Router
 	cfg  AppConfig
@@ -114,8 +133,15 @@ type AppServer struct {
 
 	scheduled bool
 	wakeCost  sim.Duration
-	// run and serve are loop and serveHead bound once.
-	run, serve func()
+	// run, serve and send are loop, serveHead and sendReply bound once,
+	// so the per-request items allocate nothing.
+	run, serve, send func()
+	// replyTo is the response serveHead hands to the send syscall's
+	// item: the request's addresses and ports swapped, over payload
+	// (ReplyBytes of zeros, allocated once). replying marks it in hand.
+	replyTo  netstack.FrameSpec
+	replying bool
+	payload  []byte
 
 	// Served counts requests fully processed; Replied counts replies
 	// handed to the output path.
@@ -124,6 +150,9 @@ type AppServer struct {
 }
 
 // StartApp binds a socket and attaches a server application to it.
+// Runs before the engine: fully serialized.
+//
+//lkvet:requires boot
 func (r *Router) StartApp(cfg AppConfig) *AppServer {
 	if cfg.Prio == 0 {
 		cfg.Prio = 5
@@ -141,6 +170,8 @@ func (r *Router) StartApp(cfg AppConfig) *AppServer {
 	a.task.SetCenter(prov.CenterUserProc)
 	a.run = a.loop
 	a.serve = a.serveHead
+	a.send = a.sendReply
+	a.payload = make([]byte, max(cfg.ReplyBytes, 0))
 	if cfg.Feedback && r.polled != nil {
 		a.fb = r.polled.attachQueueFeedback(a.sock.buf,
 			fmt.Sprintf("sockbuf-%d-feedback", cfg.Port))
@@ -160,16 +191,21 @@ func (a *AppServer) wakeup() {
 }
 
 func (a *AppServer) loop() {
+	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
 	if a.sock.buf.Empty() {
 		a.scheduled = false
 		return
 	}
-	a.task.Post(a.cfg.RecvCost+a.cfg.ProcessCost, a.serve)
+	a.task.PostLockedTail(a.r.netLock, a.cfg.RecvCost+a.cfg.ProcessCost, a.r.Cfg.Costs.LockOp,
+		prov.CenterUserProc, a.serve)
 }
 
 // serveHead is the end of one request: the recv syscall returns and
 // the application processes the request, replying if configured.
+//
+//lkvet:requires netLock
 func (a *AppServer) serveHead() {
+	a.r.ld.Check(a.sock.buf)
 	p := a.sock.buf.Dequeue()
 	if p == nil {
 		a.scheduled = false
@@ -187,8 +223,8 @@ func (a *AppServer) serveHead() {
 	a.loop()
 }
 
-// reply builds a real UDP response (addresses and ports swapped) and
-// sends it via the kernel's output path.
+// reply addresses a real UDP response to req (addresses and ports
+// swapped) and posts the send syscall that transmits it.
 func (a *AppServer) reply(req *netstack.Packet) {
 	eth, ip, udp, _, err := netstack.ParseUDPFrame(req.Data)
 	req.Release()
@@ -196,28 +232,36 @@ func (a *AppServer) reply(req *netstack.Packet) {
 		a.loop()
 		return
 	}
-	// Uniprocessor only (NewRouter refuses UserProcess on SMP): the
-	// user process is serialized with the whole kernel.
-	//lkvet:requires boot
-	a.task.Post(a.cfg.ReplyCost, func() { //lkvet:allow hotalloc the reply builds a fresh frame per request anyway; binding it belongs with lifting the UserProcess fence
-		spec := netstack.FrameSpec{
-			SrcMAC: eth.Dst, DstMAC: eth.Src,
-			SrcIP: ip.Dst, DstIP: ip.Src,
-			SrcPort: udp.DstPort, DstPort: udp.SrcPort,
-			Payload:     make([]byte, a.cfg.ReplyBytes),
-			UDPChecksum: true,
+	if a.replying {
+		panic("kernel: app reply posted while the previous reply is still in hand")
+	}
+	a.replying = true
+	a.replyTo = netstack.FrameSpec{
+		SrcMAC: eth.Dst, DstMAC: eth.Src,
+		SrcIP: ip.Dst, DstIP: ip.Src,
+		SrcPort: udp.DstPort, DstPort: udp.SrcPort,
+		Payload:     a.payload,
+		UDPChecksum: true,
+	}
+	a.task.PostLockedTail(a.r.netLock, a.cfg.ReplyCost, a.r.Cfg.Costs.LockOp, prov.CenterUserProc, a.send)
+}
+
+// sendReply is the end of the send syscall: its kernel half builds the
+// reply and queues it on the output path.
+//
+//lkvet:requires netLock
+func (a *AppServer) sendReply() {
+	spec := &a.replyTo
+	a.replying = false
+	if p := a.r.Pool.Get(spec.FrameLen()); p != nil {
+		if _, err := netstack.BuildUDPFrame(p.Data, spec); err != nil {
+			panic(err)
 		}
-		p := a.r.Pool.Get(spec.FrameLen())
-		if p != nil {
-			if _, err := netstack.BuildUDPFrame(p.Data, &spec); err != nil {
-				panic(err)
-			}
-			p.ID = a.r.ownID()
-			p.Born = a.r.Eng.Now()
-			if a.r.transmitOwn(p, ip.Src) {
-				a.Replied.Inc()
-			}
+		p.ID = a.r.ownID()
+		p.Born = a.r.Eng.Now()
+		if a.r.transmitOwn(p, spec.DstIP) {
+			a.Replied.Inc()
 		}
-		a.loop()
-	})
+	}
+	a.loop()
 }

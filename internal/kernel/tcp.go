@@ -402,9 +402,6 @@ type TCPSenderConfig struct {
 	MaxCwnd int
 	// Variant selects the loss-recovery algorithm (default Tahoe).
 	Variant TCPVariant
-	// Reno is the historical alias for Variant: VariantReno. It is
-	// honored only when Variant is unset.
-	Reno bool
 }
 
 // TCPSender is a bulk sender on a source host. Congestion control
@@ -454,9 +451,6 @@ func (r *Router) AttachTCPSender(i int, cfg TCPSenderConfig) *TCPSender {
 	}
 	if cfg.MaxCwnd <= 0 {
 		cfg.MaxCwnd = 64
-	}
-	if cfg.Variant == VariantTahoe && cfg.Reno {
-		cfg.Variant = VariantReno
 	}
 	s := &TCPSender{
 		r: r, input: i, cfg: cfg,

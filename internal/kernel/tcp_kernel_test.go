@@ -146,20 +146,20 @@ func TestRenoResendsLessThanTahoe(t *testing.T) {
 	// recovery style matters. (The polled kernel's round-robin prevents
 	// loss entirely in this setup, so both flavors behave identically
 	// there.)
-	run := func(reno bool) (sent, timeouts uint64, done bool) {
+	run := func(variant TCPVariant) (sent, timeouts uint64, done bool) {
 		eng := sim.NewEngine()
 		r := NewRouter(eng, Config{Mode: ModeUnmodified, InputNICs: 2})
 		r.OpenTCPReceiver(8080)
 		snd := r.AttachTCPSender(0, TCPSenderConfig{
-			Port: 8080, MSS: 512, TotalBytes: 300_000, Reno: reno})
+			Port: 8080, MSS: 512, TotalBytes: 300_000, Variant: variant})
 		gen := r.AttachGenerator(1, workload.ConstantRate{Rate: 3500, JitterFrac: 0.05}, 0)
 		gen.Start()
 		snd.Start()
 		eng.Run(sim.Time(10 * sim.Second))
 		return snd.SegmentsSent.Value(), snd.Timeouts.Value(), snd.Done
 	}
-	tahoeSent, _, tahoeDone := run(false)
-	renoSent, _, renoDone := run(true)
+	tahoeSent, _, tahoeDone := run(VariantTahoe)
+	renoSent, _, renoDone := run(VariantReno)
 	if !tahoeDone || !renoDone {
 		t.Fatalf("transfer incomplete: tahoe=%v reno=%v", tahoeDone, renoDone)
 	}

@@ -56,21 +56,6 @@ func (v TCPVariant) String() string {
 	return "invalid"
 }
 
-// ParseTCPVariant maps a flag string to a variant.
-func ParseTCPVariant(s string) (TCPVariant, bool) {
-	switch s {
-	case "", "tahoe":
-		return VariantTahoe, true
-	case "reno":
-		return VariantReno, true
-	case "newreno":
-		return VariantNewReno, true
-	case "sack":
-		return VariantSACK, true
-	}
-	return VariantTahoe, false
-}
-
 // ccRange is [start, end) in absolute sequence space.
 type ccRange struct{ start, end uint64 }
 

@@ -35,17 +35,9 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			"syn-frame":  seedTCPFrame(),
 			"cut-header": seedTCPFrame()[:EthHeaderLen+IPv4HeaderLen+3],
 		},
-		"FuzzARPParse": {
-			"request":   seedARPFrame(),
-			"truncated": seedARPFrame()[:EthHeaderLen+ARPPacketLen-1],
-		},
 		"FuzzICMPParse": {
 			"echo-request":  seedEchoFrame(),
 			"time-exceeded": seedICMPErrorFrame(),
-		},
-		"FuzzFragReassembly": {
-			"in-order-datagram": seedFragSequence(),
-			"totallen-overflow": seedFragOverflow(),
 		},
 	}
 	for target, entries := range corpora {
@@ -70,7 +62,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 // zero) with payload — exercises the fragment-word decode paths.
 func seedFragFirstHeader() []byte {
 	h := IPv4Header{
-		TotalLen: IPv4HeaderLen + 16, ID: 0x7777, Flags: ipFlagMF, TTL: 64,
+		TotalLen: IPv4HeaderLen + 16, ID: 0x7777, Flags: 0x1 /* MF */, TTL: 64,
 		Protocol: ProtoUDP,
 		Src:      AddrFrom(10, 0, 0, 1), Dst: AddrFrom(10, 1, 0, 9),
 	}

@@ -1,266 +1,15 @@
 package netstack
 
-import (
-	"encoding/binary"
-	"errors"
-
-	"livelock/internal/sim"
-)
-
-// IP fragmentation and reassembly (RFC 791 §3.2). The generator host
-// fragments UDP datagrams larger than the Ethernet MTU; the router
-// forwards fragments as ordinary IP packets; end hosts (the sinks, and
-// the router itself for locally-addressed traffic) reassemble. §5.3 of
-// the paper points at exactly this queue: "when an IP fragment is
-// received and its companion fragments are not yet available", the
-// packet must wait — a reassembly buffer with a timeout.
-
-// IP flag bits in the fragment word.
-const (
-	ipFlagDF = 0x2 // don't fragment
-	ipFlagMF = 0x1 // more fragments
-)
-
-// Errors from fragmentation/reassembly.
-var (
-	ErrFragNeeded   = errors.New("netstack: datagram exceeds MTU with DF set")
-	ErrNotFragment  = errors.New("netstack: frame is not a fragment")
-	ErrFragOverflow = errors.New("netstack: fragment beyond maximum datagram size")
-	ErrMTUTooSmall  = errors.New("netstack: mtu too small to fragment")
-)
+import "encoding/binary"
 
 // IsFragment reports whether an Ethernet/IPv4 frame is a fragment (MF
-// set or non-zero offset).
+// set or non-zero offset). No simulated host fragments or reassembles:
+// the paper's workload is minimum-size datagrams, so a fragment can only
+// be injected, and end hosts reject it as malformed.
 func IsFragment(frame []byte) bool {
 	if len(frame) < EthHeaderLen+IPv4HeaderLen {
 		return false
 	}
 	word := binary.BigEndian.Uint16(frame[EthHeaderLen+6 : EthHeaderLen+8])
 	return word&0x3fff != 0 // any offset bit or MF
-}
-
-// FragmentFrame splits an Ethernet/IPv4 frame whose IP datagram exceeds
-// mtu into fragments. alloc is called with each fragment's frame length
-// and must return a buffer of at least that size (or nil to abort, e.g.
-// on pool exhaustion). It returns the fragment buffers trimmed to
-// length. Frames that already fit are returned as a single untouched
-// copy via alloc.
-func FragmentFrame(frame []byte, mtu int, alloc func(n int) []byte) ([][]byte, error) {
-	var eth EthHeader
-	if err := eth.Unmarshal(frame); err != nil {
-		return nil, err
-	}
-	ipb, err := EthPayload(frame)
-	if err != nil {
-		return nil, err
-	}
-	var ip IPv4Header
-	if err := ip.Unmarshal(ipb); err != nil {
-		return nil, err
-	}
-	if int(ip.TotalLen) <= mtu {
-		out := alloc(len(frame))
-		if out == nil {
-			return nil, nil
-		}
-		copy(out, frame)
-		return [][]byte{out[:len(frame)]}, nil
-	}
-	if ip.Flags&ipFlagDF != 0 {
-		return nil, ErrFragNeeded
-	}
-
-	payload := ipb[IPv4HeaderLen:ip.TotalLen]
-	// Per-fragment payload must be a multiple of 8 bytes except the
-	// last.
-	maxData := (mtu - IPv4HeaderLen) &^ 7
-	if maxData <= 0 {
-		return nil, ErrMTUTooSmall
-	}
-
-	var frags [][]byte
-	for off := 0; off < len(payload); off += maxData {
-		end := off + maxData
-		last := false
-		if end >= len(payload) {
-			end = len(payload)
-			last = true
-		}
-		chunk := payload[off:end]
-		frameLen := EthHeaderLen + IPv4HeaderLen + len(chunk)
-		if frameLen < EthMinFrame {
-			frameLen = EthMinFrame
-		}
-		buf := alloc(frameLen)
-		if buf == nil {
-			return nil, nil
-		}
-		buf = buf[:frameLen]
-		if _, err := eth.Marshal(buf); err != nil {
-			return nil, err
-		}
-		fh := ip
-		fh.TotalLen = uint16(IPv4HeaderLen + len(chunk))
-		fh.FragOff = ip.FragOff + uint16(off/8)
-		fh.Flags = ip.Flags &^ ipFlagMF
-		if !last || ip.Flags&ipFlagMF != 0 {
-			fh.Flags |= ipFlagMF
-		}
-		if _, err := fh.Marshal(buf[EthHeaderLen:]); err != nil {
-			return nil, err
-		}
-		copy(buf[EthHeaderLen+IPv4HeaderLen:], chunk)
-		for i := EthHeaderLen + int(fh.TotalLen); i < frameLen; i++ {
-			buf[i] = 0
-		}
-		frags = append(frags, buf)
-	}
-	return frags, nil
-}
-
-// fragKey identifies a datagram being reassembled.
-type fragKey struct {
-	src, dst Addr
-	id       uint16
-	proto    uint8
-}
-
-type fragEntry struct {
-	arrived  sim.Time
-	data     [65536]byte
-	have     []span
-	totalLen int // -1 until the final fragment arrives
-	eth      EthHeader
-	ip       IPv4Header
-}
-
-type span struct{ start, end int }
-
-// Reassembler collects IPv4 fragments into complete datagrams.
-// Incomplete datagrams are discarded after Timeout (lazily, on the next
-// Submit), standing in for the kernel's ip_freef timer.
-type Reassembler struct {
-	Timeout sim.Duration
-	clock   func() sim.Time
-	entries map[fragKey]*fragEntry
-
-	// Completed counts reassembled datagrams; Expired counts datagrams
-	// discarded incomplete; Fragments counts fragments consumed.
-	Completed uint64
-	Expired   uint64
-	Fragments uint64
-}
-
-// NewReassembler returns a reassembler with the given timeout (a real
-// kernel uses ~30 s; simulations use shorter values).
-func NewReassembler(clock func() sim.Time, timeout sim.Duration) *Reassembler {
-	if clock == nil {
-		panic("netstack: nil clock")
-	}
-	if timeout <= 0 {
-		timeout = sim.Second
-	}
-	return &Reassembler{
-		Timeout: timeout,
-		clock:   clock,
-		entries: make(map[fragKey]*fragEntry),
-	}
-}
-
-// Pending returns the number of datagrams awaiting completion.
-func (r *Reassembler) Pending() int { return len(r.entries) }
-
-// Submit consumes one fragment frame. When the fragment completes its
-// datagram, Submit returns the full reassembled Ethernet frame (header
-// from the first-seen fragment) and true. The caller retains ownership
-// of the input frame's buffer.
-func (r *Reassembler) Submit(frame []byte) ([]byte, bool, error) {
-	if !IsFragment(frame) {
-		return nil, false, ErrNotFragment
-	}
-	var eth EthHeader
-	if err := eth.Unmarshal(frame); err != nil {
-		return nil, false, err
-	}
-	ipb, err := EthPayload(frame)
-	if err != nil {
-		return nil, false, err
-	}
-	var ip IPv4Header
-	if err := ip.Unmarshal(ipb); err != nil {
-		return nil, false, err
-	}
-	r.expire()
-	r.Fragments++
-
-	key := fragKey{src: ip.Src, dst: ip.Dst, id: ip.ID, proto: ip.Protocol}
-	e := r.entries[key]
-	if e == nil {
-		e = &fragEntry{arrived: r.clock(), totalLen: -1, eth: eth, ip: ip}
-		r.entries[key] = e
-	}
-
-	off := int(ip.FragOff) * 8
-	payload := ipb[IPv4HeaderLen:ip.TotalLen]
-	// The reassembled datagram must still be describable by one IPv4
-	// header: TotalLen is 16 bits, so data beyond 65535-IPv4HeaderLen
-	// would wrap the length field when the frame is rebuilt.
-	if off+len(payload) > 0xffff-IPv4HeaderLen {
-		return nil, false, ErrFragOverflow
-	}
-	copy(e.data[off:], payload)
-	e.have = append(e.have, span{off, off + len(payload)})
-	if ip.Flags&ipFlagMF == 0 {
-		e.totalLen = off + len(payload)
-	}
-	if e.totalLen < 0 || !covered(e.have, e.totalLen) {
-		return nil, false, nil
-	}
-
-	// Complete: rebuild a single frame.
-	delete(r.entries, key)
-	r.Completed++
-	out := make([]byte, EthHeaderLen+IPv4HeaderLen+e.totalLen)
-	if _, err := e.eth.Marshal(out); err != nil {
-		return nil, false, err
-	}
-	oh := e.ip
-	oh.TotalLen = uint16(IPv4HeaderLen + e.totalLen)
-	oh.Flags = 0
-	oh.FragOff = 0
-	if _, err := oh.Marshal(out[EthHeaderLen:]); err != nil {
-		return nil, false, err
-	}
-	copy(out[EthHeaderLen+IPv4HeaderLen:], e.data[:e.totalLen])
-	return out, true, nil
-}
-
-// covered reports whether spans cover [0, total) completely.
-func covered(spans []span, total int) bool {
-	// Small counts: simple sweep.
-	pos := 0
-	for pos < total {
-		advanced := false
-		for _, s := range spans {
-			if s.start <= pos && s.end > pos {
-				pos = s.end
-				advanced = true
-			}
-		}
-		if !advanced {
-			return false
-		}
-	}
-	return true
-}
-
-// expire lazily discards entries older than Timeout.
-func (r *Reassembler) expire() {
-	now := r.clock()
-	for k, e := range r.entries {
-		if now.Sub(e.arrived) > r.Timeout {
-			delete(r.entries, k)
-			r.Expired++
-		}
-	}
 }

@@ -38,23 +38,17 @@ type Sink struct {
 	// validation before it is released, so provenance accounting can
 	// close out records for corrupted frames the router forwarded.
 	OnMalformed func(*netstack.Packet)
-
-	// Reassembled counts datagrams completed from fragments; the
-	// reassembler is created on the first fragment seen.
-	Reassembled *stats.Counter
-	reasm       *netstack.Reassembler
 }
 
 // NewSink returns a validating sink.
 func NewSink(eng *sim.Engine, name string) *Sink {
 	return &Sink{
-		eng:         eng,
-		Delivered:   stats.NewCounter(name + ".delivered"),
-		Malformed:   stats.NewCounter(name + ".malformed"),
-		ICMP:        stats.NewCounter(name + ".icmp"),
-		Reassembled: stats.NewCounter(name + ".reassembled"),
-		Latency:     stats.NewHistogram(name + ".latency"),
-		Validate:    true,
+		eng:       eng,
+		Delivered: stats.NewCounter(name + ".delivered"),
+		Malformed: stats.NewCounter(name + ".malformed"),
+		ICMP:      stats.NewCounter(name + ".icmp"),
+		Latency:   stats.NewHistogram(name + ".latency"),
+		Validate:  true,
 	}
 }
 
@@ -92,17 +86,14 @@ func (s *Sink) DeliverFrame(p *netstack.Packet) {
 	p.Release()
 }
 
-// validate checks the frame by protocol: UDP and ICMP frames are fully
-// parsed and checksummed. Fragments are fed to the sink's reassembler
-// (an end host's IP input queue); the completed datagram is then
-// validated in full.
+// validate checks the frame by protocol: UDP, TCP and ICMP frames are
+// fully parsed and checksummed. No simulated host fragments, so a
+// fragment (only ever injected) fails validation: a lone fragment's
+// transport header cannot be checked without reassembly.
 func (s *Sink) validate(p *netstack.Packet) bool {
 	frame := p.Data
-	if len(frame) < netstack.EthHeaderLen+netstack.IPv4HeaderLen {
+	if len(frame) < netstack.EthHeaderLen+netstack.IPv4HeaderLen || netstack.IsFragment(frame) {
 		return false
-	}
-	if netstack.IsFragment(frame) {
-		return s.acceptFragment(frame)
 	}
 	switch frame[netstack.EthHeaderLen+9] {
 	case netstack.ProtoICMP:
@@ -128,31 +119,6 @@ func (s *Sink) validate(p *netstack.Packet) bool {
 		s.LastTTL = ip.TTL
 		return true
 	}
-}
-
-// acceptFragment validates a fragment's IP header and runs reassembly;
-// completed datagrams are validated end-to-end (UDP checksum over the
-// whole reassembled payload).
-func (s *Sink) acceptFragment(frame []byte) bool {
-	var ip netstack.IPv4Header
-	if err := ip.Unmarshal(frame[netstack.EthHeaderLen:]); err != nil {
-		return false
-	}
-	if s.reasm == nil {
-		s.reasm = netstack.NewReassembler(func() sim.Time { return s.eng.Now() }, 30*sim.Second)
-	}
-	full, done, err := s.reasm.Submit(frame)
-	if err != nil {
-		return false
-	}
-	if done {
-		if _, _, _, _, perr := netstack.ParseUDPFrame(full); perr != nil {
-			return false
-		}
-		s.Reassembled.Inc()
-	}
-	s.LastTTL = ip.TTL
-	return true
 }
 
 // CountingReceiver is a minimal Receiver that counts and releases

@@ -108,8 +108,6 @@ const (
 	StageNoSocket
 	StageSockBufDrop
 	StageSockBufAccept
-	StageFragReassembly
-	StageReassembled
 	StageEchoReply
 	// StageTCPAccept: a TCP segment consumed by the in-kernel receiver
 	// (in-order data, reorder-buffered data, or a bare control
@@ -154,8 +152,6 @@ var stageTexts = [NumStages]string{
 	"local UDP: no socket — dropped",
 	"socket buffer DROP (full)",
 	"delivered to socket buffer",
-	"fragment to reassembly queue",
-	"datagram reassembled",
 	"ICMP echo reply",
 	"delivered to TCP",
 	"TCP duplicate data DROP (spurious retransmit)",
@@ -186,8 +182,7 @@ var stageSlugs = [NumStages]string{
 	"outq-drop", "ttl-expired", "bad-checksum", "truncated", "forward-error",
 	"tx-descriptor", "delivered", "rev-delivered", "icmp-queued",
 	"reply-queued", "no-socket", "sockbuf-drop", "sockbuf-accept",
-	"frag-reassembly", "reassembled", "echo-reply",
-	"tcp-accept", "tcp-dup-data", "tcp-ooo-drop",
+	"echo-reply", "tcp-accept", "tcp-dup-data", "tcp-ooo-drop",
 }
 
 // DropReason classifies why a packet was discarded. It is the single

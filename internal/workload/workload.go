@@ -7,6 +7,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"livelock/internal/netstack"
 	"livelock/internal/nic"
 	"livelock/internal/sim"
@@ -103,31 +105,11 @@ type Config struct {
 	// spread across queues.
 	SrcPortSpread int
 	// PayloadBytes is the UDP payload size (paper: 4 bytes, giving
-	// minimum-size frames).
+	// minimum-size frames). The frame must fit one Ethernet frame.
 	PayloadBytes int
-	// SizeMix, if non-empty, overrides PayloadBytes with a weighted
-	// payload-size distribution (e.g. an IMIX), sampled per datagram.
-	SizeMix []SizeWeight
 	// MaxPackets stops the source after this many packets; zero means
 	// unlimited.
 	MaxPackets uint64
-}
-
-// SizeWeight is one element of a payload-size distribution.
-type SizeWeight struct {
-	Bytes  int
-	Weight float64
-}
-
-// IMIX is the classic simple Internet mix: 7:4:1 small/medium/large
-// datagrams, expressed as UDP payload sizes for 64/576/1500-byte IP
-// frames.
-func IMIX() []SizeWeight {
-	return []SizeWeight{
-		{Bytes: 4, Weight: 7},    // minimum frames
-		{Bytes: 548, Weight: 4},  // 576-byte IP datagrams
-		{Bytes: 1472, Weight: 1}, // full-MTU frames
-	}
 }
 
 // Generator paces frames onto a wire toward the router's input NIC.
@@ -138,32 +120,33 @@ type Generator struct {
 	pool *netstack.Pool
 	cfg  Config
 
-	running        bool
-	nextID         uint64
-	ipid           uint16
-	payload        []byte
-	scratch        []byte // pre-fragmentation build buffer for large datagrams
-	scratchPayload []byte // reusable buffer for size-mix payloads
+	running bool
+	nextID  uint64
+	ipid    uint16
+	payload []byte
 
 	// Sent counts frames handed to the wire (the offered load);
-	// Datagrams counts logical datagrams (== Sent unless fragmenting);
 	// PoolDrops counts sends skipped because the buffer pool was
 	// exhausted.
 	Sent      *stats.Counter
-	Datagrams *stats.Counter
 	PoolDrops *stats.Counter
 }
 
-// NewGenerator returns a stopped generator.
+// NewGenerator returns a stopped generator. It panics on a nil arrival
+// process or a payload whose frame exceeds EthMaxFrame.
 func NewGenerator(eng *sim.Engine, rng *sim.RNG, wire *nic.Wire, pool *netstack.Pool, cfg Config) *Generator {
 	if cfg.Arrival == nil {
 		panic("workload: nil arrival process")
 	}
+	payload := make([]byte, cfg.PayloadBytes)
+	if n := (&netstack.FrameSpec{Payload: payload}).FrameLen(); n > netstack.EthMaxFrame {
+		panic(fmt.Sprintf("workload: %d-byte payload gives a %d-byte frame, over EthMaxFrame %d",
+			cfg.PayloadBytes, n, netstack.EthMaxFrame))
+	}
 	return &Generator{
 		eng: eng, rng: rng, wire: wire, pool: pool, cfg: cfg,
-		payload:   make([]byte, cfg.PayloadBytes),
+		payload:   payload,
 		Sent:      stats.NewCounter("gen.sent"),
-		Datagrams: stats.NewCounter("gen.datagrams"),
 		PoolDrops: stats.NewCounter("gen.pooldrops"),
 	}
 }
@@ -209,52 +192,21 @@ func (g *Generator) emit() {
 	g.scheduleNext()
 }
 
-// pickPayload samples the configured size distribution, or returns the
-// fixed payload.
-func (g *Generator) pickPayload() []byte {
-	if len(g.cfg.SizeMix) == 0 {
-		return g.payload
-	}
-	total := 0.0
-	for _, sw := range g.cfg.SizeMix {
-		total += sw.Weight
-	}
-	x := g.rng.Float64() * total
-	for _, sw := range g.cfg.SizeMix {
-		if x < sw.Weight {
-			if len(g.scratchPayload) < sw.Bytes {
-				g.scratchPayload = make([]byte, sw.Bytes)
-			}
-			return g.scratchPayload[:sw.Bytes]
-		}
-		x -= sw.Weight
-	}
-	last := g.cfg.SizeMix[len(g.cfg.SizeMix)-1]
-	if len(g.scratchPayload) < last.Bytes {
-		g.scratchPayload = make([]byte, last.Bytes)
-	}
-	return g.scratchPayload[:last.Bytes]
-}
-
 func (g *Generator) sendOne() {
 	srcPort := g.cfg.SrcPort
 	if g.cfg.SrcPortSpread > 1 {
-		srcPort += uint16(g.Datagrams.Value() % uint64(g.cfg.SrcPortSpread))
+		srcPort += uint16(g.Sent.Value() % uint64(g.cfg.SrcPortSpread))
 	}
 	spec := netstack.FrameSpec{
 		SrcMAC: g.cfg.SrcMAC, DstMAC: g.cfg.DstMAC,
 		SrcIP: g.cfg.SrcIP, DstIP: g.cfg.DstIP,
 		SrcPort: srcPort, DstPort: g.cfg.DstPort,
 		IPID:    g.ipid,
-		Payload: g.pickPayload(),
+		Payload: g.payload,
 		// The paper's packets carry 4 bytes of UDP data; checksum on.
 		UDPChecksum: true,
 	}
 	g.ipid++
-	if spec.FrameLen() > netstack.EthMaxFrame {
-		g.sendFragmented(&spec)
-		return
-	}
 	p := g.pool.Get(spec.FrameLen())
 	if p == nil {
 		g.PoolDrops.Inc()
@@ -269,48 +221,4 @@ func (g *Generator) sendOne() {
 	p.Born = g.eng.Now()
 	g.wire.Transmit(p)
 	g.Sent.Inc()
-	g.Datagrams.Inc()
-}
-
-// sendFragmented performs source-host IP fragmentation: the datagram is
-// built whole, split at the Ethernet MTU, and each fragment transmitted
-// as an independent frame.
-func (g *Generator) sendFragmented(spec *netstack.FrameSpec) {
-	if len(g.scratch) < spec.FrameLen() {
-		g.scratch = make([]byte, spec.FrameLen())
-	}
-	n, err := netstack.BuildUDPFrame(g.scratch, spec)
-	if err != nil {
-		panic(err)
-	}
-	var pkts []*netstack.Packet
-	alloc := func(size int) []byte {
-		p := g.pool.Get(size)
-		if p == nil {
-			return nil
-		}
-		pkts = append(pkts, p)
-		return p.Data
-	}
-	frags, err := netstack.FragmentFrame(g.scratch[:n], netstack.EthMTU, alloc)
-	if err != nil {
-		panic(err)
-	}
-	if frags == nil {
-		// Pool exhausted part-way: abandon the whole datagram.
-		for _, p := range pkts {
-			p.Release()
-		}
-		g.PoolDrops.Inc()
-		return
-	}
-	now := g.eng.Now()
-	for _, p := range pkts {
-		g.nextID++
-		p.ID = g.nextID
-		p.Born = now
-		g.wire.Transmit(p)
-		g.Sent.Inc()
-	}
-	g.Datagrams.Inc()
 }

@@ -154,59 +154,6 @@ func TestNilArrivalPanics(t *testing.T) {
 	harness(Config{})
 }
 
-func TestGeneratorFragmentsLargeDatagrams(t *testing.T) {
-	cfg := baseConfig(ConstantRate{Rate: 100})
-	cfg.PayloadBytes = 4000 // 3 fragments at the 1500-byte MTU
-	cfg.MaxPackets = 0
-	eng, gen, sink := harness(cfg)
-	gen.Start()
-	eng.Run(sim.Time(200 * sim.Millisecond))
-	gen.Stop()
-	eng.RunFor(50 * sim.Millisecond)
-
-	if gen.Datagrams.Value() == 0 {
-		t.Fatal("no datagrams sent")
-	}
-	if gen.Sent.Value() != 3*gen.Datagrams.Value() {
-		t.Fatalf("sent %d frames for %d datagrams, want 3 fragments each",
-			gen.Sent.Value(), gen.Datagrams.Value())
-	}
-	if sink.Malformed.Value() != 0 {
-		t.Fatalf("%d malformed fragments", sink.Malformed.Value())
-	}
-	if sink.Delivered.Value() != gen.Sent.Value() {
-		t.Fatalf("delivered %d of %d fragment frames", sink.Delivered.Value(), gen.Sent.Value())
-	}
-	if sink.Reassembled.Value() != gen.Datagrams.Value() {
-		t.Fatalf("sink reassembled %d of %d datagrams",
-			sink.Reassembled.Value(), gen.Datagrams.Value())
-	}
-}
-
-func TestGeneratorFragmentationPoolExhaustion(t *testing.T) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(1)
-	sink := nic.NewSink(eng, "dst")
-	wire := nic.NewWire(eng, sink, nic.EthernetBitRate, 0)
-	pool := netstack.NewPool(2, netstack.EthMaxFrame) // too small for 3 fragments
-	cfg := baseConfig(ConstantRate{Rate: 1000})
-	cfg.PayloadBytes = 4000
-	gen := NewGenerator(eng, rng, wire, pool, cfg)
-	gen.Start()
-	eng.Run(sim.Time(50 * sim.Millisecond))
-	if gen.PoolDrops.Value() == 0 {
-		t.Fatal("expected whole-datagram pool drops")
-	}
-	// No partial datagrams: every buffer must have been returned.
-	if gen.Sent.Value() != 0 {
-		t.Fatalf("sent %d fragments from an exhausted pool", gen.Sent.Value())
-	}
-	if pool.Available() != pool.Total() {
-		t.Fatalf("leaked %d buffers on abandoned fragmentation",
-			pool.Total()-pool.Available())
-	}
-}
-
 func TestBurstNilRNGSafe(t *testing.T) {
 	// Burst ignores the RNG; exercised for the interface contract.
 	b := &Burst{PeakRate: 1000, On: sim.Millisecond, Off: sim.Millisecond}
@@ -215,28 +162,26 @@ func TestBurstNilRNGSafe(t *testing.T) {
 	}
 }
 
-func TestIMIXSizeMix(t *testing.T) {
-	cfg := baseConfig(ConstantRate{Rate: 5000})
-	cfg.SizeMix = IMIX()
+// TestOversizePayloadPanics: a payload whose frame would exceed
+// EthMaxFrame is a configuration error, not a stream of pool drops. A
+// payload that exactly fills the frame still sends.
+func TestOversizePayloadPanics(t *testing.T) {
+	maxPayload := netstack.EthMaxFrame - netstack.EthHeaderLen - netstack.IPv4HeaderLen - netstack.UDPHeaderLen
+	cfg := baseConfig(ConstantRate{Rate: 1000})
+	cfg.PayloadBytes = maxPayload
 	eng, gen, sink := harness(cfg)
 	gen.Start()
-	eng.Run(sim.Time(2 * sim.Second))
-	gen.Stop()
-	eng.RunFor(100 * sim.Millisecond)
-	if sink.Malformed.Value() != 0 {
-		t.Fatalf("%d malformed", sink.Malformed.Value())
+	eng.Run(sim.Time(20 * sim.Millisecond))
+	if gen.PoolDrops.Value() != 0 || sink.Malformed.Value() != 0 || sink.Delivered.Value() == 0 {
+		t.Fatalf("max payload: delivered %d, malformed %d, pool drops %d",
+			sink.Delivered.Value(), sink.Malformed.Value(), gen.PoolDrops.Value())
 	}
-	if sink.Delivered.Value() == 0 {
-		t.Fatal("nothing delivered")
-	}
-	// The mean latency must exceed the minimum-frame serialization time
-	// substantially: big frames are present.
-	mean := sink.Latency.Mean()
-	if mean < 100*sim.Microsecond {
-		t.Fatalf("mean latency %v suggests only minimum frames", mean)
-	}
-	// The mix includes minimum frames too.
-	if min := sink.Latency.Min(); min > 80*sim.Microsecond {
-		t.Fatalf("min latency %v suggests no minimum frames", min)
-	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("oversize payload did not panic")
+		}
+	}()
+	cfg.PayloadBytes = maxPayload + 1
+	harness(cfg)
 }
