@@ -90,9 +90,16 @@ func (c Class) String() string {
 }
 
 type workItem struct {
-	cost   sim.Duration // remaining cost
+	cost   sim.Duration // remaining cost of the copy at the head
 	center prov.Center  // cost center the item's cycles are charged to
 	fn     func()
+
+	// repeat counts further identical copies queued behind this one,
+	// each costing full: a run of nil-fn, unlocked posts of the same
+	// cost and center is one item, so a starved task's backlog does
+	// not grow its slice (see Task).
+	repeat int
+	full   sim.Duration
 
 	// lock, when non-nil, makes this a critical-section item: at
 	// dispatch the CPU acquires lock (spinning with interrupts disabled
@@ -108,6 +115,14 @@ type workItem struct {
 // interrupt, a kernel thread, or a user process. A task with no pending
 // work items is blocked (or, for a handler, not asserted); posting work
 // makes it runnable.
+//
+// Work items queue FIFO. A nil-fn, unlocked item posted behind an
+// identical one (same cost and center) is run-length queued: the tail
+// item's repeat count goes up instead of the queue growing. The copies
+// still run one at a time, each at full cost, and are dispatched,
+// charged, preempted, hooked and counted exactly as separate items
+// would be, so the only difference is memory: a starved task's
+// backlog of periodic work costs one item, not one per post.
 type Task struct {
 	name   string
 	ipl    IPL
@@ -117,6 +132,7 @@ type Task struct {
 
 	items    []workItem
 	head     int
+	repeats  int // Σ repeat over the queued items
 	ready    bool
 	readySeq uint64
 
@@ -148,8 +164,8 @@ func (t *Task) SetCenter(c prov.Center) {
 func (t *Task) Center() prov.Center { return t.center }
 
 // Pending returns the number of queued work items (including the one
-// currently executing, if any).
-func (t *Task) Pending() int { return len(t.items) - t.head }
+// currently executing, if any), counting every run-length queued copy.
+func (t *Task) Pending() int { return len(t.items) - t.head + t.repeats }
 
 // Consumed returns the total CPU time this task has used, including the
 // partially-consumed current item if the task is running right now. This
@@ -182,7 +198,13 @@ func (t *Task) PostCenter(cost sim.Duration, center prov.Center, fn func()) {
 	if center >= prov.NumCenters {
 		panic("cpu: invalid cost center")
 	}
-	t.items = append(t.items, workItem{cost: cost, center: center, fn: fn})
+	if tail := t.tail(); fn == nil && tail != nil && tail.fn == nil &&
+		tail.lock == nil && tail.full == cost && tail.center == center {
+		tail.repeat++
+		t.repeats++
+	} else {
+		t.items = append(t.items, workItem{cost: cost, center: center, fn: fn, full: cost})
+	}
 	c := t.cpu
 	if !t.ready && t != c.cur {
 		c.markReady(t)
@@ -242,6 +264,15 @@ func (t *Task) PostLockedTail(l *FairLock, cost, tail sim.Duration, center prov.
 }
 
 func (t *Task) popItem() workItem {
+	if head := &t.items[t.head]; head.repeat > 0 {
+		// Hand out the head copy; the next one starts at full cost.
+		it := *head
+		it.repeat = 0
+		head.repeat--
+		head.cost = head.full
+		t.repeats--
+		return it
+	}
 	it := t.items[t.head]
 	t.items[t.head] = workItem{}
 	t.head++
@@ -253,6 +284,14 @@ func (t *Task) popItem() workItem {
 }
 
 func (t *Task) peekItem() *workItem { return &t.items[t.head] }
+
+// tail returns the last queued item, or nil when none is queued.
+func (t *Task) tail() *workItem {
+	if len(t.items) == t.head {
+		return nil
+	}
+	return &t.items[len(t.items)-1]
+}
 
 // CPU is the processor model. It is driven entirely by the simulation
 // engine and must only be used from engine events.

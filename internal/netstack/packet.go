@@ -40,6 +40,9 @@ type Packet struct {
 	Prov prov.Handle
 
 	pool *Pool
+	// free is set while the packet sits on its pool's free list, so a
+	// second Release panics instead of aliasing one buffer to two Gets.
+	free bool
 }
 
 // Len returns the frame length in bytes.
@@ -65,6 +68,9 @@ type Pool struct {
 	free    []*Packet
 	bufSize int
 	total   int
+	// grown counts the buffers allocated so far; the other total−grown
+	// exist only as capacity until a Get finds the free list empty.
+	grown int
 	// Fails counts allocation failures caused by buffer exhaustion —
 	// the pool genuinely had no free buffer, the paper's mbuf-starvation
 	// drop.
@@ -75,25 +81,46 @@ type Pool struct {
 	Oversize uint64
 }
 
+// poolFirstChunk is the number of buffers a pool's first growth
+// allocates; each later growth doubles the buffers allocated so far.
+const poolFirstChunk = 64
+
 // NewPool returns a pool of n buffers of bufSize bytes each. n <= 0 or
-// bufSize <= 0 panics. The packets and their buffers live on two slabs,
-// one []Packet and one []byte, so a pool costs a handful of allocations
-// however many buffers it holds. Each buffer is capped at bufSize, so
-// an append past it reallocates instead of running into its neighbour.
+// bufSize <= 0 panics. Buffers are allocated on demand: a Get that
+// finds the free list empty allocates a chunk of packets and buffers
+// (two slabs, one []Packet and one []byte), poolFirstChunk at first and
+// then doubling, never past n in all. A pool therefore costs memory for
+// the most buffers it has held at once, and reaches n in O(log n)
+// allocations. Each buffer is capped at bufSize, so an append past it
+// reallocates instead of running into its neighbour.
+//
+// Growth does not change what Get hands out. The free list is LIFO and
+// a fresh (zeroed) buffer is handed out only when every buffer already
+// allocated is out, exactly as from one eager slab: the bytes each Get
+// returns, and the Fails and Oversize counts, are the same.
 func NewPool(n, bufSize int) *Pool {
 	if n <= 0 || bufSize <= 0 {
 		panic("netstack: invalid pool dimensions")
 	}
-	p := &Pool{bufSize: bufSize, total: n}
-	pkts := make([]Packet, n)
-	bufs := make([]byte, n*bufSize)
-	p.free = make([]*Packet, n)
-	for i := range pkts {
-		off := i * bufSize
-		pkts[i] = Packet{Data: bufs[off : off : off+bufSize], pool: p}
-		p.free[i] = &pkts[i]
+	return &Pool{bufSize: bufSize, total: n}
+}
+
+// grow allocates the next chunk of buffers onto the empty free list.
+func (p *Pool) grow() {
+	chunk := min(max(p.grown, poolFirstChunk), p.total-p.grown)
+	p.grown += chunk
+	if p.free == nil {
+		// Sized for the whole pool once, so neither growth nor put
+		// ever reallocates it.
+		p.free = make([]*Packet, 0, p.total)
 	}
-	return p
+	pkts := make([]Packet, chunk)
+	bufs := make([]byte, chunk*p.bufSize)
+	for i := range pkts {
+		off := i * p.bufSize
+		pkts[i] = Packet{Data: bufs[off : off : off+p.bufSize], pool: p, free: true}
+		p.free = append(p.free, &pkts[i])
+	}
 }
 
 // Get allocates a packet buffer sized to length n. It returns nil if the
@@ -104,27 +131,33 @@ func (p *Pool) Get(n int) *Packet {
 		return nil
 	}
 	if len(p.free) == 0 {
-		p.Fails++
-		return nil
+		if p.grown == p.total {
+			p.Fails++
+			return nil
+		}
+		p.grow()
 	}
 	pkt := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
+	pkt.free = false
 	pkt.Data = pkt.Data[:n]
 	return pkt
 }
 
 func (p *Pool) put(pkt *Packet) {
-	if len(p.free) >= p.total {
-		panic("netstack: double release into full pool")
+	if pkt.free {
+		panic("netstack: double release of a pool packet")
 	}
+	pkt.free = true
 	pkt.Data = pkt.Data[:0]
 	pkt.ID = 0
 	pkt.Prov = prov.Handle{}
 	p.free = append(p.free, pkt)
 }
 
-// Available returns the number of free buffers.
-func (p *Pool) Available() int { return len(p.free) }
+// Available returns the number of buffers a Get can still hand out:
+// the free ones plus those not yet allocated.
+func (p *Pool) Available() int { return len(p.free) + p.total - p.grown }
 
 // Total returns the pool capacity in buffers.
 func (p *Pool) Total() int { return p.total }
