@@ -1,13 +1,33 @@
 package explore
 
 import (
+	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"livelock/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/state-spaces.golden")
+
+// stateSpacesPath pins every built-in scenario's explored state space.
+// After an intentional change to a scenario or to the kernel's schedule
+// regenerate it with `go test ./internal/explore -run ExhaustsBuiltins -update`.
+const stateSpacesPath = "testdata/state-spaces.golden"
+
+// stateSpace is the part of a Report that measures the explored space.
+type stateSpace struct {
+	Executions   int    `json:"executions"`
+	Events       uint64 `json:"events"`
+	Sites        uint64 `json:"choice_sites"`
+	UniqueStates int    `json:"unique_states"`
+	DedupPrunes  int    `json:"dedup_prunes"`
+	SleepPrunes  int    `json:"sleep_prunes"`
+}
 
 // TestExploreRegressions replays every committed counterexample under
 // testdata/ against the current kernel. Each script once drove its
@@ -60,11 +80,14 @@ func TestExploreRegressions(t *testing.T) {
 // points; feedback and cyclelimit add consumer pauses, stalls, and the
 // cycle limiter; coalesce adds interrupt-coalescing races, adversarial
 // reordering, and a TCP transfer; lockorder runs a two-core kernel
-// with screend under the armed lock-discipline checker.
+// with screend under the armed lock-discipline checker. Each space's
+// size must match testdata/state-spaces.golden: a kernel change that
+// adds, removes or reorders a schedule point shows up here.
 func TestExploreExhaustsBuiltins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full enumeration in short mode")
 	}
+	got := make(map[string]stateSpace)
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -82,7 +105,44 @@ func TestExploreExhaustsBuiltins(t *testing.T) {
 			if rep.Executions < 2 {
 				t.Fatalf("only %d execution(s): the scenario has no concurrency to explore", rep.Executions)
 			}
+			got[sc.Name] = stateSpace{
+				Executions: rep.Executions, Events: rep.Events, Sites: rep.Sites,
+				UniqueStates: rep.UniqueStates, DedupPrunes: rep.DedupPrunes, SleepPrunes: rep.SleepPrunes,
+			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stateSpacesPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(stateSpacesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]stateSpace
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("%s: pinned but no longer a built-in scenario", name)
+		} else if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: state space %+v, pinned %+v", name, g, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: built-in scenario has no pinned state space", name)
+		}
 	}
 }
 

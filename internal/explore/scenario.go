@@ -140,7 +140,6 @@ func Scenarios() []*Scenario {
 				Quota:         4,
 				NIC:           nic.Config{RxRing: 8, TxRing: 8},
 				OutQueueLimit: 8,
-				ClockTick:     1 * ms,
 				PoolBuffers:   64,
 				Seed:          1,
 			},
@@ -171,7 +170,6 @@ func Scenarios() []*Scenario {
 				ScreendQLimit:   8,
 				ScreendQHigh:    5,
 				ScreendQLow:     2,
-				ClockTick:       1 * ms,
 				PoolBuffers:     64,
 				Seed:            1,
 			},
@@ -200,7 +198,6 @@ func Scenarios() []*Scenario {
 				CycleLimitPeriod:    2 * ms,
 				NIC:                 nic.Config{RxRing: 8, TxRing: 8},
 				OutQueueLimit:       8,
-				ClockTick:           1 * ms,
 				PoolBuffers:         64,
 				Seed:                1,
 			},
@@ -229,7 +226,6 @@ func Scenarios() []*Scenario {
 				NIC:           nic.Config{RxRing: 8, TxRing: 8, RxQueues: 1},
 				IPIntrQLimit:  8,
 				OutQueueLimit: 8,
-				ClockTick:     1 * ms,
 				PoolBuffers:   64,
 				Seed:          1,
 			},
@@ -261,7 +257,6 @@ func Scenarios() []*Scenario {
 				ScreendQLimit: 8,
 				ScreendQHigh:  5,
 				ScreendQLow:   2,
-				ClockTick:     1 * ms,
 				PoolBuffers:   64,
 				Seed:          1,
 			},
@@ -291,7 +286,6 @@ func Scenarios() []*Scenario {
 					Coalesce: nic.CoalesceConfig{Policy: nic.CoalesceCount,
 						CountThresh: 2, TimerThresh: 170 * us}},
 				OutQueueLimit: 8,
-				ClockTick:     1 * ms,
 				PoolBuffers:   64,
 				Seed:          1,
 			},

@@ -87,9 +87,6 @@ func newWorld(sc *Scenario, opts *Options, ctl *controller) *world {
 	cfg.Fault = fault.Config{}
 	cfg.Trace = nil
 	cfg.Metrics = nil
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	// Arm the runtime lock-discipline checker on every world. It costs
 	// nothing on uniprocessor configs (no Lockdep is created) and adds
 	// no simulated time on SMP ones, so fingerprints and the committed

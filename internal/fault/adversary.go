@@ -114,13 +114,6 @@ func pauseProbe(x, _ any) {
 // pauseEnd closes the pause window (sim.Callback shape).
 func pauseEnd(x, _ any) { x.(*pauseWindow).resume() }
 
-// advReorderEntry is one frame a WireReorder point holds out of order.
-type advReorderEntry struct {
-	p     *netstack.Packet
-	left  int        // frames still to pass before release
-	flush sim.Handle // flush-timeout backstop
-}
-
 // WireReorder is the deterministic twin of the plane's wire-layer
 // reorder injector: each of the first budget frames finishing
 // propagation on the wire becomes a two-way choice — deliver in order,
@@ -131,15 +124,11 @@ type advReorderEntry struct {
 // the choice sites the point contributes regardless of what Decide
 // returns.
 type WireReorder struct {
-	adv        *Adversary
-	eng        *sim.Engine
-	w          *nic.Wire
-	kind       string
-	budget     int
-	span       int
-	flushAfter sim.Duration
-	held       []advReorderEntry
-	injected   int
+	reorderHold
+	adv      *Adversary
+	kind     string
+	budget   int
+	injected int
 }
 
 // AttachWireReorder arms the reorder choice point on w. name labels the
@@ -154,9 +143,11 @@ func (a *Adversary) AttachWireReorder(eng *sim.Engine, w *nic.Wire, name string,
 		panic("fault: non-positive reorder flush")
 	}
 	pt := &WireReorder{
-		adv: a, eng: eng, w: w, kind: "reorder:" + name,
-		budget: budget, span: span, flushAfter: flush,
-		held: make([]advReorderEntry, 0, budget),
+		reorderHold: reorderHold{
+			eng: eng, w: w, span: span, flush: flush,
+			held: make([]reorderEntry, 0, budget),
+		},
+		adv: a, kind: "reorder:" + name, budget: budget,
 	}
 	w.SetTap(pt.tap)
 	return pt
@@ -169,54 +160,12 @@ func (pt *WireReorder) tap(p *netstack.Packet) {
 		pt.budget--
 		if pt.adv.Decide(pt.kind, 2) == 1 {
 			pt.injected++
-			pt.held = append(pt.held, advReorderEntry{
-				p:     p,
-				left:  pt.span,
-				flush: pt.eng.AfterCall(pt.flushAfter, advReorderFlush, pt, p),
-			})
+			pt.hold(p)
 			return
 		}
 	}
 	pt.w.Deliver(p)
 	pt.pass()
-}
-
-// pass ages every held frame by the one that just went by and releases
-// the expired prefix in insertion order (entries share the span, so
-// expiry is always a prefix). Released frames bypass the tap: they must
-// not re-enter the choice point or age their fellow holds.
-func (pt *WireReorder) pass() {
-	if len(pt.held) == 0 {
-		return
-	}
-	for i := range pt.held {
-		pt.held[i].left--
-	}
-	n := 0
-	for n < len(pt.held) && pt.held[n].left <= 0 {
-		n++
-	}
-	for i := 0; i < n; i++ {
-		pt.eng.Cancel(pt.held[i].flush)
-		pt.w.Deliver(pt.held[i].p)
-		pt.held[i].p = nil
-	}
-	rest := copy(pt.held, pt.held[n:])
-	pt.held = pt.held[:rest]
-}
-
-// advReorderFlush is the hold-timeout callback (sim.Callback shape): a
-// held frame ran out of successors, deliver it now. Frames released by
-// aging cancel their backstop, so a firing timer always finds its frame.
-func advReorderFlush(a, b any) {
-	pt, p := a.(*WireReorder), b.(*netstack.Packet)
-	for i := range pt.held {
-		if pt.held[i].p == p {
-			pt.held = append(pt.held[:i], pt.held[i+1:]...)
-			pt.w.Deliver(p)
-			return
-		}
-	}
 }
 
 // Injected reports how many holds the adversary chose (each one is a

@@ -117,10 +117,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// MetricNames is the fault column schema in registration order. Routers
-// without a fault plane register constant-zero columns under the same
-// names, keeping clean and hostile timelines column-compatible.
-var MetricNames = []string{
+// metricNames is the fault column schema in registration order.
+var metricNames = [...]string{
 	"fault.wire.drops",
 	"fault.wire.truncated",
 	"fault.wire.corrupted",
@@ -157,7 +155,7 @@ type Plane struct {
 
 	// reorders holds per-wire reorder state, attach order, only when
 	// ReorderProb is configured.
-	reorders []*reorderState
+	reorders []*reorderHold
 
 	// ResetDrops counts frames discarded from rx rings by ResetOnStall
 	// windows (per-NIC stall/lost-interrupt counts live on the NICs).
@@ -210,9 +208,13 @@ func (pl *Plane) Config() Config { return pl.cfg }
 // configured the wire gets its own hold state, so displacement is
 // measured against frames sharing the wire, never across links.
 func (pl *Plane) AttachWire(w *nic.Wire) {
-	var rs *reorderState
-	if pl.cfg.ReorderProb > 0 {
-		rs = newReorderState(pl, w)
+	var rs *reorderHold
+	if c := &pl.cfg; c.ReorderProb > 0 {
+		rs = &reorderHold{
+			eng: pl.eng, w: w, span: c.ReorderSpan, flush: c.ReorderFlush,
+			swap: c.ReorderMode == ReorderSwap,
+			held: make([]reorderEntry, 0, maxReorderHeld),
+		}
 		pl.reorders = append(pl.reorders, rs)
 	}
 	w.SetTap(func(p *netstack.Packet) { pl.tapFrame(w, rs, p) })
@@ -223,7 +225,7 @@ func (pl *Plane) AttachWire(w *nic.Wire) {
 // corrupt, duplicate, delay, reorder) and each check draws from the RNG
 // only when its probability is non-zero, so a given config always
 // consumes the same stream.
-func (pl *Plane) tapFrame(w *nic.Wire, rs *reorderState, p *netstack.Packet) {
+func (pl *Plane) tapFrame(w *nic.Wire, rs *reorderHold, p *netstack.Packet) {
 	c := &pl.cfg
 	if c.DropProb > 0 && pl.rng.Float64() < c.DropProb {
 		pl.WireDrops.Inc()
@@ -260,7 +262,9 @@ func (pl *Plane) tapFrame(w *nic.Wire, rs *reorderState, p *netstack.Packet) {
 		return
 	}
 	if rs != nil {
-		if c.ReorderProb > 0 && pl.rng.Float64() < c.ReorderProb && rs.hold(p) {
+		if pl.rng.Float64() < c.ReorderProb && len(rs.held) < maxReorderHeld {
+			pl.Reordered.Inc()
+			rs.hold(p)
 			return
 		}
 		w.Deliver(p)
@@ -358,25 +362,23 @@ func (pl *Plane) LostIntrs() uint64 {
 	return t
 }
 
-// RegisterMetrics registers the plane's counters under MetricNames, in
-// that order.
+// RegisterMetrics registers the plane's counters under metricNames, in
+// that order. A nil plane (a router without faults) registers the same
+// columns reading zero, keeping clean and hostile timelines
+// column-compatible.
 func (pl *Plane) RegisterMetrics(reg *metrics.Registry) error {
-	for _, c := range []*stats.Counter{
-		pl.WireDrops, pl.Truncated, pl.Corrupted, pl.Duplicated, pl.Delayed,
-		pl.Reordered,
-	} {
-		if err := reg.Counter(c.Name(), c); err != nil {
+	var sources [len(metricNames)]func() uint64
+	if pl != nil {
+		sources = [...]func() uint64{
+			pl.WireDrops.Value, pl.Truncated.Value, pl.Corrupted.Value, pl.Duplicated.Value,
+			pl.Delayed.Value, pl.Reordered.Value, pl.StallDrops, pl.ResetDrops.Value,
+			pl.LostIntrs, pl.ScreendPauses.Value,
+		}
+	}
+	for i, name := range metricNames {
+		if err := reg.CounterFunc(name, sources[i]); err != nil {
 			return err
 		}
 	}
-	if err := reg.CounterFunc("fault.nic.stalldrops", pl.StallDrops); err != nil {
-		return err
-	}
-	if err := reg.Counter("fault.nic.resetdrops", pl.ResetDrops); err != nil {
-		return err
-	}
-	if err := reg.CounterFunc("fault.nic.lostintrs", pl.LostIntrs); err != nil {
-		return err
-	}
-	return reg.Counter("fault.screend.pauses", pl.ScreendPauses)
+	return nil
 }

@@ -110,22 +110,24 @@ func TestTapDeterminism(t *testing.T) {
 }
 
 // TestRegisterMetricsSchema pins the registered column names to
-// MetricNames, in order — the contract that keeps hostile and clean
-// timelines column-compatible.
+// metricNames, in order, for a plane and for a router without one (a
+// nil plane) — the contract that keeps hostile and clean timelines
+// column-compatible.
 func TestRegisterMetricsSchema(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewPlane(eng, netstack.NewPool(8, 2048), Config{DropProb: 0.1}, 1)
-	reg := metrics.NewRegistry()
-	if err := pl.RegisterMetrics(reg); err != nil {
-		t.Fatal(err)
-	}
-	got := reg.Names()
-	if len(got) != len(MetricNames) {
-		t.Fatalf("registered %d columns, want %d", len(got), len(MetricNames))
-	}
-	for i, name := range MetricNames {
-		if got[i] != name {
-			t.Fatalf("column %d = %q, want %q", i, got[i], name)
+	for _, pl := range []*Plane{NewPlane(eng, netstack.NewPool(8, 2048), Config{DropProb: 0.1}, 1), nil} {
+		reg := metrics.NewRegistry()
+		if err := pl.RegisterMetrics(reg); err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Names()
+		if len(got) != len(metricNames) {
+			t.Fatalf("plane %p: registered %d columns, want %d", pl, len(got), len(metricNames))
+		}
+		for i, name := range metricNames {
+			if got[i] != name {
+				t.Fatalf("plane %p: column %d = %q, want %q", pl, i, got[i], name)
+			}
 		}
 	}
 }

@@ -40,10 +40,10 @@ func ParseReorderMode(s string) (ReorderMode, bool) {
 	return ReorderDisplace, false
 }
 
-// maxReorderHeld bounds the frames a wire's reorder injector may hold
-// at once; a candidate arriving with the hold array full is delivered
-// in order instead (the RNG draw still happened, so the stream is
-// unperturbed).
+// maxReorderHeld bounds the frames the plane's reorder injector may
+// hold at once on one wire; a candidate arriving with the hold full is
+// delivered in order instead (the RNG draw still happened, so the
+// stream is unperturbed).
 const maxReorderHeld = 16
 
 type reorderEntry struct {
@@ -52,73 +52,70 @@ type reorderEntry struct {
 	flush sim.Handle // flush-timeout backstop
 }
 
-// reorderState is one wire's reorder injector. Entries age only when a
-// frame passes the tap's main line (dropped frames never arrive and
-// delay-held frames pass elsewhere), so the displacement is measured in
-// delivered frames, which is what a receiver observes.
-type reorderState struct {
-	pl   *Plane
-	w    *nic.Wire
-	held []reorderEntry // len 0..maxReorderHeld, backing array preallocated
+// reorderHold is one wire's set of frames held out of order, the state
+// shared by the plane's stochastic reorder injector and the adversary's
+// WireReorder: each frame is held until span later frames pass the
+// wire's main line or its flush backstop fires, whichever comes first.
+// Entries age only when a frame passes the main line (dropped frames
+// never arrive and delay-held frames pass elsewhere), so the
+// displacement is measured in delivered frames, which is what a
+// receiver observes.
+type reorderHold struct {
+	eng   *sim.Engine
+	w     *nic.Wire
+	span  int
+	flush sim.Duration
+	swap  bool // an expired batch drains in reverse (ReorderSwap)
+	held  []reorderEntry
 }
 
-func newReorderState(pl *Plane, w *nic.Wire) *reorderState {
-	return &reorderState{pl: pl, w: w, held: make([]reorderEntry, 0, maxReorderHeld)}
-}
-
-// hold takes ownership of p, reporting false (caller delivers) when the
-// hold array is full. The flush timer guarantees a tail frame with no
-// successors is still delivered.
-func (rs *reorderState) hold(p *netstack.Packet) bool {
-	if len(rs.held) == maxReorderHeld {
-		return false
-	}
-	rs.pl.Reordered.Inc()
-	rs.held = append(rs.held, reorderEntry{
+// hold takes ownership of p. The flush timer guarantees a tail frame
+// with no successors is still delivered.
+func (h *reorderHold) hold(p *netstack.Packet) {
+	h.held = append(h.held, reorderEntry{
 		p:     p,
-		left:  rs.pl.cfg.ReorderSpan,
-		flush: rs.pl.eng.AfterCall(rs.pl.cfg.ReorderFlush, reorderFlushFire, rs, p),
+		left:  h.span,
+		flush: h.eng.AfterCall(h.flush, reorderFlushFire, h, p),
 	})
-	return true
 }
 
 // pass ages every held frame by the one that just went by and delivers
 // the expired prefix. Entries are inserted with the same span and age
 // together, so expired entries always form a prefix in insertion order.
-func (rs *reorderState) pass() {
-	if len(rs.held) == 0 {
+func (h *reorderHold) pass() {
+	if len(h.held) == 0 {
 		return
 	}
-	for i := range rs.held {
-		rs.held[i].left--
+	for i := range h.held {
+		h.held[i].left--
 	}
 	n := 0
-	for n < len(rs.held) && rs.held[n].left <= 0 {
+	for n < len(h.held) && h.held[n].left <= 0 {
 		n++
 	}
 	if n == 0 {
 		return
 	}
-	if rs.pl.cfg.ReorderMode == ReorderSwap {
+	if h.swap {
 		for i := n - 1; i >= 0; i-- {
-			rs.release(i)
+			h.release(i)
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			rs.release(i)
+			h.release(i)
 		}
 	}
-	rest := copy(rs.held, rs.held[n:])
-	rs.held = rs.held[:rest]
+	rest := copy(h.held, h.held[n:])
+	h.held = h.held[:rest]
 }
 
 // release cancels entry i's flush backstop and delivers its frame.
 // Delivery bypasses the tap (a released frame must not re-enter the
 // injectors or age its fellow holds).
-func (rs *reorderState) release(i int) {
-	rs.pl.eng.Cancel(rs.held[i].flush)
-	rs.w.Deliver(rs.held[i].p)
-	rs.held[i].p = nil
+func (h *reorderHold) release(i int) {
+	h.eng.Cancel(h.held[i].flush)
+	h.w.Deliver(h.held[i].p)
+	h.held[i].p = nil
 }
 
 // reorderFlushFire is the hold-timeout callback (sim.Callback shape): a
@@ -126,11 +123,11 @@ func (rs *reorderState) release(i int) {
 // aging cancel their backstop, so a firing timer always finds its
 // frame.
 func reorderFlushFire(a, b any) {
-	rs, p := a.(*reorderState), b.(*netstack.Packet)
-	for i := range rs.held {
-		if rs.held[i].p == p {
-			rs.held = append(rs.held[:i], rs.held[i+1:]...)
-			rs.w.Deliver(p)
+	h, p := a.(*reorderHold), b.(*netstack.Packet)
+	for i := range h.held {
+		if h.held[i].p == p {
+			h.held = append(h.held[:i], h.held[i+1:]...)
+			h.w.Deliver(p)
 			return
 		}
 	}

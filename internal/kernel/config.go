@@ -30,6 +30,10 @@ import (
 	"livelock/internal/trace"
 )
 
+// clockTick is the hardclock period (1 ms, as in the paper's timeout
+// discussion).
+const clockTick = sim.Millisecond
+
 // envLockdep arms the runtime lock-discipline checker for every SMP
 // router in the process (equivalent to Config.Lockdep = true). Read
 // once at startup so a run's behavior cannot change mid-flight.
@@ -174,7 +178,7 @@ type Costs struct {
 	// N-CPU run adds is spin time, charged to prov.CenterLock.
 	LockOp sim.Duration
 
-	// ClockTickCost is the hardclock handler cost, every ClockTick.
+	// ClockTickCost is the hardclock handler cost, every clock tick.
 	ClockTickCost sim.Duration
 	// HousekeepPerTick is periodic system housekeeping run at thread
 	// level; with ClockTickCost it produces the ≈6% baseline system
@@ -351,10 +355,6 @@ type Config struct {
 	// architectural, not an artifact of 1996 hardware.
 	LinkBitRate int64
 
-	// ClockTick is the hardclock period (1 ms, as in the paper's
-	// timeout discussion).
-	ClockTick sim.Duration
-
 	// PoolBuffers sizes the packet buffer pool.
 	PoolBuffers int
 
@@ -411,7 +411,6 @@ func DefaultConfig() Config {
 		ScreendQHigh:        24,
 		ScreendQLow:         8,
 		NIC:                 nic.DefaultConfig(),
-		ClockTick:           sim.Millisecond,
 		PoolBuffers:         4096,
 		Seed:                1,
 		Costs:               DefaultCosts(),
@@ -428,15 +427,51 @@ var (
 	// its share of the one CPU), so NewRouter refuses it on SMP rather
 	// than run an unvalidated configuration.
 	ErrUserProcessSMP = errors.New("kernel: Config.UserProcess requires CPUs == 1")
+	// ErrInvalidConfig rejects a field value the router cannot be built
+	// with: a negative size, rate or period, or screend-queue watermarks
+	// the feedback mechanism cannot use. The wrapping error names the
+	// field.
+	ErrInvalidConfig = errors.New("kernel: invalid config")
 )
 
-// Validate reports why NewRouter cannot build c, or nil if it can.
+// Validate reports why NewRouter cannot build c, or nil if it can. Zero
+// fields take their defaults first, and a field is checked only where
+// the configuration uses it: a value with a meaning today (a negative
+// Quota or FeedbackTimeout, a cycle-limit threshold outside (0,1)) is
+// accepted.
 func (c Config) Validate() error {
 	if c.Mode < ModeUnmodified || c.Mode > ModePolled {
 		return fmt.Errorf("%w %d", ErrUnknownMode, int(c.Mode))
 	}
 	if c.UserProcess && c.CPUs > 1 {
 		return ErrUserProcessSMP
+	}
+	d := c.withDefaults()
+	positive := []struct {
+		name string
+		v    int64
+		used bool
+	}{
+		{"InputNICs", int64(d.InputNICs), true},
+		{"IPIntrQLimit", int64(d.IPIntrQLimit), d.Mode != ModePolled},
+		{"OutQueueLimit", int64(d.OutQueueLimit), true},
+		{"ScreendQLimit", int64(d.ScreendQLimit), d.Screend},
+		{"NIC.RxRing", int64(d.NIC.RxRing), true},
+		{"NIC.TxRing", int64(d.NIC.TxRing), true},
+		{"LinkBitRate", d.LinkBitRate, true},
+		{"PoolBuffers", int64(d.PoolBuffers), true},
+		{"CycleLimitPeriod", int64(d.CycleLimitPeriod),
+			d.Mode == ModePolled && d.CycleLimitThreshold > 0 && d.CycleLimitThreshold < 1},
+	}
+	for _, f := range positive {
+		if f.used && f.v <= 0 {
+			return fmt.Errorf("%w: %s = %d, want > 0", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	if d.Mode == ModePolled && d.Screend && d.Feedback &&
+		(d.ScreendQLow < 0 || d.ScreendQHigh <= d.ScreendQLow || d.ScreendQHigh > d.ScreendQLimit) {
+		return fmt.Errorf("%w: ScreendQLow %d, ScreendQHigh %d: want 0 <= low < high <= ScreendQLimit %d",
+			ErrInvalidConfig, d.ScreendQLow, d.ScreendQHigh, d.ScreendQLimit)
 	}
 	return nil
 }
@@ -489,9 +524,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LinkBitRate == 0 {
 		c.LinkBitRate = nic.EthernetBitRate
-	}
-	if c.ClockTick == 0 {
-		c.ClockTick = d.ClockTick
 	}
 	if c.CycleLimitPeriod == 0 {
 		c.CycleLimitPeriod = d.CycleLimitPeriod

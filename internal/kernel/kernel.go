@@ -374,12 +374,13 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	return r
 }
 
-// registerMetrics registers the router's full instrument schema. The
-// schema is identical across kernel modes for a given topology:
-// subsystems absent from a configuration register constant-zero
-// columns, so timelines from different kernels line up
-// column-for-column. Registration order — and therefore column order —
-// follows this function top to bottom. Boot-time only.
+// registerMetrics registers the router's full instrument schema, each
+// column exactly once. The schema is identical across kernel modes for
+// a given topology: a subsystem absent from a configuration passes a
+// nil source, which the registry renders as a constant-zero column, so
+// timelines from different kernels line up column-for-column.
+// Registration order — and therefore column order — follows this
+// function top to bottom. Boot-time only.
 //
 //lkvet:requires boot
 func (r *Router) registerMetrics(reg *metrics.Registry) {
@@ -412,73 +413,103 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 	must(reg.Counter("fwd.ttl", r.TTLDrops))
 	must(reg.Counter("icmp.sent", r.ICMPSent))
 	must(reg.Counter("sock.nosocket", r.NoSocketDrops))
-	if r.unmod != nil {
-		r.unmod.registerMetrics(reg)
+
+	// The interrupt-driven path's softint backlog, then the polled
+	// path's pollers, input gate, feedback and cycle limiter.
+	var netisrPending func() float64
+	var pollers []*core.Poller
+	var fbInhibits, fbTimeouts, clInhibits *stats.Counter
+	if u := r.unmod; u != nil {
+		netisrPending = func() float64 {
+			var pend int
+			for i := range u.netisrs {
+				pend += u.netisrs[i].task.Pending()
+			}
+			return float64(pend)
+		}
 	} else {
-		r.polled.registerMetrics(reg)
+		pollers = r.polled.pollers
+		if fb := r.polled.feedback; fb != nil {
+			fbInhibits, fbTimeouts = fb.Inhibits, fb.Timeouts
+		}
+		if l := r.polled.limiter; l != nil {
+			clInhibits = l.Inhibits
+		}
 	}
+	must(reg.Gauge("netisr.pending", netisrPending))
+	// The per-interval poller.rx delta is quota usage.
+	pollerSum := func(pick func(*core.Poller) *stats.Counter) func() uint64 {
+		if pollers == nil {
+			return nil
+		}
+		return func() uint64 {
+			var total uint64
+			for _, pol := range pollers {
+				total += pick(pol).Value()
+			}
+			return total
+		}
+	}
+	must(reg.CounterFunc("poller.wakeups", pollerSum(func(p *core.Poller) *stats.Counter { return p.Wakeups })))
+	must(reg.CounterFunc("poller.rounds", pollerSum(func(p *core.Poller) *stats.Counter { return p.Rounds })))
+	must(reg.CounterFunc("poller.rx", pollerSum(func(p *core.Poller) *stats.Counter { return p.RxSteps })))
+	must(reg.CounterFunc("poller.tx", pollerSum(func(p *core.Poller) *stats.Counter { return p.TxSteps })))
+	must(reg.Gauge("gate.open", func() float64 {
+		if r.InputInhibited() {
+			return 0
+		}
+		return 1
+	}))
+	must(reg.Counter("feedback.inhibits", fbInhibits))
+	must(reg.Counter("feedback.timeouts", fbTimeouts))
+	must(reg.Counter("cyclelimit.inhibits", clInhibits))
+
 	r.registerScreendMetrics(reg)
 	r.registerMonitorMetrics(reg)
-	r.registerFaultMetrics(reg)
-	r.registerProfMetrics(reg)
-}
+	must(r.fault.RegisterMetrics(reg))
 
-// registerProfMetrics registers the cycle-attribution profiler's
-// columns, or constant-zero columns under the same names when no
-// profile is attached — timelines with and without profiling stay
-// column-compatible (and the zero columns cost nothing to sample).
-func (r *Router) registerProfMetrics(reg *metrics.Registry) {
-	must := metrics.MustRegister
-	if r.prof == nil {
-		must(reg.Utilization("prof.useful.util", func() sim.Duration { return 0 }))
-		must(reg.Utilization("prof.wasted.util", func() sim.Duration { return 0 }))
-		must(reg.Gauge("prof.wasted.frac", func() float64 { return 0 }))
-		must(reg.Gauge("prof.livelock", func() float64 { return 0 }))
-		must(reg.Counter("prof.diagnoses", nil))
-		return
-	}
-	must(reg.Utilization("prof.useful.util", r.prof.UsefulCycles))
-	must(reg.Utilization("prof.wasted.util", r.prof.WastedCycles))
-	must(reg.Gauge("prof.wasted.frac", r.prof.WastedFrac))
-	must(reg.Gauge("prof.livelock", func() float64 {
-		if r.prof.Livelocked() {
-			return 1
+	// The cycle-attribution profiler's columns cost nothing to sample
+	// when no profile is attached.
+	var useful, wasted func() sim.Duration
+	var wastedFrac, livelock func() float64
+	var diagnoses func() uint64
+	if pr := r.prof; pr != nil {
+		useful, wasted, wastedFrac, diagnoses = pr.UsefulCycles, pr.WastedCycles, pr.WastedFrac, pr.DiagnosisTotal
+		livelock = func() float64 {
+			if pr.Livelocked() {
+				return 1
+			}
+			return 0
 		}
-		return 0
-	}))
-	must(reg.CounterFunc("prof.diagnoses", r.prof.DiagnosisTotal))
-}
-
-// registerFaultMetrics registers the fault plane's injection counters,
-// or constant-zero columns under the same names when no plane is
-// configured, keeping clean timelines column-compatible with hostile
-// ones.
-func (r *Router) registerFaultMetrics(reg *metrics.Registry) {
-	if r.fault != nil {
-		metrics.MustRegister(r.fault.RegisterMetrics(reg))
-		return
 	}
-	for _, name := range fault.MetricNames {
-		metrics.MustRegister(reg.Counter(name, nil))
-	}
+	must(reg.Utilization("prof.useful.util", useful))
+	must(reg.Utilization("prof.wasted.util", wasted))
+	must(reg.Gauge("prof.wasted.frac", wastedFrac))
+	must(reg.Gauge("prof.livelock", livelock))
+	must(reg.CounterFunc("prof.diagnoses", diagnoses))
 }
 
 // Fault returns the fault-injection plane, or nil when Config.Fault is
 // disabled.
 func (r *Router) Fault() *fault.Plane { return r.fault }
 
-// registerQueueMetrics registers a queue's instruments, or constant-zero
-// columns under the same names when the queue does not exist in this
-// configuration (ipintrq in the polled kernel, screendq without
-// screend).
+// registerQueueMetrics registers a queue's point-in-time depth gauge and
+// its drop and enqueue counters under name; a queue absent from this
+// configuration (nil: ipintrq in the polled kernel, screendq without
+// screend) registers the same columns reading zero. The depth gauge is
+// the timeline's livelock tell — a queue pegged at capacity for whole
+// sample intervals means every marginal packet is dropped after
+// upstream work was invested in it.
 func registerQueueMetrics(reg *metrics.Registry, q *queue.Queue, name string) {
+	var depth func() float64
+	var drops, enq *stats.Counter
 	if q != nil {
-		metrics.MustRegister(q.RegisterMetrics(reg))
-		return
+		depth = func() float64 { return float64(q.Len()) }
+		drops, enq = q.Drops, q.Enqueued
 	}
-	metrics.MustRegister(reg.Gauge(name+".depth", func() float64 { return 0 }))
-	metrics.MustRegister(reg.Counter(name+".drops", nil))
-	metrics.MustRegister(reg.Counter(name+".enq", nil))
+	metrics.MustRegister(reg.Gauge(name+".depth", depth))
+	metrics.MustRegister(reg.Counter(name+".drops", drops))
+	metrics.MustRegister(reg.Counter(name+".enq", enq))
 }
 
 func (r *Router) addPort(p *netPort) {
@@ -530,14 +561,22 @@ func (r *Router) observe(stage prov.Stage, p *netstack.Packet) {
 	}
 }
 
-// drop is the single drop-classification choke point: it increments the
-// reason's kernel counter (queue-full reasons are already counted by
-// the queue that rejected the packet), emits the trace record under the
-// reason's canonical stage, and finalizes the provenance record as
-// wasted (or counts an untracked drop for packets that never consumed
-// CPU). It does NOT release the packet — call sites keep ownership,
-// some still need the frame bytes (e.g. to quote in an ICMP error).
+// drop is the single drop choke point: it classifies the drop (see
+// classifyDrop) and releases the buffer. A caller that still needs the
+// frame bytes (the TTL offender an ICMP error quotes) reads them first.
 func (r *Router) drop(p *netstack.Packet, reason prov.DropReason) {
+	r.classifyDrop(p, reason)
+	p.Release()
+}
+
+// classifyDrop is drop without the release, for the device hooks
+// (ring overflow, stall, reset, the fault plane's wire drop) whose
+// device releases the buffer itself. It increments the reason's kernel
+// counter (queue-full reasons are already counted by the queue that
+// rejected the packet), emits the trace record under the reason's
+// canonical stage, and finalizes the provenance record as wasted (or
+// counts an untracked drop for packets that never consumed CPU).
+func (r *Router) classifyDrop(p *netstack.Packet, reason prov.DropReason) {
 	switch reason {
 	case prov.ReasonTTLExceeded:
 		r.TTLDrops.Inc()
@@ -602,9 +641,9 @@ func (r *Router) wireObservers() {
 				r.Cfg.Trace.Emit(r.Eng.Now(), prov.StageRxRingAccept, p.ID)
 			}
 		}
-		in.OnRxDrop = func(p *netstack.Packet) { r.drop(p, prov.ReasonRxRingFull) }
-		in.OnStallDrop = func(p *netstack.Packet) { r.drop(p, prov.ReasonFaultStall) }
-		in.OnResetDrop = func(p *netstack.Packet) { r.drop(p, prov.ReasonFaultReset) }
+		in.OnRxDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonRxRingFull) }
+		in.OnStallDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonFaultStall) }
+		in.OnResetDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonFaultReset) }
 	}
 	r.Sink.OnDeliver = func(p *netstack.Packet) { r.finalizeDeliver(prov.StageDelivered, p) }
 	r.Sink.OnMalformed = r.dropMalformedAtSink
@@ -613,7 +652,7 @@ func (r *Router) wireObservers() {
 		rev.OnMalformed = r.dropMalformedAtSink
 	}
 	if r.fault != nil {
-		r.fault.OnDrop = func(p *netstack.Packet, reason prov.DropReason) { r.drop(p, reason) }
+		r.fault.OnDrop = r.classifyDrop
 	}
 }
 
@@ -687,11 +726,11 @@ func (r *Router) WriteFolded(w io.Writer) error {
 }
 
 func (r *Router) scheduleTick() {
-	r.Eng.AfterCall(r.Cfg.ClockTick, routerTick, r, nil)
+	r.Eng.AfterCall(clockTick, routerTick, r, nil)
 }
 
 // routerTick is the hardclock callback (sim.Callback shape): it fires
-// every ClockTick for the whole run, so it must not allocate.
+// every clock tick for the whole run, so it must not allocate.
 func routerTick(a, _ any) {
 	r := a.(*Router)
 	r.clockTask.Post(r.Cfg.Costs.ClockTickCost, r.tick)
@@ -743,7 +782,7 @@ func (r *Router) fastPathHit(frame []byte) bool {
 
 // forwardFrame runs the real forwarding code on a packet and returns
 // true if it was queued on an output interface. On any failure the
-// packet has been released and counted; TTL expiry additionally
+// packet has been counted and released; TTL expiry additionally
 // generates an ICMP time-exceeded back toward the source (RFC 792).
 //
 //lkvet:requires netLock
@@ -753,8 +792,13 @@ func (r *Router) forwardFrame(p *netstack.Packet) bool {
 	if err != nil {
 		switch err {
 		case netstack.ErrTTLExceeded:
+			// Quote the offender before the drop releases it; the
+			// error is queued after the drop is recorded.
+			msg, port := r.icmpError(netstack.ICMPTypeTimeExceeded, 0, p)
 			r.drop(p, prov.ReasonTTLExceeded)
-			r.sendICMPError(netstack.ICMPTypeTimeExceeded, 0, p)
+			if msg != nil {
+				r.output(port, msg, prov.StageICMPQueued)
+			}
 		case netstack.ErrBadChecksum:
 			// Classified separately from no-route errors: corruption
 			// injected on the wire must land in its own conservation
@@ -765,51 +809,78 @@ func (r *Router) forwardFrame(p *netstack.Packet) bool {
 		default:
 			r.drop(p, prov.ReasonNoRoute)
 		}
-		p.Release()
 		return false
 	}
 	port := r.portByIdx[ifIdx]
 	if port == nil {
 		r.drop(p, prov.ReasonNoRoute)
-		p.Release()
 		return false
 	}
+	return r.output(port, p, prov.StageForwarded)
+}
+
+// resolve is the output path's route/port/ARP resolver for frames the
+// router originates: the attached port whose route covers dst and, when
+// arp is set, dst's link address. ok is false when no route leads to an
+// attached port or the ARP lookup misses.
+//
+//lkvet:requires netLock
+func (r *Router) resolve(dst netstack.Addr, arp bool) (port *netPort, mac netstack.MAC, ok bool) {
+	rt, err := r.fwd.Routes.Lookup(dst)
+	if err != nil {
+		return nil, mac, false
+	}
+	if port = r.portByIdx[rt.IfIndex]; port == nil {
+		return nil, mac, false
+	}
+	if arp {
+		if mac, ok = r.fwd.ARP.Lookup(dst); !ok {
+			return nil, mac, false
+		}
+	}
+	return port, mac, true
+}
+
+// output is the tail of the one output path (ip_output → ifqueue →
+// if_start): queue p on port's ifqueue, or drop it as ReasonOutQFull;
+// record stage once it is queued (StageNone records nothing); then
+// start the transmitter. It reports whether p was queued.
+//
+//lkvet:requires netLock
+func (r *Router) output(port *netPort, p *netstack.Packet, stage prov.Stage) bool {
 	if !port.enqueueOut(p) {
 		r.drop(p, prov.ReasonOutQFull)
-		p.Release()
 		return false
 	}
-	r.observe(prov.StageForwarded, p)
+	if stage != prov.StageNone {
+		r.observe(stage, p)
+	}
 	r.ifStart(port)
 	return true
 }
 
-// sendICMPError originates an ICMP error quoting the offending frame
-// and queues it toward the offender's source. The CPU cost is part of
+// icmpError originates an ICMP error quoting the offending frame,
+// addressed toward the offender's source, and returns it with the port
+// to queue it on — or nil, counted in ICMPFailures, when it cannot be
+// built. The caller queues it through output; the CPU cost is part of
 // the caller's current work item, as in a real ip_input path.
 //
 //lkvet:requires netLock
-func (r *Router) sendICMPError(icmpType, code uint8, offender *netstack.Packet) {
+func (r *Router) icmpError(icmpType, code uint8, offender *netstack.Packet) (*netstack.Packet, *netPort) {
 	origIP, err := netstack.EthPayload(offender.Data)
 	if err != nil {
 		r.ICMPFailures.Inc()
-		return
+		return nil, nil
 	}
 	var ip netstack.IPv4Header
 	if err := ip.Unmarshal(origIP); err != nil {
 		r.ICMPFailures.Inc()
-		return
+		return nil, nil
 	}
-	rt, err := r.fwd.Routes.Lookup(ip.Src)
-	if err != nil {
+	port, dstMAC, ok := r.resolve(ip.Src, true)
+	if !ok {
 		r.ICMPFailures.Inc()
-		return
-	}
-	port := r.portByIdx[rt.IfIndex]
-	dstMAC, ok := r.fwd.ARP.Lookup(ip.Src)
-	if port == nil || !ok {
-		r.ICMPFailures.Inc()
-		return
+		return nil, nil
 	}
 	spec := &netstack.ICMPErrorSpec{
 		Type: icmpType, Code: code,
@@ -821,24 +892,18 @@ func (r *Router) sendICMPError(icmpType, code uint8, offender *netstack.Packet) 
 	msg := r.Pool.Get(spec.FrameLen())
 	if msg == nil {
 		r.ICMPFailures.Inc()
-		return
+		return nil, nil
 	}
 	if _, err := netstack.BuildICMPError(msg.Data, spec); err != nil {
 		msg.Release()
 		r.ICMPFailures.Inc()
-		return
+		return nil, nil
 	}
 	msg.ID = r.ownID()
 	msg.Born = r.Eng.Now()
 	r.RouterOriginated.Inc()
 	r.ICMPSent.Inc()
-	if !port.enqueueOut(msg) {
-		r.drop(msg, prov.ReasonOutQFull)
-		msg.Release()
-		return
-	}
-	r.observe(prov.StageICMPQueued, msg)
-	r.ifStart(port)
+	return msg, port
 }
 
 // transmitOwn queues a router-originated frame on the port serving dst.
@@ -846,27 +911,13 @@ func (r *Router) sendICMPError(icmpType, code uint8, offender *netstack.Packet) 
 //
 //lkvet:requires netLock
 func (r *Router) transmitOwn(p *netstack.Packet, dst netstack.Addr) bool {
-	rt, err := r.fwd.Routes.Lookup(dst)
-	if err != nil {
+	port, _, ok := r.resolve(dst, false)
+	if !ok {
 		r.drop(p, prov.ReasonNoRoute)
-		p.Release()
-		return false
-	}
-	port := r.portByIdx[rt.IfIndex]
-	if port == nil {
-		r.drop(p, prov.ReasonNoRoute)
-		p.Release()
 		return false
 	}
 	r.RouterOriginated.Inc()
-	if !port.enqueueOut(p) {
-		r.drop(p, prov.ReasonOutQFull)
-		p.Release()
-		return false
-	}
-	r.observe(prov.StageReplyQueued, p)
-	r.ifStart(port)
-	return true
+	return r.output(port, p, prov.StageReplyQueued)
 }
 
 // ifStart moves packets from a port's output ifqueue to free transmit
@@ -895,7 +946,6 @@ func (r *Router) ifStart(port *netPort) {
 func (r *Router) deliverLocal(p *netstack.Packet) {
 	if netstack.IsFragment(p.Data) {
 		r.drop(p, prov.ReasonMalformed)
-		p.Release()
 		return
 	}
 	proto := p.Data[netstack.EthHeaderLen+9]
@@ -908,19 +958,16 @@ func (r *Router) deliverLocal(p *netstack.Packet) {
 		var udp netstack.UDPHeader
 		if err := udp.Unmarshal(p.Data[netstack.EthHeaderLen+netstack.IPv4HeaderLen:]); err != nil {
 			r.drop(p, prov.ReasonMalformed)
-			p.Release()
 			return
 		}
 		sock := r.sockets[udp.DstPort]
 		if sock == nil {
 			r.drop(p, prov.ReasonNoSocket)
-			p.Release()
 			return
 		}
 		sock.deliver(p)
 	default:
 		r.drop(p, prov.ReasonMalformed)
-		p.Release()
 	}
 }
 
@@ -933,24 +980,15 @@ func (r *Router) handleEcho(p *netstack.Packet) {
 	ipb, err := netstack.EthPayload(p.Data)
 	if err != nil || ip.Unmarshal(ipb) != nil {
 		r.drop(p, prov.ReasonMalformed)
-		p.Release()
 		return
 	}
-	rt, err := r.fwd.Routes.Lookup(ip.Src)
-	if err != nil {
+	port, _, ok := r.resolve(ip.Src, false)
+	if !ok {
 		r.drop(p, prov.ReasonNoRoute)
-		p.Release()
-		return
-	}
-	port := r.portByIdx[rt.IfIndex]
-	if port == nil {
-		r.drop(p, prov.ReasonNoRoute)
-		p.Release()
 		return
 	}
 	if err := netstack.MakeEchoReplyInPlace(p.Data, port.nic.MAC()); err != nil {
 		r.drop(p, prov.ReasonMalformed)
-		p.Release()
 		return
 	}
 	r.ICMPSent.Inc()
@@ -959,13 +997,10 @@ func (r *Router) handleEcho(p *netstack.Packet) {
 	// reply counted as router-originated; without this bucket the
 	// conservation ledger would double-count the buffer.
 	r.EchoConsumed.Inc()
+	// The conversion, not the enqueue, is the reply's stage: it is
+	// recorded even when the ifqueue then drops the reply.
 	r.observe(prov.StageEchoReply, p)
-	if !port.enqueueOut(p) {
-		r.drop(p, prov.ReasonOutQFull)
-		p.Release()
-		return
-	}
-	r.ifStart(port)
+	r.output(port, p, prov.StageNone)
 }
 
 // AttachGenerator creates a generator offering load to input NIC i with

@@ -1,10 +1,13 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
 	"livelock/internal/netstack"
+	"livelock/internal/prov"
 	"livelock/internal/sim"
+	"livelock/internal/trace"
 	"livelock/internal/workload"
 )
 
@@ -45,6 +48,73 @@ func TestTTLExpiryGeneratesICMP(t *testing.T) {
 		}
 		if r.Delivered() != 0 {
 			t.Fatalf("%v: expired packets were forwarded", mode)
+		}
+	}
+}
+
+// TestTTLErrorQuotesOffenderBeforeDrop: the time-exceeded error quotes
+// the offending datagram intact even though the drop releases the
+// offender's buffer (the pool hands freed buffers out last-in
+// first-out, so a release before the quote would overwrite it), and
+// the trace still records the drop before the error is queued.
+func TestTTLErrorQuotesOffenderBeforeDrop(t *testing.T) {
+	for _, mode := range []Mode{ModeUnmodified, ModePolled} {
+		eng := sim.NewEngine()
+		tr := trace.New(256)
+		r := NewRouter(eng, Config{Mode: mode, Quota: 5, Trace: tr})
+		spec := &netstack.FrameSpec{
+			SrcMAC: netstack.MAC{0xbb, 0, 0, 0, 0, 1}, DstMAC: r.Ins[0].MAC(),
+			SrcIP: InputSourceIP(0), DstIP: PhantomDest,
+			SrcPort: 5000, DstPort: 9, TTL: 1,
+			Payload: []byte{1, 2, 3, 4}, UDPChecksum: true,
+		}
+		frame := make([]byte, spec.FrameLen())
+		if _, err := netstack.BuildUDPFrame(frame, spec); err != nil {
+			t.Fatal(err)
+		}
+		offender := frame[netstack.EthHeaderLen:]
+		var quotes int
+		r.RevSinks[0].OnDeliver = func(p *netstack.Packet) {
+			_, _, _, quoted, err := netstack.ParseICMPFrame(p.Data)
+			if err != nil {
+				t.Fatalf("%v: ICMP error: %v", mode, err)
+			}
+			if len(quoted) < netstack.IPv4HeaderLen || !bytes.Equal(quoted, offender[:len(quoted)]) {
+				t.Fatalf("%v: quoted %x, want a prefix of the offender's datagram %x", mode, quoted, offender)
+			}
+			quotes++
+		}
+		const n = 5
+		for i := 0; i < n; i++ {
+			p := r.Pool.Get(spec.FrameLen())
+			if _, err := netstack.BuildUDPFrame(p.Data, spec); err != nil {
+				t.Fatal(err)
+			}
+			p.ID = uint64(i + 1)
+			p.Born = eng.Now()
+			r.SourceWires[0].Transmit(p)
+		}
+		eng.Run(sim.Time(200 * sim.Millisecond))
+
+		if quotes != n {
+			t.Fatalf("%v: %d ICMP errors delivered, want %d", mode, quotes, n)
+		}
+		if alive := r.Pool.Total() - r.Pool.Available(); alive != 0 {
+			t.Fatalf("%v: %d buffers still held after the drain", mode, alive)
+		}
+		recs := tr.Records()
+		drops := 0
+		for i, rec := range recs {
+			if rec.Reason != prov.ReasonTTLExceeded {
+				continue
+			}
+			drops++
+			if i+1 == len(recs) || recs[i+1].Stage != prov.StageICMPQueued {
+				t.Fatalf("%v: TTL drop of pkt %d is not followed by its queued ICMP error", mode, rec.Pkt)
+			}
+		}
+		if drops != n {
+			t.Fatalf("%v: %d TTL drop records, want %d", mode, drops, n)
 		}
 	}
 }

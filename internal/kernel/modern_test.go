@@ -15,7 +15,6 @@ func modernConfig(mode Mode, quota int) Config {
 		Quota:       quota,
 		Costs:       ModernCosts(),
 		LinkBitRate: 1_000_000_000,
-		ClockTick:   sim.Millisecond,
 	}
 }
 

@@ -5,12 +5,10 @@ import (
 
 	"livelock/internal/core"
 	"livelock/internal/cpu"
-	"livelock/internal/metrics"
 	"livelock/internal/netstack"
 	"livelock/internal/prov"
 	"livelock/internal/queue"
 	"livelock/internal/sim"
-	"livelock/internal/stats"
 )
 
 // Gate source names.
@@ -224,52 +222,6 @@ func (m *polledPath) initDevices() {
 	}
 }
 
-// registerMetrics registers the polled path's instruments: poller
-// activity counters (the per-interval rx delta is quota usage) and the
-// input gate's state, under the same names the unmodified path
-// registers as constants.
-func (m *polledPath) registerMetrics(reg *metrics.Registry) {
-	must := metrics.MustRegister
-	must(reg.Gauge("netisr.pending", func() float64 { return 0 }))
-	if len(m.pollers) > 1 {
-		sum := func(pick func(*core.Poller) *stats.Counter) func() uint64 {
-			return func() uint64 {
-				var total uint64
-				for _, pol := range m.pollers {
-					total += pick(pol).Value()
-				}
-				return total
-			}
-		}
-		must(reg.CounterFunc("poller.wakeups", sum(func(p *core.Poller) *stats.Counter { return p.Wakeups })))
-		must(reg.CounterFunc("poller.rounds", sum(func(p *core.Poller) *stats.Counter { return p.Rounds })))
-		must(reg.CounterFunc("poller.rx", sum(func(p *core.Poller) *stats.Counter { return p.RxSteps })))
-		must(reg.CounterFunc("poller.tx", sum(func(p *core.Poller) *stats.Counter { return p.TxSteps })))
-	} else {
-		pol := m.pollers[0]
-		must(reg.Counter("poller.wakeups", pol.Wakeups))
-		must(reg.Counter("poller.rounds", pol.Rounds))
-		must(reg.Counter("poller.rx", pol.RxSteps))
-		must(reg.Counter("poller.tx", pol.TxSteps))
-	}
-	must(reg.Gauge("gate.open", func() float64 {
-		if m.gate.Open() {
-			return 1
-		}
-		return 0
-	}))
-	var fbInhibits, fbTimeouts, clInhibits *stats.Counter
-	if m.feedback != nil {
-		fbInhibits, fbTimeouts = m.feedback.Inhibits, m.feedback.Timeouts
-	}
-	if m.limiter != nil {
-		clInhibits = m.limiter.Inhibits
-	}
-	must(reg.Counter("feedback.inhibits", fbInhibits))
-	must(reg.Counter("feedback.timeouts", fbTimeouts))
-	must(reg.Counter("cyclelimit.inhibits", clInhibits))
-}
-
 // scheduleClockedPoll drives the pure-polling design: the polling thread
 // is made runnable every ClockedPollInterval regardless of device state.
 func (m *polledPath) scheduleClockedPoll() {
@@ -417,7 +369,7 @@ func (m *polledPath) attachQueueFeedback(q *queue.Queue, source string) *core.Fe
 // the interface watchdog.
 func (m *polledPath) onTick(ticks uint64) {
 	if m.limiter != nil {
-		period := uint64(m.limiter.Period / m.r.Cfg.ClockTick)
+		period := uint64(m.limiter.Period / clockTick)
 		if period == 0 {
 			period = 1
 		}

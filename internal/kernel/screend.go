@@ -103,7 +103,6 @@ func (s *screendProc) submit(p *netstack.Packet) {
 	s.r.ld.Check(s.r.screendq)
 	if !s.r.screendq.Enqueue(p) {
 		s.r.drop(p, prov.ReasonScreendQFull)
-		p.Release()
 		// Even when the enqueue fails the queue remains above its high
 		// watermark; the modified kernel re-asserts feedback here in
 		// case a timeout re-enabled input while the queue was full.
@@ -218,7 +217,6 @@ func (s *screendProc) filterHead() {
 		return
 	}
 	s.r.drop(p, prov.ReasonScreendReject)
-	p.Release()
 	s.loop()
 }
 

@@ -75,7 +75,6 @@ func (s *Socket) deliver(p *netstack.Packet) {
 	ok := s.buf.Enqueue(p)
 	if !ok {
 		s.r.drop(p, prov.ReasonSockBufFull)
-		p.Release()
 	} else {
 		s.Received.Inc()
 		s.r.finalizeDeliver(prov.StageSockBufAccept, p)

@@ -79,7 +79,7 @@ type TCPReceiver struct {
 func (r *Router) OpenTCPReceiver(port uint16) *TCPReceiver {
 	if r.smp() {
 		// The receiver's delayed-ACK path (tcpReseqFire → emitAck →
-		// transmitOwn) runs as a bare engine callback, outside any
+		// output) runs as a bare engine callback, outside any
 		// netLock critical section; it has only ever run on the
 		// uniprocessor model. Refuse rather than race.
 		panic("kernel: TCP endpoints require CPUs == 1")
@@ -146,40 +146,32 @@ func boolWord(b bool) uint64 {
 //
 //lkvet:requires netLock
 func (r *Router) deliverTCP(p *netstack.Packet) {
-	var th netstack.TCPHeader
-	ipb, err := netstack.EthPayload(p.Data)
-	if err != nil {
-		r.FwdErrors.Inc()
-		p.Release()
-		return
-	}
 	var ip netstack.IPv4Header
-	if uerr := ip.Unmarshal(ipb); uerr != nil {
-		r.FwdErrors.Inc()
-		p.Release()
+	ipb, err := netstack.EthPayload(p.Data)
+	if err != nil || ip.Unmarshal(ipb) != nil {
+		r.drop(p, prov.ReasonMalformed)
 		return
 	}
+	var th netstack.TCPHeader
 	seg := ipb[netstack.IPv4HeaderLen:ip.TotalLen]
 	if !netstack.VerifyTCPChecksum(ip.Src, ip.Dst, seg) || th.Unmarshal(seg) != nil {
-		r.FwdErrors.Inc()
-		p.Release()
+		r.drop(p, prov.ReasonMalformed)
 		return
 	}
 	rx := r.tcpPorts[th.DstPort]
 	if rx == nil {
-		r.NoSocketDrops.Inc()
-		p.Release()
+		r.drop(p, prov.ReasonNoSocket)
 		return
 	}
 	switch rx.segment(ip, th, len(seg)-th.HeaderLen()) {
 	case tcpSegAccept:
 		r.finalizeDeliver(prov.StageTCPAccept, p)
+		p.Release()
 	case tcpSegDup:
 		r.drop(p, prov.ReasonTCPDupData)
 	case tcpSegOOODrop:
 		r.drop(p, prov.ReasonTCPOOOFull)
 	}
-	p.Release()
 }
 
 // tcpSegOutcome classifies a segment's fate for provenance accounting.
@@ -360,15 +352,8 @@ func (rx *TCPReceiver) emitAck() {
 		IPID:   uint16(r.nextOwnID),
 		SACK:   rx.sackBlocks(),
 	}
-	// Link addressing is filled by transmitOwn's route/ARP machinery;
-	// build with the MACs resolved the same way replies are.
-	rt, err := r.fwd.Routes.Lookup(rx.peerIP)
-	if err != nil {
-		return
-	}
-	port := r.portByIdx[rt.IfIndex]
-	dstMAC, ok := r.fwd.ARP.Lookup(rx.peerIP)
-	if port == nil || !ok {
+	port, dstMAC, ok := r.resolve(rx.peerIP, true)
+	if !ok {
 		return
 	}
 	spec.SrcMAC = port.nic.MAC()
@@ -382,7 +367,8 @@ func (rx *TCPReceiver) emitAck() {
 	}
 	p.ID = r.ownID()
 	p.Born = r.Eng.Now()
-	if r.transmitOwn(p, rx.peerIP) {
+	r.RouterOriginated.Inc()
+	if r.output(port, p, prov.StageReplyQueued) {
 		rx.AcksSent.Inc()
 	}
 }

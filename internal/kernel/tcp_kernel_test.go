@@ -3,6 +3,9 @@ package kernel
 import (
 	"testing"
 
+	"livelock/internal/fault"
+	"livelock/internal/prof"
+	"livelock/internal/prov"
 	"livelock/internal/sim"
 	"livelock/internal/workload"
 )
@@ -166,5 +169,27 @@ func TestRenoResendsLessThanTahoe(t *testing.T) {
 	if renoSent >= tahoeSent {
 		t.Fatalf("Reno sent %d segments, Tahoe %d — expected strictly fewer under loss",
 			renoSent, tahoeSent)
+	}
+}
+
+// TestTCPDamagedSegmentsCloseTheirRecords: segments the TCP input path
+// rejects as damaged leave through the drop choke point, so each one
+// closes its provenance record and a drained run holds none open.
+func TestTCPDamagedSegmentsCloseTheirRecords(t *testing.T) {
+	eng := sim.NewEngine()
+	pr := prof.New()
+	r := NewRouter(eng, Config{Mode: ModePolled, Quota: 5, Profile: pr, Fault: fault.Config{CorruptProb: 0.05}})
+	r.OpenTCPReceiver(8080)
+	r.AttachTCPSender(0, TCPSenderConfig{Port: 8080, MSS: 512, TotalBytes: 200_000}).Start()
+	eng.Run(sim.Time(2 * sim.Second))
+	a, err := r.Finish(100 * sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.FwdErrors == 0 || pr.DropCount(prov.ReasonMalformed) == 0 {
+		t.Fatalf("no damaged segment was dropped (fwd errors %d)", a.FwdErrors)
+	}
+	if pr.Live() != 0 {
+		t.Fatalf("%d provenance records still open after the drain", pr.Live())
 	}
 }

@@ -3,10 +3,12 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"livelock/internal/fault"
+	"livelock/internal/metrics"
 	"livelock/internal/prof"
 	"livelock/internal/sim"
 	"livelock/internal/trace"
@@ -98,4 +100,43 @@ func profileTables(t *testing.T, p *prof.Profile) string {
 		}
 	}
 	return b.String()
+}
+
+// TestTimelineSchemaModeIndependent pins the promise Config.Metrics
+// documents: every uniprocessor router registers the same columns in
+// the same order, whatever its mode and whichever subsystems it lacks,
+// so any two timelines line up column for column.
+func TestTimelineSchemaModeIndependent(t *testing.T) {
+	var want []string
+	for _, mode := range []Mode{ModeUnmodified, ModePolledCompat, ModePolled} {
+		for combo := 0; combo < 16; combo++ {
+			cfg := Config{Mode: mode, Quota: 5, Metrics: metrics.NewRegistry()}
+			if combo&1 != 0 {
+				cfg.Screend, cfg.Feedback = true, true
+			}
+			if combo&2 != 0 {
+				cfg.Profile = prof.New()
+			}
+			if combo&4 != 0 {
+				cfg.Fault = fault.Config{DropProb: 0.01, ReorderProb: 0.01, StallPeriod: 10 * sim.Millisecond,
+					StallDuration: sim.Millisecond}
+			}
+			if combo&8 != 0 {
+				cfg.UserProcess = true
+			}
+			NewRouter(sim.NewEngine(), cfg)
+			got := cfg.Metrics.Names()
+			if want == nil {
+				want = got
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%v combo %04b: %d columns differ from the first config's %d:\n got %v\nwant %v",
+					mode, combo, len(got), len(want), got, want)
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no columns registered")
+	}
 }

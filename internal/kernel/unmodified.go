@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"livelock/internal/cpu"
-	"livelock/internal/metrics"
 	"livelock/internal/netstack"
 	"livelock/internal/nic"
 	"livelock/internal/prov"
@@ -134,29 +133,6 @@ func queueName(n *nic.NIC, q int) string {
 	return fmt.Sprintf("%s.q%d", n.Name(), q)
 }
 
-// registerMetrics registers the interrupt-driven path's instruments.
-// The poller/gate columns exist in every mode; here they are constants
-// (no poller, input never gated) so unmodified-kernel timelines diff
-// cleanly against polled ones.
-func (u *unmodifiedPath) registerMetrics(reg *metrics.Registry) {
-	must := metrics.MustRegister
-	must(reg.Gauge("netisr.pending", func() float64 {
-		var pend int
-		for i := range u.netisrs {
-			pend += u.netisrs[i].task.Pending()
-		}
-		return float64(pend)
-	}))
-	must(reg.Counter("poller.wakeups", nil))
-	must(reg.Counter("poller.rounds", nil))
-	must(reg.Counter("poller.rx", nil))
-	must(reg.Counter("poller.tx", nil))
-	must(reg.Gauge("gate.open", func() float64 { return 1 }))
-	must(reg.Counter("feedback.inhibits", nil))
-	must(reg.Counter("feedback.timeouts", nil))
-	must(reg.Counter("cyclelimit.inhibits", nil))
-}
-
 // rxPktCost returns the device-IPL per-packet cost, with the compat
 // penalty in ModePolledCompat.
 func (u *unmodifiedPath) rxPktCost() sim.Duration {
@@ -215,7 +191,6 @@ func (rq *rxQueue) enqueueIP() {
 		u.schedNetisrOn(rq.core)
 	} else {
 		u.r.drop(p, prov.ReasonIPIntrQFull)
-		p.Release()
 	}
 	if u.r.Cfg.DisableBatching {
 		// Ablation: one packet per interrupt; the next packet pays

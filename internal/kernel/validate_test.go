@@ -2,10 +2,13 @@ package kernel_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"livelock/internal/explore"
 	"livelock/internal/kernel"
+	"livelock/internal/sim"
+	"livelock/internal/workload"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -21,6 +24,18 @@ func TestConfigValidate(t *testing.T) {
 		{"mode-negative", kernel.Config{Mode: -1}, kernel.ErrUnknownMode},
 		{"mode-past-polled", kernel.Config{Mode: kernel.ModePolled + 1}, kernel.ErrUnknownMode},
 		{"user-smp", kernel.Config{Mode: kernel.ModePolled, UserProcess: true, CPUs: 2}, kernel.ErrUserProcessSMP},
+		// Values with a meaning today, or that the configuration never
+		// uses, are accepted.
+		{"quota-negative", kernel.Config{Mode: kernel.ModePolled, Quota: -1}, nil},
+		{"feedback-timeout-negative", kernel.Config{Mode: kernel.ModePolled, Screend: true, Feedback: true, FeedbackTimeout: -1}, nil},
+		{"threshold-negative", kernel.Config{Mode: kernel.ModePolled, CycleLimitThreshold: -0.5, CycleLimitPeriod: -1}, nil},
+		{"threshold-above-one", kernel.Config{Mode: kernel.ModePolled, CycleLimitThreshold: 2, CycleLimitPeriod: -1}, nil},
+		{"cycle-period-unmodified", kernel.Config{CycleLimitThreshold: 0.5, CycleLimitPeriod: -1}, nil},
+		{"ipintrq-polled", kernel.Config{Mode: kernel.ModePolled, IPIntrQLimit: -1}, nil},
+		{"screendq-without-screend", kernel.Config{ScreendQLimit: -1}, nil},
+		{"watermarks-without-feedback", kernel.Config{Mode: kernel.ModePolled, Screend: true, ScreendQHigh: 8, ScreendQLow: 24}, nil},
+		{"watermarks-unmodified", kernel.Config{Screend: true, Feedback: true, ScreendQHigh: 8, ScreendQLow: 24}, nil},
+		{"high-at-limit", kernel.Config{Mode: kernel.ModePolled, Screend: true, Feedback: true, ScreendQHigh: 32}, nil},
 	}
 	for _, sc := range explore.Scenarios() {
 		if err := sc.Config.Validate(); err != nil {
@@ -34,6 +49,60 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: Validate() = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want != nil || err != nil {
+			continue
+		}
+		// An accepted config builds and runs with its audits passing.
+		eng := sim.NewEngine()
+		r := kernel.NewRouter(eng, tc.cfg)
+		r.AttachGenerator(0, workload.ConstantRate{Rate: 8000}, 0).Start()
+		eng.Run(sim.Time(20 * sim.Millisecond))
+		if err := r.Audit(r.Offered()); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestConfigValidateRejectsUnbuildable: each config names a value
+// NewRouter cannot build with — a constructor or the first event would
+// panic on it — so Validate must refuse it with ErrInvalidConfig naming
+// the field.
+func TestConfigValidateRejectsUnbuildable(t *testing.T) {
+	fb := func(c kernel.Config) kernel.Config {
+		c.Mode, c.Screend, c.Feedback = kernel.ModePolled, true, true
+		return c
+	}
+	nicRing := func(rx, tx int) kernel.Config {
+		c := kernel.Config{}
+		c.NIC.RxRing, c.NIC.TxRing = rx, tx
+		return c
+	}
+	cases := []struct {
+		field string
+		cfg   kernel.Config
+	}{
+		{"IPIntrQLimit", kernel.Config{IPIntrQLimit: -1}},
+		{"IPIntrQLimit", kernel.Config{Mode: kernel.ModePolledCompat, IPIntrQLimit: -1}},
+		{"OutQueueLimit", kernel.Config{Mode: kernel.ModePolled, OutQueueLimit: -1}},
+		{"OutQueueLimit", kernel.Config{OutQueueLimit: -1, OutputRED: true}},
+		{"ScreendQLimit", kernel.Config{Screend: true, ScreendQLimit: -1}},
+		{"NIC.RxRing", nicRing(-1, 0)},
+		{"NIC.TxRing", nicRing(0, -1)},
+		{"PoolBuffers", kernel.Config{PoolBuffers: -1}},
+		{"LinkBitRate", kernel.Config{LinkBitRate: -1}},
+		{"InputNICs", kernel.Config{InputNICs: -1}},
+		{"ScreendQHigh", fb(kernel.Config{ScreendQHigh: 8, ScreendQLow: 24})},
+		{"ScreendQHigh", fb(kernel.Config{ScreendQHigh: 8, ScreendQLow: 8})},
+		{"ScreendQHigh", fb(kernel.Config{ScreendQHigh: 40})},
+		{"ScreendQHigh", fb(kernel.Config{ScreendQLimit: 16})}, // default high 24 > limit
+		{"ScreendQLow", fb(kernel.Config{ScreendQLow: -1})},
+		{"CycleLimitPeriod", kernel.Config{Mode: kernel.ModePolled, CycleLimitThreshold: 0.5, CycleLimitPeriod: -1}},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if !errors.Is(err, kernel.ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want ErrInvalidConfig naming %s", tc.field, err, tc.field)
 		}
 	}
 }

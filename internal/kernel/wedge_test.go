@@ -34,7 +34,6 @@ func TestWatchdogRecoversLostRxInterrupts(t *testing.T) {
 		InputNICs:     1,
 		NIC:           nic.Config{RxRing: 8, TxRing: 8},
 		OutQueueLimit: 8,
-		ClockTick:     sim.Millisecond,
 		PoolBuffers:   64,
 		Seed:          1,
 	})
@@ -93,7 +92,6 @@ func TestWatchdogReclaimsWedgedTxRing(t *testing.T) {
 		ScreendQLimit:   8,
 		ScreendQHigh:    5,
 		ScreendQLow:     2,
-		ClockTick:       sim.Millisecond,
 		PoolBuffers:     64,
 		Seed:            1,
 	})

@@ -119,38 +119,41 @@ func (r *Registry) register(in *Instrument) error {
 	return nil
 }
 
-// CounterFunc registers a monotonic counter read through fn.
+// CounterFunc registers a monotonic counter read through fn; a nil fn
+// registers a constant-zero column.
 func (r *Registry) CounterFunc(name string, fn func() uint64) error {
 	if fn == nil {
-		return fmt.Errorf("metrics: nil counter func for %q", name)
+		fn = func() uint64 { return 0 }
 	}
 	return r.register(&Instrument{name: name, kind: KindCounter, counter: fn})
 }
 
 // Counter registers a stats.Counter under name. A nil counter registers
-// a constant-zero column, which keeps the schema identical across
-// kernel modes that lack the underlying object (e.g. ipintrq drops in
-// the polled kernel).
+// a constant-zero column, as a nil source does for every kind: it keeps
+// the schema identical across kernel modes that lack the underlying
+// object (e.g. ipintrq drops in the polled kernel).
 func (r *Registry) Counter(name string, c *stats.Counter) error {
 	if c == nil {
-		return r.CounterFunc(name, func() uint64 { return 0 })
+		return r.CounterFunc(name, nil)
 	}
 	return r.CounterFunc(name, c.Value)
 }
 
-// Gauge registers a point-in-time value read through fn.
+// Gauge registers a point-in-time value read through fn; a nil fn
+// registers a constant-zero column.
 func (r *Registry) Gauge(name string, fn func() float64) error {
 	if fn == nil {
-		return fmt.Errorf("metrics: nil gauge func for %q", name)
+		fn = func() float64 { return 0 }
 	}
 	return r.register(&Instrument{name: name, kind: KindGauge, gauge: fn})
 }
 
 // Utilization registers a cumulative busy-time reading; the sampler
-// reports the fraction of each interval it advanced by.
+// reports the fraction of each interval it advanced by. A nil fn
+// registers a constant-zero column.
 func (r *Registry) Utilization(name string, fn func() sim.Duration) error {
 	if fn == nil {
-		return fmt.Errorf("metrics: nil utilization func for %q", name)
+		fn = func() sim.Duration { return 0 }
 	}
 	return r.register(&Instrument{name: name, kind: KindUtilization, busy: fn})
 }

@@ -39,6 +39,32 @@ func TestRegistryNilCounterIsZeroColumn(t *testing.T) {
 	}
 }
 
+// TestRegistryNilSourceIsZeroColumn: every kind renders a nil source as
+// a constant-zero column of that kind, the rule that lets an absent
+// subsystem register its columns once, in the same place as a present
+// one.
+func TestRegistryNilSourceIsZeroColumn(t *testing.T) {
+	reg := NewRegistry()
+	for _, err := range []error{
+		reg.CounterFunc("c", nil),
+		reg.Gauge("g", nil),
+		reg.Utilization("u", nil),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in := reg.Lookup("c"); in.Kind() != KindCounter || in.counter() != 0 {
+		t.Errorf("counter column: kind %v", in.Kind())
+	}
+	if in := reg.Lookup("g"); in.Kind() != KindGauge || in.gauge() != 0 {
+		t.Errorf("gauge column: kind %v", in.Kind())
+	}
+	if in := reg.Lookup("u"); in.Kind() != KindUtilization || in.busy() != 0 {
+		t.Errorf("utilization column: kind %v", in.Kind())
+	}
+}
+
 func TestRegistryOrderIsRegistrationOrder(t *testing.T) {
 	reg := NewRegistry()
 	for _, n := range []string{"z", "a", "m"} {

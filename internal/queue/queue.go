@@ -6,7 +6,6 @@
 package queue
 
 import (
-	"livelock/internal/metrics"
 	"livelock/internal/netstack"
 	"livelock/internal/prov"
 	"livelock/internal/sim"
@@ -177,21 +176,6 @@ func (q *Queue) Each(fn func(*netstack.Packet)) {
 	for i := 0; i < q.count; i++ {
 		fn(q.buf[(q.head+i)%q.limit])
 	}
-}
-
-// RegisterMetrics registers the queue's instruments under its name: a
-// point-in-time depth gauge plus the drop and enqueue counters. The
-// depth gauge is the timeline's livelock tell — a queue pegged at
-// capacity for whole sample intervals means every marginal packet is
-// dropped after upstream work was invested in it.
-func (q *Queue) RegisterMetrics(reg *metrics.Registry) error {
-	if err := reg.Gauge(q.name+".depth", func() float64 { return float64(q.count) }); err != nil {
-		return err
-	}
-	if err := reg.Counter(q.name+".drops", q.Drops); err != nil {
-		return err
-	}
-	return reg.Counter(q.name+".enq", q.Enqueued)
 }
 
 // Flush releases all queued packets and returns how many were
