@@ -10,13 +10,15 @@
 //	lkfigures -csv -out dir    # write <dir>/fig-<id>.csv files
 //	lkfigures -measure 3s      # measurement window per point
 //	lkfigures -parallel 4      # bound the trial worker pool (0 = all cores)
-//	lkfigures -progress        # sweep progress on stderr
+//	lkfigures -progress        # sweep progress (figure points) on stderr
 //	lkfigures -cpuprofile p.out -memprofile m.out -trace t.out
 //	                           # profile/trace the run for go tool pprof/trace
 //
-// Trials of a sweep are fanned out across a worker pool (all CPU cores
-// by default). Results are deterministic: every worker count, including
-// -parallel 1 (fully serial), produces byte-identical tables and CSV.
+// The figures' trials run as one plan across a worker pool (all CPU
+// cores by default), each distinct trial once. Results are
+// deterministic: every worker count, including -parallel 1 (fully
+// serial), produces byte-identical tables and CSV, and a figure run
+// alone matches its block under -fig all.
 // A trial that fails its audit or panics is reported on stderr; every
 // figure is still written, and then lkfigures exits 1.
 package main
@@ -59,7 +61,7 @@ func run(args []string, w io.Writer) error {
 	parallel := fs.Int("parallel", 0, "concurrent trials per sweep; 0 = all CPU cores, 1 = serial")
 	cpus := fs.Int("cpus", 0, "run every trial with this many virtual CPUs (0 = per-figure default; S-1/S-2, 7-1 and the TCP figures ignore it)")
 	irqcpus := fs.Int("irqcpus", 0, "with -cpus: cores dedicated to interrupt handling in polled mode")
-	progress := fs.Bool("progress", false, "report per-sweep trial progress on stderr")
+	progress := fs.Bool("progress", false, "report sweep progress on stderr: figure points done of the whole sweep")
 	timelineDir := fs.String("timeline-dir", "", "also write overload timeline CSVs for the headline kernel configurations to this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -117,7 +119,7 @@ func run(args []string, w io.Writer) error {
 	}
 	if *progress {
 		opts.Progress = func(done, total int, elapsed time.Duration) {
-			fmt.Fprintf(os.Stderr, "\r%4d/%d trials  %6.1fs", done, total, elapsed.Seconds())
+			fmt.Fprintf(os.Stderr, "\r%4d/%d points  %6.1fs", done, total, elapsed.Seconds())
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}

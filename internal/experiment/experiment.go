@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"livelock/internal/kernel"
 	"livelock/internal/plot"
-	"livelock/internal/prof"
 	"livelock/internal/sim"
 )
 
@@ -49,15 +49,17 @@ type Options struct {
 	Seed uint64
 	// Parallel bounds how many trials a sweep measures concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 runs the trials serially in
-	// sweep order. Each trial is an independent simulation and results
+	// plan order. Each trial is an independent simulation and results
 	// are assembled positionally with per-trial seeds fixed up front,
 	// so every worker count produces bit-identical figures.
 	Parallel int
-	// Progress, if non-nil, is invoked after each completed trial of a
-	// sweep with the completed count, the sweep's total trial count,
-	// and the wall-clock time elapsed since the sweep began. Calls are
-	// serialized (done is strictly increasing) but may be issued from
-	// worker goroutines.
+	// Progress, if non-nil, is invoked once per figure point of a sweep,
+	// when the trial that measures it completes, with the completed
+	// count, the sweep's total point count (every figure of the sweep,
+	// under AllFigures) and the wall-clock time elapsed since the sweep
+	// began. A trial several points share completes them all at once.
+	// Calls are serialized (done is strictly increasing) but may be
+	// issued from worker goroutines.
 	Progress func(done, total int, elapsed time.Duration)
 	// CPUs, when > 0, overrides the virtual CPU count of every trial
 	// (the -cpus sweep); IRQCPUs then sets how many cores the polled
@@ -82,6 +84,29 @@ func (o Options) config(cfg kernel.Config) kernel.Config {
 		cfg.IRQCPUs = o.IRQCPUs
 	}
 	return cfg
+}
+
+// trial returns the trial of kind that measures cfg, as the caller has
+// already made it with config, at x over these options' windows.
+func (o Options) trial(kind trialKind, cfg kernel.Config, x float64) trial {
+	return trial{kind: kind, cfg: cfg, axis: x, warmup: o.Warmup, measure: o.Measure}
+}
+
+// plain returns the requests of a curve of plain trials of cfg, one per
+// offered load; profiled requests each point's wasted-work fraction.
+func (o Options) plain(cfg kernel.Config, profiled bool) func(rate float64) request {
+	cfg = o.config(cfg)
+	return func(rate float64) request {
+		return request{o.trial(plainTrial, cfg, rate), profiled}
+	}
+}
+
+// mlfrr returns the trial that estimates cfg's MLFRR at lossTolerance,
+// reported at x.
+func (o Options) mlfrr(cfg kernel.Config, lossTolerance, x float64) trial {
+	t := o.trial(mlfrrTrial, cfg, x)
+	t.tol = lossTolerance
+	return t
 }
 
 func (o Options) withDefaults(defaultRates []float64) Options {
@@ -180,50 +205,76 @@ var defaultUserCPURates = []float64{
 	0, 500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 5000, 6000, 7000, 8000, 9000, 10000,
 }
 
-// forwardingFigure sweeps specs with run across the offered-load axis
-// of figures 6-1, 6-3..6-6 and W-1, labelled as the forwarding figures
-// that plot output rate against input rate.
-func forwardingFigure(id, title string, run trialFunc, specs []seriesSpec, o Options) Figure {
-	fig := Figure{
+// seriesSpec describes one curve of a figure before it is planned.
+type seriesSpec struct {
+	Label string
+	Cfg   kernel.Config
+}
+
+// forwardingFrame is the frame of the forwarding figures 6-1, 6-3..6-6
+// and W-1: output rate against input rate.
+func forwardingFrame(id, title string) Figure {
+	return Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "Input packet rate (pkts/sec)",
 		YLabel: "Output packet rate (pkts/sec)",
 	}
-	fig.Series, fig.Errors = runSeries(run, specs, o.withDefaults(defaultThroughputRates))
-	return fig
+}
+
+// forwardingPlan declares fig with specs across the offered-load axis;
+// profiled requests the wasted-work fraction of every point.
+func forwardingPlan(p *plan, fig Figure, specs []seriesSpec, profiled bool, o Options) {
+	o = o.withDefaults(defaultThroughputRates)
+	p.figure(fig)
+	for _, s := range specs {
+		p.series(s.Label, o.Rates, o.plain(s.Cfg, profiled))
+	}
+}
+
+// runFigure measures one figure, planned alone.
+func runFigure(o Options, declare func(*plan, Options)) Figure {
+	var p plan
+	declare(&p, o)
+	return p.run(runTrial, o)[0]
 }
 
 // Fig61 reproduces figure 6-1: forwarding performance of the unmodified
 // kernel, with and without the screend user-mode filter.
-func Fig61(o Options) Figure {
-	return forwardingFigure("6-1", "Forwarding performance of unmodified kernel", kernel.RunTrial, []seriesSpec{
+func Fig61(o Options) Figure { return runFigure(o, plan61) }
+
+func plan61(p *plan, o Options) {
+	forwardingPlan(p, forwardingFrame("6-1", "Forwarding performance of unmodified kernel"), []seriesSpec{
 		{"Without screend", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"With screend", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
-	}, o)
+	}, false, o)
 }
 
 // Fig63 reproduces figure 6-3: forwarding performance of the modified
 // kernel without screend — unmodified baseline, the no-polling compat
 // configuration, polling with quota 5, and polling with no quota.
-func Fig63(o Options) Figure {
-	return forwardingFigure("6-3", "Forwarding performance of modified kernel, without using screend", kernel.RunTrial, []seriesSpec{
+func Fig63(o Options) Figure { return runFigure(o, plan63) }
+
+func plan63(p *plan, o Options) {
+	forwardingPlan(p, forwardingFrame("6-3", "Forwarding performance of modified kernel, without using screend"), []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"No polling", kernel.Config{Mode: kernel.ModePolledCompat}},
 		{"Polling (quota = 5)", kernel.Config{Mode: kernel.ModePolled, Quota: 5}},
 		{"Polling (no quota)", kernel.Config{Mode: kernel.ModePolled, Quota: -1}},
-	}, o)
+	}, false, o)
 }
 
 // Fig64 reproduces figure 6-4: the screend path on the unmodified
 // kernel, the polled kernel without feedback, and the polled kernel with
 // queue-state feedback.
-func Fig64(o Options) Figure {
-	return forwardingFigure("6-4", "Forwarding performance of modified kernel, with screend", kernel.RunTrial, []seriesSpec{
+func Fig64(o Options) Figure { return runFigure(o, plan64) }
+
+func plan64(p *plan, o Options) {
+	forwardingPlan(p, forwardingFrame("6-4", "Forwarding performance of modified kernel, with screend"), []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 		{"Polling, no feedback", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true}},
 		{"Polling w/feedback", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}},
-	}, o)
+	}, false, o)
 }
 
 // quotaSpecs builds the quota sweep common to figures 6-5 and 6-6.
@@ -248,40 +299,42 @@ func quotaSpecs(screend, feedback bool) []seriesSpec {
 
 // Fig65 reproduces figure 6-5: effect of the packet-count quota without
 // screend.
-func Fig65(o Options) Figure {
-	return forwardingFigure("6-5", "Effect of packet-count quota on performance, no screend", kernel.RunTrial, quotaSpecs(false, false), o)
+func Fig65(o Options) Figure { return runFigure(o, plan65) }
+
+func plan65(p *plan, o Options) {
+	forwardingPlan(p, forwardingFrame("6-5", "Effect of packet-count quota on performance, no screend"), quotaSpecs(false, false), false, o)
 }
 
 // Fig66 reproduces figure 6-6: effect of the packet-count quota with
 // screend and queue-state feedback.
-func Fig66(o Options) Figure {
-	return forwardingFigure("6-6", "Effect of packet-count quota on performance, with screend", kernel.RunTrial, quotaSpecs(true, true), o)
+func Fig66(o Options) Figure { return runFigure(o, plan66) }
+
+func plan66(p *plan, o Options) {
+	forwardingPlan(p, forwardingFrame("6-6", "Effect of packet-count quota on performance, with screend"), quotaSpecs(true, true), false, o)
 }
 
 // Fig71 reproduces figure 7-1: CPU time available to a compute-bound
 // user process under input load, for several cycle-limit thresholds.
 // The Options CPUs override does not apply: the user process runs on a
 // uniprocessor only (kernel.ErrUserProcessSMP).
-func Fig71(o Options) Figure {
+func Fig71(o Options) Figure { return runFigure(o, plan71) }
+
+func plan71(p *plan, o Options) {
 	o = o.withDefaults(defaultUserCPURates)
 	o.CPUs = 0
-	fig := Figure{
+	p.figure(Figure{
 		ID:     "7-1",
 		Title:  "User-mode CPU time available using cycle-limit mechanism",
 		XLabel: "Input packet rate (pkts/sec)",
 		YLabel: "Available CPU time (per cent)",
-	}
-	var specs []seriesSpec
+	})
 	for _, th := range []float64{0.25, 0.50, 0.75, 1.00} {
-		specs = append(specs, seriesSpec{fmt.Sprintf("threshold %3.0f %%", th*100),
-			kernel.Config{
-				Mode: kernel.ModePolled, Quota: 5,
-				UserProcess:         true,
-				CycleLimitThreshold: th,
-			}})
+		p.series(fmt.Sprintf("threshold %3.0f %%", th*100), o.Rates, o.plain(kernel.Config{
+			Mode: kernel.ModePolled, Quota: 5,
+			UserProcess:         true,
+			CycleLimitThreshold: th,
+		}, false))
 	}
-	fig.Series, fig.Errors = runSeries(kernel.RunTrial, specs, o)
-	return fig
 }
 
 // FigWasted is this reproduction's own figure W-1: the wasted-work
@@ -291,27 +344,25 @@ func Fig71(o Options) Figure {
 // mechanism directly: under livelock the unmodified kernel's curve
 // climbs toward 100% (every cycle spent, nothing delivered), while
 // early ring drops keep the polled kernel's curve near zero.
-func FigWasted(o Options) Figure {
-	// Each trial gets its own profiler: specs are shared across the
-	// parallel executor's workers, so the profile cannot live in the
-	// spec's Config.
-	profiled := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
-		cfg.Profile = prof.New()
-		return kernel.RunTrial(cfg, rate, warmup, measure)
-	}
-	fig := forwardingFigure("W-1", "Wasted work fraction under increasing offered load", profiled, []seriesSpec{
+func FigWasted(o Options) Figure { return runFigure(o, planWasted) }
+
+// planWasted declares W-1's profiled trials. Each is the trial of a
+// plain series of figures 6-1, 6-3 or 6-4, so a sweep of all figures
+// runs it once, with the profiler, for both.
+func planWasted(p *plan, o Options) {
+	fig := forwardingFrame("W-1", "Wasted work fraction under increasing offered load")
+	fig.YLabel = "Wasted work (per cent of packet cycles)"
+	forwardingPlan(p, fig, []seriesSpec{
 		{"Unmodified", kernel.Config{Mode: kernel.ModeUnmodified}},
 		{"Unmodified w/screend", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 		{"Polling (quota = 5)", kernel.Config{Mode: kernel.ModePolled, Quota: 5}},
 		{"Polling w/scr+fb", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}},
-	}, o)
-	fig.YLabel = "Wasted work (per cent of packet cycles)"
-	return fig
+	}, true, o)
 }
 
 // irqHalfCores is the seriesSpec sentinel for "half the cores take
-// interrupts": mlfrrOverCores resolves it to CPUs/2 per trial, since
-// the real value depends on the point's position on the core axis.
+// interrupts": coresPlan resolves it to CPUs/2 per point, since the
+// real value depends on the point's position on the core axis.
 const irqHalfCores = -1
 
 // smp1Cores and smp2Cores are the core-count axes of figures S-1 and
@@ -322,22 +373,24 @@ var (
 	smp2Cores = []float64{2, 4, 8}
 )
 
-// mlfrrOverCores adapts the parallel trial executor to a core-count
-// sweep: the rate axis carries the virtual CPU count and each trial
-// reports its configuration's MLFRR as the output rate. The Options
-// CPUs/IRQCPUs override deliberately does not apply — the axis is the
-// core count.
-func mlfrrOverCores(specs []seriesSpec, o Options) ([]Series, []TrialError) {
+// coresPlan declares a core-count sweep: each point is its series'
+// MLFRR at the point's virtual CPU count, reported as the output rate.
+// The Options CPUs/IRQCPUs override deliberately does not apply — the
+// axis is the core count.
+func coresPlan(p *plan, fig Figure, cores []float64, specs []seriesSpec, o Options) {
+	o = o.withDefaults(nil)
 	o.CPUs = 0
-	run := func(cfg kernel.Config, cores float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
-		cfg.CPUs = int(cores)
-		if cfg.IRQCPUs == irqHalfCores {
-			cfg.IRQCPUs = cfg.CPUs / 2
-		}
-		m, err := mlfrr(cfg, 0.98, warmup, measure)
-		return kernel.TrialResult{InputRate: cores, OutputRate: m}, err
+	p.figure(fig)
+	for _, s := range specs {
+		p.series(s.Label, cores, func(n float64) request {
+			cfg := o.config(s.Cfg)
+			cfg.CPUs = int(n)
+			if cfg.IRQCPUs == irqHalfCores {
+				cfg.IRQCPUs = cfg.CPUs / 2
+			}
+			return request{trial: o.mlfrr(cfg, 0.98, n)}
+		})
 	}
-	return runSeries(run, specs, o)
 }
 
 // FigSMP1 is this reproduction's figure S-1: MLFRR against the virtual
@@ -350,21 +403,19 @@ func mlfrrOverCores(specs []seriesSpec, o Options) ([]Series, []TrialError) {
 // user process pinned to the boot CPU, so extra cores only offload
 // the device and IP work around it — Amdahl's law, not livelock, is
 // the SMP ceiling.
-func FigSMP1(o Options) Figure {
-	o = o.withDefaults(nil)
-	o.Rates = smp1Cores // fixed core axis, never the offered-load axis
-	fig := Figure{
+func FigSMP1(o Options) Figure { return runFigure(o, planSMP1) }
+
+func planSMP1(p *plan, o Options) {
+	coresPlan(p, Figure{
 		ID:     "S-1",
 		Title:  "MLFRR scaling with virtual CPUs, polling kernel with quota and feedback",
 		XLabel: "Virtual CPUs",
 		YLabel: "MLFRR (pkts/sec)",
-	}
-	fig.Series, fig.Errors = mlfrrOverCores([]seriesSpec{
+	}, smp1Cores, []seriesSpec{
 		{"Unmodified w/screend", kernel.Config{Mode: kernel.ModeUnmodified, Screend: true}},
 		{"Polling w/feedback", kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}},
 		{"Polling, no screend", kernel.Config{Mode: kernel.ModePolled, Quota: 10}},
 	}, o)
-	return fig
 }
 
 // FigSMP2 is figure S-2: the S-1 polling kernel with interrupt-isolated
@@ -372,63 +423,64 @@ func FigSMP1(o Options) Figure {
 // rest run polling threads undisturbed. One dedicated interrupt core is
 // compared against no isolation and against giving interrupts half the
 // machine.
-func FigSMP2(o Options) Figure {
-	o = o.withDefaults(nil)
-	o.Rates = smp2Cores // fixed core axis, never the offered-load axis
-	fig := Figure{
-		ID:     "S-2",
-		Title:  "MLFRR with interrupt-isolated cores, polling kernel with quota and feedback",
-		XLabel: "Virtual CPUs",
-		YLabel: "MLFRR (pkts/sec)",
-	}
+func FigSMP2(o Options) Figure { return runFigure(o, planSMP2) }
+
+func planSMP2(p *plan, o Options) {
 	base := kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}
 	oneIRQ, halfIRQ := base, base
 	oneIRQ.IRQCPUs = 1
 	halfIRQ.IRQCPUs = irqHalfCores
-	fig.Series, fig.Errors = mlfrrOverCores([]seriesSpec{
+	coresPlan(p, Figure{
+		ID:     "S-2",
+		Title:  "MLFRR with interrupt-isolated cores, polling kernel with quota and feedback",
+		XLabel: "Virtual CPUs",
+		YLabel: "MLFRR (pkts/sec)",
+	}, smp2Cores, []seriesSpec{
 		{"No IRQ isolation", base},
 		{"1 IRQ core", oneIRQ},
 		{"Half cores IRQ", halfIRQ},
 	}, o)
-	return fig
 }
 
-// AllFigures runs every reproduced figure.
+// figures lists every reproduced figure in AllFigures order, each with
+// the ids ByID accepts for it (canonical first) and its plan.
+var figures = []struct {
+	ids  []string
+	plan func(*plan, Options)
+}{
+	{[]string{"6-1", "61"}, plan61},
+	{[]string{"6-3", "63"}, plan63},
+	{[]string{"6-4", "64"}, plan64},
+	{[]string{"6-5", "65"}, plan65},
+	{[]string{"6-6", "66"}, plan66},
+	{[]string{"7-1", "71"}, plan71},
+	{[]string{"W-1", "W1", "w-1", "w1", "wasted"}, planWasted},
+	{[]string{"S-1", "S1", "s-1", "s1"}, planSMP1},
+	{[]string{"S-2", "S2", "s-2", "s2"}, planSMP2},
+	{[]string{"T-1", "T1", "t-1", "t1"}, planT1},
+	{[]string{"T-2", "T2", "t-2", "t2"}, planT2},
+}
+
+// AllFigures runs every reproduced figure as one plan: each distinct
+// trial once, on one worker pool, with Progress counting every figure
+// point of the sweep.
 func AllFigures(o Options) []Figure {
-	return []Figure{
-		Fig61(o), Fig63(o), Fig64(o), Fig65(o), Fig66(o), Fig71(o), FigWasted(o),
-		FigSMP1(o), FigSMP2(o), FigT1(o), FigT2(o),
+	var p plan
+	for _, f := range figures {
+		f.plan(&p, o)
 	}
+	return p.run(runTrial, o)
 }
 
 // ByID returns the runner for a figure id ("6-1", "6-3", ...), or nil.
 func ByID(id string) func(Options) Figure {
-	switch strings.TrimPrefix(id, "fig") {
-	case "6-1", "61":
-		return Fig61
-	case "6-3", "63":
-		return Fig63
-	case "6-4", "64":
-		return Fig64
-	case "6-5", "65":
-		return Fig65
-	case "6-6", "66":
-		return Fig66
-	case "7-1", "71":
-		return Fig71
-	case "W-1", "W1", "w-1", "w1", "wasted":
-		return FigWasted
-	case "S-1", "S1", "s-1", "s1":
-		return FigSMP1
-	case "S-2", "S2", "s-2", "s2":
-		return FigSMP2
-	case "T-1", "T1", "t-1", "t1":
-		return FigT1
-	case "T-2", "T2", "t-2", "t2":
-		return FigT2
-	default:
-		return nil
+	id = strings.TrimPrefix(id, "fig")
+	for _, f := range figures {
+		if slices.Contains(f.ids, id) {
+			return func(o Options) Figure { return runFigure(o, f.plan) }
+		}
 	}
+	return nil
 }
 
 // userCPUFigure reports whether the figure plots user CPU share rather

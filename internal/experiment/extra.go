@@ -12,29 +12,98 @@ import (
 
 // MLFRR estimates the Maximum Loss Free Receive Rate (§3) of a
 // configuration by binary search: the highest offered load at which the
-// router forwards at least lossTolerance of the input. The error is the
-// first probe trial's failed audit.
+// router forwards at least lossTolerance of the input. It runs as one
+// trial of the sweep executor. The error is the first probe's failed
+// audit, or a recovered panic.
 func MLFRR(cfg kernel.Config, lossTolerance float64, o Options) (float64, error) {
 	o = o.withDefaults(nil)
-	return mlfrr(o.config(cfg), lossTolerance, o.Warmup, o.Measure)
+	pts, errs := group([]request{{trial: o.mlfrr(o.config(cfg), lossTolerance, 0)}}).execute(runTrial, o)
+	return pts[0].OutputRate, errs[0]
 }
 
-// mlfrr is MLFRR's bisection over trials of cfg as given.
+// mlfrr is MLFRR's bisection over probes of cfg as given.
 func mlfrr(cfg kernel.Config, lossTolerance float64, warmup, measure sim.Duration) (float64, error) {
+	return bisect(func(rate float64) (bool, error) {
+		pass, _, err := probe(cfg, rate, lossTolerance, warmup, measure, true)
+		return pass, err
+	})
+}
+
+// bisect narrows the offered load between 100 pkts/s and the wire rate
+// to a 50 pkts/s bracket by asking pass at each midpoint, and returns
+// the bracket's middle.
+func bisect(pass func(rate float64) (bool, error)) (float64, error) {
 	lo, hi := 100.0, float64(14880)
 	for hi-lo > 50 {
 		mid := (lo + hi) / 2
-		res, err := kernel.RunTrial(cfg, mid, warmup, measure)
+		ok, err := pass(mid)
 		if err != nil {
 			return 0, fmt.Errorf("MLFRR probe at %.0f pkts/s: %w", mid, err)
 		}
-		if res.OutputRate >= lossTolerance*res.InputRate {
+		if ok {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2, nil
+}
+
+// probeStep is the simulated time between an MLFRR probe's checks of
+// whether its verdict is already fixed.
+const probeStep = 10 * sim.Millisecond
+
+// probeJitter is the probe generator's gap jitter, kernel.RunTrial's.
+const probeJitter = 0.05
+
+// probe runs kernel.RunTrial's trial of cfg at rate and reports whether
+// the router forwarded at least lossTolerance of the offered load over
+// the window (pass), with RunTrial's rates and comparison. The window
+// runs in probeStep steps. Engine.Run fires only events at or before
+// its bound, so the steps fire the same events in the same order as one
+// run. With early set, the probe stops after the first step at which
+// it cannot pass (cut); passing probes run the whole window. Every
+// probe, cut or not, stops its generator, drains for 200 ms and audits
+// through Finish.
+func probe(cfg kernel.Config, rate, lossTolerance float64, warmup, measure sim.Duration, early bool) (pass, cut bool, err error) {
+	r := kernel.NewRouter(sim.NewEngine(), cfg)
+	r.AttachGenerator(0, workload.ConstantRate{Rate: rate, JitterFrac: probeJitter}, 0).Start()
+	r.Measure(warmup, 0)
+	offered, delivered := r.Offered(), r.Delivered()
+	// A frame the fault plane duplicates or drops after transmission
+	// breaks the bound below, so only a fault-free probe may stop.
+	early = early && !cfg.Fault.Enabled()
+	end := r.Eng.Now().Add(measure)
+	for r.Eng.Now() < end {
+		r.Eng.RunFor(min(probeStep, end.Sub(r.Eng.Now())))
+		if early && cannotPass(r, offered, delivered, rate, lossTolerance, end.Sub(r.Eng.Now())) {
+			cut = true
+			break
+		}
+	}
+	var in, out float64
+	if s := measure.Seconds(); s > 0 && !cut {
+		in = float64(r.Offered()-offered) / s
+		out = float64(r.Delivered()-delivered) / s
+	}
+	_, err = r.Finish(200 * sim.Millisecond)
+	return !cut && out >= lossTolerance*in, cut, err
+}
+
+// cannotPass reports whether a probe window that began with offered
+// and delivered frames, and has left to run, must forward less than
+// lossTolerance of its offered load. At best, every frame not yet
+// dropped leaves the output interface by the window's end, and so does
+// every frame the generator can still emit: the remaining time over the
+// shortest jittered gap, plus slack for the frame at the window's end
+// and the gap's rounding.
+func cannotPass(r *kernel.Router, offered, delivered uint64, rate, lossTolerance float64, left sim.Duration) bool {
+	a := r.Account()
+	now := r.Offered()
+	reachable := float64(now+a.Originated+a.Duplicated) - float64(a.Dropped()) - float64(delivered)
+	minGap := (1-probeJitter)*float64(sim.PerSecond(rate)) - 1
+	toCome := float64(left)/minGap + 2
+	return reachable+(1-lossTolerance)*toCome-lossTolerance*float64(now-offered) < 0
 }
 
 // window measures r over one window and finishes the run with no

@@ -7,23 +7,57 @@ import (
 	"time"
 
 	"livelock/internal/kernel"
+	"livelock/internal/prof"
 	"livelock/internal/sim"
 )
 
-// This file implements the parallel trial executor. Every figure is a
-// set of (series × rate) trial points, and each trial constructs its own
-// sim.Engine, router, and packet pool — trials share no mutable state,
-// so they are embarrassingly parallel. The executor fans all points of a
-// sweep out across a bounded worker pool and assembles results
-// positionally, which makes the output bit-identical to a serial sweep
-// regardless of worker count or scheduling: every trial uses the same
-// seed it would have used serially, and result order is fixed by index,
-// not completion time.
+// This file implements the sweep plan and its executor. A figure
+// declares its trials into a plan instead of running them. The executor
+// runs the union of every planned figure's trials on one worker pool,
+// each distinct trial once, and fans each result back out to every
+// figure point that asked for it. Trials share no mutable state: each
+// constructs its own sim.Engine, router and packet pool. Results land
+// by index, never by completion order, and every trial carries its seed
+// from the plan, so the figures are bit-identical for every worker
+// count and for every subset of figures planned together.
 
-// seriesSpec describes one curve of a figure before it is measured.
-type seriesSpec struct {
-	Label string
-	Cfg   kernel.Config
+// trialKind says how the executor runs a trial.
+type trialKind uint8
+
+const (
+	plainTrial trialKind = iota // kernel.RunTrial at the axis rate
+	mlfrrTrial                  // the MLFRR bisection of cfg
+	tcpTrial                    // a T-figure bulk transfer
+)
+
+// trial is everything that decides a trial's result, and so the key
+// the plan runs each trial once by: figure points with equal trials
+// measure the same thing.
+type trial struct {
+	kind trialKind
+	// cfg is the configuration as the trial runs it: the sweep's seed
+	// and core counts applied, and no Profile (see request).
+	cfg kernel.Config
+	// axis is the figure's x value: the offered load of a plain trial,
+	// the core count of an MLFRR trial (already in cfg), the coalescing
+	// threshold or reorder intensity of a TCP trial (already in cfg).
+	axis            float64
+	warmup, measure sim.Duration
+	tol             float64           // mlfrrTrial: the loss tolerance
+	variant         kernel.TCPVariant // tcpTrial: the sender's loss recovery
+	sorting         bool              // tcpTrial: the receiver resequences
+}
+
+// request is one figure point: the trial that measures it, and whether
+// the point reads the trial's wasted-work fraction, which only a
+// profiled trial measures. The profiler is not part of the key: a
+// profiled trial serves the plain requests for the same trial, because
+// attaching it changes no other field of the result
+// (TestProfiledTrialStandsIn pins this for every configuration figure
+// W-1 profiles, the only profiled figure).
+type request struct {
+	trial
+	profiled bool
 }
 
 // TrialError records a trial that failed during a sweep: its audit
@@ -33,7 +67,8 @@ type seriesSpec struct {
 type TrialError struct {
 	// Series is the label of the curve the trial belonged to.
 	Series string
-	// Rate is the offered load of the failed trial (pkts/s).
+	// Rate is the x value of the failed trial: the offered load
+	// (pkts/s), or the figure's own axis value.
 	Rate float64
 	// Err is the audit error or the recovered panic.
 	Err error
@@ -44,32 +79,72 @@ func (e TrialError) Error() string {
 	return fmt.Sprintf("trial %q @ %.0f pkts/s: %v", e.Series, e.Rate, e.Err)
 }
 
-// trialFunc abstracts kernel.RunTrial so executor tests can inject
-// failures and observe the windows passed through.
-type trialFunc func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error)
+// runFunc runs one distinct trial, with the profiler attached when
+// profiled; tests substitute it to inject failures and observe trials.
+type runFunc func(t trial, profiled bool) (kernel.TrialResult, error)
 
-// runSeries measures every spec across o.Rates through the
-// parallel executor, running each trial with run, and returns the
-// completed curves in spec order, plus any trial failures in
-// deterministic (series, rate) order.
-func runSeries(run trialFunc, specs []seriesSpec, o Options) ([]Series, []TrialError) {
-	type job struct{ si, pi int }
-	total := len(specs) * len(o.Rates)
-	points := make([][]Point, len(specs))
-	failures := make([][]error, len(specs))
-	for i := range specs {
-		points[i] = make([]Point, len(o.Rates))
-		failures[i] = make([]error, len(o.Rates))
+// runTrial is the executor's runFunc: it runs t as its kind says.
+func runTrial(t trial, profiled bool) (kernel.TrialResult, error) {
+	switch t.kind {
+	case mlfrrTrial:
+		m, err := mlfrr(t.cfg, t.tol, t.warmup, t.measure)
+		return kernel.TrialResult{InputRate: t.axis, OutputRate: m}, err
+	case tcpTrial:
+		res, err := tcpGoodputTrial(t.cfg, t.variant, t.sorting, t.warmup, t.measure)
+		res.InputRate = t.axis
+		return res, err
+	default:
+		cfg := t.cfg
+		if profiled {
+			cfg.Profile = prof.New()
+		}
+		return kernel.RunTrial(cfg, t.axis, t.warmup, t.measure)
 	}
+}
 
+// grouping is a plan's requests grouped by trial.
+type grouping struct {
+	trials   []trial // distinct, in order of first request
+	profiled []bool  // per trial: some request reads its WastedFrac
+	shares   []int   // per trial: how many requests it serves
+	which    []int   // per request: the index of its trial
+	wasted   []bool  // per request: it reads WastedFrac
+}
+
+// group groups reqs by trial. The key map dies with the call, and the
+// requests are not kept: a running sweep holds each distinct trial once.
+func group(reqs []request) grouping {
+	g := grouping{which: make([]int, len(reqs)), wasted: make([]bool, len(reqs))}
+	at := make(map[trial]int, len(reqs))
+	for i, rq := range reqs {
+		k, ok := at[rq.trial]
+		if !ok {
+			k = len(g.trials)
+			at[rq.trial] = k
+			g.trials = append(g.trials, rq.trial)
+			g.profiled = append(g.profiled, false)
+			g.shares = append(g.shares, 0)
+		}
+		g.profiled[k] = g.profiled[k] || rq.profiled
+		g.shares[k]++
+		g.which[i], g.wasted[i] = k, rq.profiled
+	}
+	return g
+}
+
+// execute runs every distinct trial once with run, on o.Parallel
+// workers (0 = GOMAXPROCS), in order of first request, and returns each
+// trial's point and error; a failed trial's point is zero. o.Progress
+// fires once per request, when its trial completes.
+func (g grouping) execute(run runFunc, o Options) ([]Point, []error) {
 	workers := o.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
+	workers = min(workers, len(g.trials))
 
+	points := make([]Point, len(g.trials))
+	errs := make([]error, len(g.trials))
 	var (
 		//lkvet:allow simdeterminism wall-clock elapsed time for the operator's progress display, outside the simulation
 		start = time.Now()
@@ -77,63 +152,115 @@ func runSeries(run trialFunc, specs []seriesSpec, o Options) ([]Series, []TrialE
 		done  int
 		wg    sync.WaitGroup
 	)
-	jobs := make(chan job)
+	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				res, err := runOneTrial(run, specs[j.si].Cfg, o.Rates[j.pi], o)
-				if err != nil {
-					failures[j.si][j.pi] = err
-				} else {
-					points[j.si][j.pi] = Point{
+			for k := range jobs {
+				res, err := runOne(run, g.trials[k], g.profiled[k])
+				if errs[k] = err; err == nil {
+					points[k] = Point{
 						InputRate:  res.InputRate,
 						OutputRate: res.OutputRate,
 						UserPct:    res.UserCPUFrac * 100,
 						WastedPct:  res.WastedFrac * 100,
 					}
 				}
-				if o.Progress != nil {
-					mu.Lock()
+				if o.Progress == nil {
+					continue
+				}
+				mu.Lock()
+				for range g.shares[k] {
 					done++
 					//lkvet:allow simdeterminism progress reporting measures real elapsed time, not simulated time
-					o.Progress(done, total, time.Since(start))
-					mu.Unlock()
+					o.Progress(done, len(g.which), time.Since(start))
 				}
+				mu.Unlock()
 			}
 		}()
 	}
-	for si := range specs {
-		for pi := range o.Rates {
-			jobs <- job{si, pi}
-		}
+	for k := range g.trials {
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()
-
-	out := make([]Series, len(specs))
-	var errs []TrialError
-	for si, spec := range specs {
-		out[si] = Series{Label: spec.Label, Points: points[si]}
-		for pi, err := range failures[si] {
-			if err != nil {
-				errs = append(errs, TrialError{Series: spec.Label, Rate: o.Rates[pi], Err: err})
-			}
-		}
-	}
-	return out, errs
+	return points, errs
 }
 
-// runOneTrial runs a single trial of the sweep's configuration,
-// converting a panic into an error so one broken configuration cannot
-// abort the rest of the sweep. A failed audit comes back as the
-// trial's own error.
-func runOneTrial(run trialFunc, cfg kernel.Config, rate float64, o Options) (res kernel.TrialResult, err error) {
+// runOne runs a single trial, converting a panic into an error so one
+// broken configuration cannot abort the rest of the sweep. A failed
+// audit comes back as the trial's own error.
+func runOne(run runFunc, t trial, profiled bool) (res kernel.TrialResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("trial panicked: %v", p)
 		}
 	}()
-	return run(o.config(cfg), rate, o.Warmup, o.Measure)
+	return run(t, profiled)
+}
+
+// plan is a sweep before it runs: the frames of the figures declared
+// into it and, in one list, the requests of all their points in
+// declaration order.
+type plan struct {
+	reqs []request
+	figs []figFrame
+}
+
+// figFrame is one declared figure: its frame (ID, titles and axis
+// labels) and the label and point count of each series, whose points
+// are the plan's next requests.
+type figFrame struct {
+	fig    Figure
+	labels []string
+	sizes  []int
+}
+
+// figure starts the declaration of fig.
+func (p *plan) figure(fig Figure) { p.figs = append(p.figs, figFrame{fig: fig}) }
+
+// series declares a curve of the figure being declared, with one
+// request per x value, made by at.
+func (p *plan) series(label string, axis []float64, at func(x float64) request) {
+	f := &p.figs[len(p.figs)-1]
+	f.labels = append(f.labels, label)
+	f.sizes = append(f.sizes, len(axis))
+	for _, x := range axis {
+		p.reqs = append(p.reqs, at(x))
+	}
+}
+
+// run measures the plan's figures through one executor and returns
+// them in declaration order. A request that does not read the profiler
+// gets WastedFrac zero, as from a plain trial. A failed trial leaves
+// its points zero-valued and a TrialError in each figure that asked
+// for it, in (series, x) order. The plan is spent: its requests are
+// dropped once grouped.
+func (p *plan) run(run runFunc, o Options) []Figure {
+	g := group(p.reqs)
+	p.reqs = nil
+	points, errs := g.execute(run, o)
+	figs := make([]Figure, len(p.figs))
+	i := 0
+	for f, frame := range p.figs {
+		fig := frame.fig
+		for s, label := range frame.labels {
+			pts := make([]Point, frame.sizes[s])
+			for j := range pts {
+				k := g.which[i]
+				if errs[k] != nil {
+					fig.Errors = append(fig.Errors, TrialError{Series: label, Rate: g.trials[k].axis, Err: errs[k]})
+				}
+				pts[j] = points[k]
+				if !g.wasted[i] {
+					pts[j].WastedPct = 0
+				}
+				i++
+			}
+			fig.Series = append(fig.Series, Series{Label: label, Points: pts})
+		}
+		figs[f] = fig
+	}
+	return figs
 }

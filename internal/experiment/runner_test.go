@@ -127,6 +127,24 @@ func stubTrial(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (k
 	return kernel.TrialResult{InputRate: rate, OutputRate: rate * float64(cfg.Quota)}, nil
 }
 
+// plainRun adapts a function of a plain trial's parameters to the
+// executor.
+func plainRun(f func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error)) runFunc {
+	return func(t trial, _ bool) (kernel.TrialResult, error) { return f(t.cfg, t.axis, t.warmup, t.measure) }
+}
+
+// sweep runs one figure of plain series, one per spec across o.Rates,
+// through the executor with run.
+func sweep(run runFunc, specs []seriesSpec, o Options) ([]Series, []TrialError) {
+	var p plan
+	p.figure(Figure{})
+	for _, s := range specs {
+		p.series(s.Label, o.Rates, o.plain(s.Cfg, false))
+	}
+	fig := p.run(run, o)[0]
+	return fig.Series, fig.Errors
+}
+
 func TestSweepPanicRecovery(t *testing.T) {
 	boom := func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
 		if rate == 2000 {
@@ -139,7 +157,7 @@ func TestSweepPanicRecovery(t *testing.T) {
 		{"a", kernel.Config{Quota: 2}},
 		{"b", kernel.Config{Quota: 3}},
 	}
-	series, errs := runSeries(boom, specs, o)
+	series, errs := sweep(plainRun(boom), specs, o)
 	if len(series) != 2 {
 		t.Fatalf("series = %d, want 2", len(series))
 	}
@@ -179,7 +197,7 @@ func TestSweepProgress(t *testing.T) {
 		},
 	}
 	specs := []seriesSpec{{"a", kernel.Config{}}, {"b", kernel.Config{}}}
-	runSeries(stubTrial, specs, o)
+	sweep(plainRun(stubTrial), specs, o)
 	if total != 6 {
 		t.Fatalf("total = %d, want 6", total)
 	}
@@ -245,7 +263,7 @@ func TestZeroWarmupTrial(t *testing.T) {
 		return kernel.TrialResult{}, nil
 	}
 	o := Options{Rates: []float64{500}, Warmup: ZeroWarmup, Measure: 100 * sim.Millisecond}
-	runSeries(capture, []seriesSpec{{"x", kernel.Config{}}}, o.withDefaults(nil))
+	sweep(plainRun(capture), []seriesSpec{{"x", kernel.Config{}}}, o.withDefaults(nil))
 	if gotWarmup != 0 {
 		t.Fatalf("trial ran with warmup %v, want 0", gotWarmup)
 	}
@@ -280,7 +298,7 @@ func TestSweepReportsAuditFailure(t *testing.T) {
 		return res, err
 	}
 	o := Options{Rates: []float64{1000, 2000}, Warmup: 50 * sim.Millisecond, Measure: 100 * sim.Millisecond, Seed: 1, Parallel: 2}
-	series, errs := runSeries(leaky, []seriesSpec{{"leaky", kernel.Config{Mode: kernel.ModePolled, Quota: 5}}}, o)
+	series, errs := sweep(plainRun(leaky), []seriesSpec{{"leaky", kernel.Config{Mode: kernel.ModePolled, Quota: 5}}}, o)
 	if len(errs) != 1 || errs[0].Rate != 2000 ||
 		!strings.Contains(errs[0].Error(), "packet conservation violated") {
 		t.Fatalf("errors = %v, want one conservation failure @2000", errs)
@@ -308,7 +326,7 @@ func TestTrialConfig(t *testing.T) {
 		seen = cfg
 		return kernel.TrialResult{}, nil
 	}
-	runSeries(capture, []seriesSpec{{"x", base}}, Options{Rates: []float64{1}, Seed: 7, CPUs: 8, IRQCPUs: 3})
+	sweep(plainRun(capture), []seriesSpec{{"x", base}}, Options{Rates: []float64{1}, Seed: 7, CPUs: 8, IRQCPUs: 3})
 	if seen.Seed != 7 || seen.CPUs != 8 || seen.IRQCPUs != 3 {
 		t.Errorf("executor trial config: seed %d cpus %d irq %d, want 7 8 3", seen.Seed, seen.CPUs, seen.IRQCPUs)
 	}

@@ -79,14 +79,11 @@ type tcpArm struct {
 	sorting bool
 }
 
-// tcpGoodputTrial measures steady-state application goodput of an
-// unbounded bulk transfer through one configuration: warm up, then
-// count in-order bytes delivered over the measurement window. The
-// kernel.RunTrial generator path is not used — the TCP sender's ACK
-// clock is the workload. cfg carries the sweep's seed.
-func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
-	cfg kernel.Config, warmup, measure sim.Duration,
-) (kernel.TrialResult, error) {
+// tcpConfig is the router of a T-figure trial: the polled kernel with
+// coalescing co on its input NIC, the displacing reorder fault at
+// perMill frames per 1000 and the light real loss every arm sees. cfg
+// carries the sweep's seed.
+func tcpConfig(cfg kernel.Config, co nic.CoalesceConfig, perMill float64) kernel.Config {
 	cfg.Mode, cfg.Quota = kernel.ModePolled, 5
 	cfg.NIC.Coalesce = co
 	cfg.Fault = fault.Config{
@@ -96,16 +93,27 @@ func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
 		ReorderMode:  fault.ReorderDisplace,
 		ReorderFlush: tcpReorderFlush,
 	}
+	return cfg
+}
+
+// tcpGoodputTrial measures steady-state application goodput of an
+// unbounded bulk transfer through cfg (a tcpConfig): warm up, then
+// count in-order bytes delivered over the measurement window. The
+// kernel.RunTrial generator path is not used — the TCP sender's ACK
+// clock is the workload.
+func tcpGoodputTrial(cfg kernel.Config, variant kernel.TCPVariant, sorting bool,
+	warmup, measure sim.Duration,
+) (kernel.TrialResult, error) {
 	r := kernel.NewRouter(sim.NewEngine(), cfg)
 	rx := r.OpenTCPReceiver(8080)
-	if arm.variant == kernel.VariantSACK {
+	if variant == kernel.VariantSACK {
 		rx.EnableSACK()
 	}
-	if arm.sorting {
+	if sorting {
 		rx.SetResequencing(tcpReseqHold)
 	}
 	snd := r.AttachTCPSender(0, kernel.TCPSenderConfig{
-		Port: 8080, MSS: tcpMSS, Variant: arm.variant, MaxCwnd: tcpMaxCwnd,
+		Port: 8080, MSS: tcpMSS, Variant: variant, MaxCwnd: tcpMaxCwnd,
 		RTO: tcpRTO,
 	})
 	snd.Start()
@@ -113,37 +121,29 @@ func tcpGoodputTrial(arm tcpArm, co nic.CoalesceConfig, perMill float64,
 	return kernel.TrialResult{OutputRate: float64(goodput) * 8 / 1000 / measure.Seconds()}, err
 }
 
-// runTCPArms adapts the parallel trial executor to the T-figures: the
-// rate axis carries either the coalescing count threshold (axisIsCount)
-// or the reorder intensity, and the arm's variant and sorting flag ride
-// in a closure because they are not kernel.Config state. Arms run one
-// at a time; points within an arm still fan out across the worker pool.
-// The Options CPUs override does not apply: the in-kernel TCP receiver
-// runs on one CPU only.
-func runTCPArms(arms []tcpArm, axisIsCount bool, o Options) ([]Series, []TrialError) {
+// tcpPlan declares a T-figure: one series per arm across axis, which
+// carries either the coalescing count threshold (axisIsCount) or the
+// reorder intensity. The Options CPUs override does not apply: the
+// in-kernel TCP receiver runs on one CPU only.
+func tcpPlan(p *plan, fig Figure, axis []float64, arms []tcpArm, axisIsCount bool, o Options) {
+	o = o.withDefaults(nil)
 	o.CPUs = 0
-	var series []Series
-	var errs []TrialError
+	p.figure(fig)
 	for _, arm := range arms {
-		arm := arm
-		run := func(cfg kernel.Config, axis float64, warmup, measure sim.Duration) (kernel.TrialResult, error) {
+		p.series(arm.label, axis, func(x float64) request {
 			co := nic.CoalesceConfig{Policy: nic.CoalesceCount,
 				CountThresh: tcpCoalesceCount, TimerThresh: tcpCoalesceTimer}
 			perMill := arm.perMill
 			if axisIsCount {
-				co.CountThresh = int(axis)
+				co.CountThresh = int(x)
 			} else {
-				perMill = axis
+				perMill = x
 			}
-			res, err := tcpGoodputTrial(arm, co, perMill, cfg, warmup, measure)
-			res.InputRate = axis
-			return res, err
-		}
-		ss, es := runSeries(run, []seriesSpec{{arm.label, kernel.Config{}}}, o)
-		series = append(series, ss...)
-		errs = append(errs, es...)
+			t := o.trial(tcpTrial, tcpConfig(o.config(kernel.Config{}), co, perMill), x)
+			t.variant, t.sorting = arm.variant, arm.sorting
+			return request{trial: t}
+		})
 	}
-	return series, errs
 }
 
 // FigT1 is this reproduction's figure T-1: bulk-transfer goodput
@@ -158,16 +158,15 @@ func runTCPArms(arms []tcpArm, axisIsCount bool, o Options) ([]Series, []TrialEr
 // of every spurious recovery: Reno and NewReno fall fastest, SACK
 // keeps a clear margin, and resequencing recovers ≥90% of the
 // no-reorder goodput at every threshold.
-func FigT1(o Options) Figure {
-	o = o.withDefaults(nil)
-	o.Rates = tcpCoalesceThresholds // coalescing-threshold axis, not offered load
-	fig := Figure{
+func FigT1(o Options) Figure { return runFigure(o, planT1) }
+
+func planT1(p *plan, o Options) {
+	tcpPlan(p, Figure{
 		ID:     "T-1",
 		Title:  "TCP goodput vs interrupt-coalescing threshold under reordering",
 		XLabel: "Coalescing packet-count threshold (frames)",
 		YLabel: "Goodput (kbit/s)",
-	}
-	fig.Series, fig.Errors = runTCPArms([]tcpArm{
+	}, tcpCoalesceThresholds, []tcpArm{
 		{"Reno, reorder", kernel.VariantReno, tcpReorderPM, false},
 		{"NewReno, reorder", kernel.VariantNewReno, tcpReorderPM, false},
 		{"SACK, reorder", kernel.VariantSACK, tcpReorderPM, false},
@@ -175,7 +174,6 @@ func FigT1(o Options) Figure {
 		{"SACK, no reorder", kernel.VariantSACK, 0, false},
 		{"SACK, sort, no reorder", kernel.VariantSACK, 0, true},
 	}, true, o)
-	return fig
 }
 
 // FigT2 is figure T-2: the same transfer against reorder intensity at
@@ -184,21 +182,19 @@ func FigT1(o Options) Figure {
 // robustness from the coalescing axis: Tahoe collapses to cwnd=1 on
 // every phantom loss, Reno stalls on multi-hole windows, NewReno and
 // SACK degrade gracefully, and resequencing stays near the clean rate.
-func FigT2(o Options) Figure {
-	o = o.withDefaults(nil)
-	o.Rates = tcpReorderIntensities // reorder-intensity axis, not offered load
-	fig := Figure{
+func FigT2(o Options) Figure { return runFigure(o, planT2) }
+
+func planT2(p *plan, o Options) {
+	tcpPlan(p, Figure{
 		ID:     "T-2",
 		Title:  "TCP goodput vs reorder intensity with interrupt coalescing",
 		XLabel: "Frames reordered (per 1000)",
 		YLabel: "Goodput (kbit/s)",
-	}
-	fig.Series, fig.Errors = runTCPArms([]tcpArm{
+	}, tcpReorderIntensities, []tcpArm{
 		{"Tahoe", kernel.VariantTahoe, -1, false},
 		{"Reno", kernel.VariantReno, -1, false},
 		{"NewReno", kernel.VariantNewReno, -1, false},
 		{"SACK", kernel.VariantSACK, -1, false},
 		{"SACK + sort", kernel.VariantSACK, -1, true},
 	}, false, o)
-	return fig
 }

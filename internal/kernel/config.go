@@ -193,22 +193,32 @@ type Costs struct {
 // rates (this is why the paper's fix became Linux NAPI).
 func ModernCosts() Costs {
 	c := DefaultCosts()
-	scale := func(d *sim.Duration) {
+	for _, d := range c.fields() {
 		*d = (*d + 50) / 100
 	}
-	for _, d := range []*sim.Duration{
-		&c.IntrDispatch, &c.RxDevicePerPkt, &c.SoftintDispatch,
-		&c.IPForwardPerPkt, &c.TxDevicePerPkt,
-		&c.ScreendWakeup, &c.ScreendRecvPerPkt, &c.ScreendFilterPerPkt,
-		&c.ScreendRuleCost, &c.ScreendSendPerPkt,
-		&c.PollWakeup, &c.PollRound, &c.PolledRxPerPkt,
-		&c.PolledRxToScreendPerPkt, &c.PolledRxLocalPerPkt,
+	return c
+}
+
+// costNames names the fields of Costs in declaration order, the order
+// in which fields returns them.
+var costNames = [...]string{
+	"IntrDispatch", "RxDevicePerPkt", "SoftintDispatch", "IPForwardPerPkt", "TxDevicePerPkt",
+	"ScreendWakeup", "ScreendRecvPerPkt", "ScreendFilterPerPkt", "ScreendRuleCost", "ScreendSendPerPkt",
+	"PollWakeup", "PollRound", "PolledRxPerPkt", "PolledRxToScreendPerPkt", "PolledRxLocalPerPkt",
+	"PolledTxPerPkt", "CompatPenalty", "FastPathSavings", "LockOp",
+	"ClockTickCost", "HousekeepPerTick",
+}
+
+// fields returns every field of c, in costNames' order. An array of
+// pointers, so that NewRouter's Validate allocates nothing for it.
+func (c *Costs) fields() [len(costNames)]*sim.Duration {
+	return [...]*sim.Duration{
+		&c.IntrDispatch, &c.RxDevicePerPkt, &c.SoftintDispatch, &c.IPForwardPerPkt, &c.TxDevicePerPkt,
+		&c.ScreendWakeup, &c.ScreendRecvPerPkt, &c.ScreendFilterPerPkt, &c.ScreendRuleCost, &c.ScreendSendPerPkt,
+		&c.PollWakeup, &c.PollRound, &c.PolledRxPerPkt, &c.PolledRxToScreendPerPkt, &c.PolledRxLocalPerPkt,
 		&c.PolledTxPerPkt, &c.CompatPenalty, &c.FastPathSavings, &c.LockOp,
 		&c.ClockTickCost, &c.HousekeepPerTick,
-	} {
-		scale(d)
 	}
-	return c
 }
 
 // DefaultCosts returns the calibrated cost model described above.
@@ -428,7 +438,8 @@ var (
 	// than run an unvalidated configuration.
 	ErrUserProcessSMP = errors.New("kernel: Config.UserProcess requires CPUs == 1")
 	// ErrInvalidConfig rejects a field value the router cannot be built
-	// with: a negative size, rate or period, or screend-queue watermarks
+	// with: a negative size, rate, period or cost, a fast-path saving
+	// larger than the cost it is taken from, or screend-queue watermarks
 	// the feedback mechanism cannot use. The wrapping error names the
 	// field.
 	ErrInvalidConfig = errors.New("kernel: invalid config")
@@ -438,7 +449,8 @@ var (
 // fields take their defaults first, and a field is checked only where
 // the configuration uses it: a value with a meaning today (a negative
 // Quota or FeedbackTimeout, a cycle-limit threshold outside (0,1)) is
-// accepted.
+// accepted. The Costs fields are the exception: every one must be
+// non-negative, used or not.
 func (c Config) Validate() error {
 	if c.Mode < ModeUnmodified || c.Mode > ModePolled {
 		return fmt.Errorf("%w %d", ErrUnknownMode, int(c.Mode))
@@ -472,6 +484,28 @@ func (c Config) Validate() error {
 		(d.ScreendQLow < 0 || d.ScreendQHigh <= d.ScreendQLow || d.ScreendQHigh > d.ScreendQLimit) {
 		return fmt.Errorf("%w: ScreendQLow %d, ScreendQHigh %d: want 0 <= low < high <= ScreendQLimit %d",
 			ErrInvalidConfig, d.ScreendQLow, d.ScreendQHigh, d.ScreendQLimit)
+	}
+	// A work item may not cost negative time (cpu.Task panics on one).
+	for i, v := range d.Costs.fields() {
+		if *v < 0 {
+			return fmt.Errorf("%w: Costs.%s = %v, want >= 0", ErrInvalidConfig, costNames[i], *v)
+		}
+	}
+	// A fast-path hit subtracts FastPathSavings from the forwarding
+	// cost: the polled kernel's receive-and-forward item, or the
+	// unmodified kernel's ip_input item.
+	if d.FastPath {
+		name, fwd := "PolledRxPerPkt", d.Costs.PolledRxPerPkt
+		if d.Mode != ModePolled {
+			name, fwd = "IPForwardPerPkt", d.Costs.IPForwardPerPkt
+			if d.Mode == ModePolledCompat {
+				name, fwd = "IPForwardPerPkt + CompatPenalty", fwd+d.Costs.CompatPenalty
+			}
+		}
+		if d.Costs.FastPathSavings > fwd {
+			return fmt.Errorf("%w: Costs.FastPathSavings = %v exceeds Costs.%s = %v",
+				ErrInvalidConfig, d.Costs.FastPathSavings, name, fwd)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +37,13 @@ func TestConfigValidate(t *testing.T) {
 		{"watermarks-without-feedback", kernel.Config{Mode: kernel.ModePolled, Screend: true, ScreendQHigh: 8, ScreendQLow: 24}, nil},
 		{"watermarks-unmodified", kernel.Config{Screend: true, Feedback: true, ScreendQHigh: 8, ScreendQLow: 24}, nil},
 		{"high-at-limit", kernel.Config{Mode: kernel.ModePolled, Screend: true, Feedback: true, ScreendQHigh: 32}, nil},
+		// The fast-path saving may use up the whole forwarding cost, and
+		// the compat kernel's includes its penalty.
+		{"fastpath-polled-whole-cost", fastPath(kernel.ModePolled, 0), nil},
+		{"fastpath-unmodified-whole-cost", fastPath(kernel.ModeUnmodified, 0), nil},
+		{"fastpath-compat-within-penalty", fastPath(kernel.ModePolledCompat, kernel.DefaultCosts().CompatPenalty), nil},
+		{"fastpath-off", kernel.Config{Costs: kernel.Costs{FastPathSavings: sim.Second}}, nil},
+		{"fastpath-modern", kernel.Config{Mode: kernel.ModePolled, FastPath: true, Costs: kernel.ModernCosts()}, nil},
 	}
 	for _, sc := range explore.Scenarios() {
 		if err := sc.Config.Validate(); err != nil {
@@ -98,11 +106,46 @@ func TestConfigValidateRejectsUnbuildable(t *testing.T) {
 		{"ScreendQHigh", fb(kernel.Config{ScreendQLimit: 16})}, // default high 24 > limit
 		{"ScreendQLow", fb(kernel.Config{ScreendQLow: -1})},
 		{"CycleLimitPeriod", kernel.Config{Mode: kernel.ModePolled, CycleLimitThreshold: 0.5, CycleLimitPeriod: -1}},
+		{"Costs.IPForwardPerPkt", kernel.Config{Costs: kernel.Costs{IPForwardPerPkt: -1}}},
+		{"Costs.RxDevicePerPkt", kernel.Config{Costs: kernel.Costs{RxDevicePerPkt: -1}}},
+		{"Costs.PolledRxPerPkt", kernel.Config{Mode: kernel.ModePolled, Quota: 5, Costs: kernel.Costs{PolledRxPerPkt: -1}}},
+		{"Costs.ScreendRecvPerPkt", kernel.Config{Screend: true, Costs: kernel.Costs{ScreendRecvPerPkt: -1}}},
+		{"Costs.ClockTickCost", kernel.Config{Costs: kernel.Costs{ClockTickCost: -1}}},
+		{"Costs.LockOp", kernel.Config{CPUs: 2, Costs: kernel.Costs{LockOp: -1}}},
+		{"Costs.FastPathSavings", fastPath(kernel.ModePolled, sim.Microsecond)},
+		{"Costs.FastPathSavings", fastPath(kernel.ModeUnmodified, sim.Microsecond)},
+		{"Costs.FastPathSavings", fastPath(kernel.ModePolledCompat, kernel.DefaultCosts().CompatPenalty+sim.Microsecond)},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
 		if !errors.Is(err, kernel.ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: Validate() = %v, want ErrInvalidConfig naming %s", tc.field, err, tc.field)
+		}
+	}
+}
+
+// fastPath is a FastPath config of mode on the default costs whose
+// fast-path saving exceeds the mode's plain forwarding cost by over.
+func fastPath(mode kernel.Mode, over sim.Duration) kernel.Config {
+	c := kernel.Config{Mode: mode, Quota: 5, FastPath: true, Costs: kernel.DefaultCosts()}
+	c.Costs.FastPathSavings = c.Costs.IPForwardPerPkt + over
+	if mode == kernel.ModePolled {
+		c.Costs.FastPathSavings = c.Costs.PolledRxPerPkt + over
+	}
+	return c
+}
+
+// TestConfigValidateRejectsNegativeCosts: every Costs field, used by
+// the configuration or not, must be non-negative.
+func TestConfigValidateRejectsNegativeCosts(t *testing.T) {
+	costs := reflect.TypeOf(kernel.Costs{})
+	for i := 0; i < costs.NumField(); i++ {
+		name := costs.Field(i).Name
+		cfg := kernel.Config{Costs: kernel.DefaultCosts()}
+		reflect.ValueOf(&cfg.Costs).Elem().Field(i).SetInt(-1)
+		err := cfg.Validate()
+		if !errors.Is(err, kernel.ErrInvalidConfig) || !strings.Contains(err.Error(), "Costs."+name) {
+			t.Errorf("Costs.%s = -1: Validate() = %v, want ErrInvalidConfig naming it", name, err)
 		}
 	}
 }

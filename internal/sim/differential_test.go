@@ -382,7 +382,7 @@ func TestEngineDifferentialCancelStorm(t *testing.T) {
 		id := 0
 		for i := 0; i < 2000; i++ {
 			// Far-future timer, cancelled a few ops later (an RTO pattern).
-			script = append(script, op{kind: opSchedule, id: id, delay: Duration(1<<40 + rng.Intn(1000))})
+			script = append(script, op{kind: opSchedule, id: id, delay: Duration(1<<40) + Duration(rng.Intn(1000))})
 			script = append(script, op{kind: opSchedule, id: id + 1, delay: randDelay(rng)})
 			script = append(script, op{kind: opCancel, target: id})
 			id += 2

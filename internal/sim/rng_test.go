@@ -92,7 +92,9 @@ func TestRNGIntnMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range []int{1, 2, 3, 7, 10, 1000, 1 << 20, (1 << 62) + 12345} {
+	// The largest n sits a quarter of the way to the int range's end:
+	// (1<<62)+12345 on 64-bit platforms, (1<<30)+12345 on 32-bit ones.
+	for _, n := range []int{1, 2, 3, 7, 10, 1000, 1 << 20, 1<<(bits.UintSize-2) + 12345} {
 		a, b := NewRNG(77), NewRNG(77)
 		for i := 0; i < 2000; i++ {
 			got, want := a.Intn(n), ref(b, n)
