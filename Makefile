@@ -77,13 +77,14 @@ examples:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz pass over every netstack wire-format decoder (CI runs the
-# same loop). Override FUZZTIME for longer local hunts; crashes land in
+# Short fuzz pass over every netstack wire-format decoder and the
+# routing table's longest-prefix match (CI runs the same loop). Override
+# FUZZTIME for longer local hunts; crashes land in
 # internal/netstack/testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	for target in FuzzIPv4Unmarshal FuzzUDPParse FuzzTCPParse \
-	              FuzzICMPParse; do \
+	              FuzzICMPParse FuzzRoutingTable; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" \
 			-fuzztime=$(FUZZTIME) ./internal/netstack/ || exit 1; \
 	done

@@ -252,13 +252,17 @@ func writeMLFRR(w io.Writer, opts livelock.Options) error {
 		{"polled + screend + feedback", livelock.Config{
 			Mode: livelock.ModePolled, Quota: 10, Screend: true, Feedback: true}},
 	}
+	cfgs := make([]livelock.Config, len(rows))
+	for i, row := range rows {
+		cfgs[i] = row.cfg
+	}
+	ms, errs := livelock.MLFRRs(cfgs, 0.98, opts)
 	fmt.Fprintln(w, "MLFRR estimates (98% loss-free, §3):")
-	for _, row := range rows {
-		m, err := livelock.MLFRR(row.cfg, 0.98, opts)
-		if err != nil {
-			return err
+	for i, row := range rows {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		if _, err := fmt.Fprintf(w, "  %-30s %6.0f pkts/sec\n", row.name, m); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-30s %6.0f pkts/sec\n", row.name, ms[i]); err != nil {
 			return err
 		}
 	}

@@ -87,9 +87,9 @@ func (o Options) config(cfg kernel.Config) kernel.Config {
 }
 
 // trial returns the trial of kind that measures cfg, as the caller has
-// already made it with config, at x over these options' windows.
-func (o Options) trial(kind trialKind, cfg kernel.Config, x float64) trial {
-	return trial{kind: kind, cfg: cfg, axis: x, warmup: o.Warmup, measure: o.Measure}
+// already made it with config, over these options' windows.
+func (o Options) trial(kind trialKind, cfg kernel.Config) trial {
+	return trial{kind: kind, cfg: cfg, warmup: o.Warmup, measure: o.Measure}
 }
 
 // plain returns the requests of a curve of plain trials of cfg, one per
@@ -97,16 +97,18 @@ func (o Options) trial(kind trialKind, cfg kernel.Config, x float64) trial {
 func (o Options) plain(cfg kernel.Config, profiled bool) func(rate float64) request {
 	cfg = o.config(cfg)
 	return func(rate float64) request {
-		return request{o.trial(plainTrial, cfg, rate), profiled}
+		t := o.trial(plainTrial, cfg)
+		t.rate = rate
+		return request{t, rate, profiled}
 	}
 }
 
-// mlfrr returns the trial that estimates cfg's MLFRR at lossTolerance,
-// reported at x.
-func (o Options) mlfrr(cfg kernel.Config, lossTolerance, x float64) trial {
-	t := o.trial(mlfrrTrial, cfg, x)
+// mlfrr returns the request for cfg's MLFRR at lossTolerance, reported
+// at x.
+func (o Options) mlfrr(cfg kernel.Config, lossTolerance, x float64) request {
+	t := o.trial(mlfrrTrial, cfg)
 	t.tol = lossTolerance
-	return t
+	return request{trial: t, x: x}
 }
 
 func (o Options) withDefaults(defaultRates []float64) Options {
@@ -388,7 +390,7 @@ func coresPlan(p *plan, fig Figure, cores []float64, specs []seriesSpec, o Optio
 			if cfg.IRQCPUs == irqHalfCores {
 				cfg.IRQCPUs = cfg.CPUs / 2
 			}
-			return request{trial: o.mlfrr(cfg, 0.98, n)}
+			return o.mlfrr(cfg, 0.98, n)
 		})
 	}
 }

@@ -16,9 +16,26 @@ import (
 // trial of the sweep executor. The error is the first probe's failed
 // audit, or a recovered panic.
 func MLFRR(cfg kernel.Config, lossTolerance float64, o Options) (float64, error) {
+	ms, errs := MLFRRs([]kernel.Config{cfg}, lossTolerance, o)
+	return ms[0], errs[0]
+}
+
+// MLFRRs is MLFRR of each of cfgs, run as one plan: the bisections
+// share the executor's worker pool, each distinct configuration once.
+// errs[i] is cfgs[i]'s error, as MLFRR returns it.
+func MLFRRs(cfgs []kernel.Config, lossTolerance float64, o Options) (ms []float64, errs []error) {
 	o = o.withDefaults(nil)
-	pts, errs := group([]request{{trial: o.mlfrr(o.config(cfg), lossTolerance, 0)}}).execute(runTrial, o)
-	return pts[0].OutputRate, errs[0]
+	reqs := make([]request, len(cfgs))
+	for i, cfg := range cfgs {
+		reqs[i] = o.mlfrr(o.config(cfg), lossTolerance, 0)
+	}
+	g := group(reqs)
+	pts, trialErrs := g.execute(runTrial, o)
+	ms, errs = make([]float64, len(cfgs)), make([]error, len(cfgs))
+	for i, k := range g.which {
+		ms[i], errs[i] = pts[k].OutputRate, trialErrs[k]
+	}
+	return ms, errs
 }
 
 // mlfrr is MLFRR's bisection over probes of cfg as given.

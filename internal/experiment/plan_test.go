@@ -55,7 +55,7 @@ func TestPlanRunsEachTrialOnce(t *testing.T) {
 			profiledRuns++
 		}
 		mu.Unlock()
-		res := kernel.TrialResult{InputRate: tr.axis, OutputRate: tr.axis * float64(tr.cfg.Quota)}
+		res := kernel.TrialResult{InputRate: tr.rate, OutputRate: tr.rate * float64(tr.cfg.Quota)}
 		if profiled {
 			res.WastedFrac = 0.5
 		}
@@ -102,6 +102,34 @@ func TestPlanRunsEachTrialOnce(t *testing.T) {
 		}
 		if p := figs[1].Series[0].Points[i]; p.OutputRate != 3*x || p.WastedPct != 50 {
 			t.Errorf("profiled point b@%v = %+v, want output %v and 50%% wasted", x, p, 3*x)
+		}
+	}
+
+	// T-1's count-8 column and T-2's 50 and 0 per 1000 columns share six
+	// transfers (same Config, variant and resequencing): of the 36 + 25
+	// points, 55 distinct transfers run, and each shared point still
+	// reads its own figure's x value.
+	clear(runs)
+	var tp plan
+	planT1(&tp, o)
+	planT2(&tp, o)
+	tcpFigs := tp.run(run, Options{Parallel: 2})
+	if len(runs) != 55 {
+		t.Errorf("T-1 + T-2 ran %d distinct transfers, want 55", len(runs))
+	}
+	for tr, n := range runs {
+		if n != 1 {
+			t.Errorf("transfer %+v ran %d times, want once", tr, n)
+		}
+	}
+	axes := map[string][]float64{"T-1": tcpCoalesceThresholds, "T-2": tcpReorderIntensities}
+	for _, fig := range tcpFigs {
+		for _, s := range fig.Series {
+			for i, p := range s.Points {
+				if want := axes[fig.ID][i]; p.InputRate != want {
+					t.Errorf("%s %q point %d: input %v, want its x value %v", fig.ID, s.Label, i, p.InputRate, want)
+				}
+			}
 		}
 	}
 }
@@ -159,19 +187,19 @@ func TestProfiledTrialStandsIn(t *testing.T) {
 	}
 	inParallel(len(trials), func(i int) {
 		tr := trials[i]
-		plain, err := kernel.RunTrial(tr.cfg, tr.axis, tr.warmup, tr.measure)
+		plain, err := kernel.RunTrial(tr.cfg, tr.rate, tr.warmup, tr.measure)
 		if err != nil {
 			t.Error(err)
 		}
 		cfg := tr.cfg
 		cfg.Profile = prof.New()
-		profiled, err := kernel.RunTrial(cfg, tr.axis, tr.warmup, tr.measure)
+		profiled, err := kernel.RunTrial(cfg, tr.rate, tr.warmup, tr.measure)
 		if err != nil {
 			t.Error(err)
 		}
 		profiled.WastedFrac = 0
 		if profiled != plain {
-			t.Errorf("%+v @ %.0f: profiled %+v, plain %+v", tr.cfg, tr.axis, profiled, plain)
+			t.Errorf("%+v @ %.0f: profiled %+v, plain %+v", tr.cfg, tr.rate, profiled, plain)
 		}
 	})
 }

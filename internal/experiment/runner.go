@@ -25,7 +25,7 @@ import (
 type trialKind uint8
 
 const (
-	plainTrial trialKind = iota // kernel.RunTrial at the axis rate
+	plainTrial trialKind = iota // kernel.RunTrial at the trial's rate
 	mlfrrTrial                  // the MLFRR bisection of cfg
 	tcpTrial                    // a T-figure bulk transfer
 )
@@ -38,25 +38,27 @@ type trial struct {
 	// cfg is the configuration as the trial runs it: the sweep's seed
 	// and core counts applied, and no Profile (see request).
 	cfg kernel.Config
-	// axis is the figure's x value: the offered load of a plain trial,
-	// the core count of an MLFRR trial (already in cfg), the coalescing
-	// threshold or reorder intensity of a TCP trial (already in cfg).
-	axis            float64
+	// rate is a plain trial's offered load. MLFRR and TCP trials leave
+	// it zero: their figure's x value (a core count, coalescing
+	// threshold or reorder intensity) is already in cfg, and points of
+	// different figures that differ only in x share the trial.
+	rate            float64
 	warmup, measure sim.Duration
 	tol             float64           // mlfrrTrial: the loss tolerance
 	variant         kernel.TCPVariant // tcpTrial: the sender's loss recovery
 	sorting         bool              // tcpTrial: the receiver resequences
 }
 
-// request is one figure point: the trial that measures it, and whether
-// the point reads the trial's wasted-work fraction, which only a
-// profiled trial measures. The profiler is not part of the key: a
-// profiled trial serves the plain requests for the same trial, because
-// attaching it changes no other field of the result
-// (TestProfiledTrialStandsIn pins this for every configuration figure
-// W-1 profiles, the only profiled figure).
+// request is one figure point: the trial that measures it, the point's
+// x value, and whether the point reads the trial's wasted-work
+// fraction, which only a profiled trial measures. The profiler is not
+// part of the key: a profiled trial serves the plain requests for the
+// same trial, because attaching it changes no other field of the
+// result (TestProfiledTrialStandsIn pins this for every configuration
+// figure W-1 profiles, the only profiled figure).
 type request struct {
 	trial
+	x        float64
 	profiled bool
 }
 
@@ -88,33 +90,32 @@ func runTrial(t trial, profiled bool) (kernel.TrialResult, error) {
 	switch t.kind {
 	case mlfrrTrial:
 		m, err := mlfrr(t.cfg, t.tol, t.warmup, t.measure)
-		return kernel.TrialResult{InputRate: t.axis, OutputRate: m}, err
+		return kernel.TrialResult{OutputRate: m}, err
 	case tcpTrial:
-		res, err := tcpGoodputTrial(t.cfg, t.variant, t.sorting, t.warmup, t.measure)
-		res.InputRate = t.axis
-		return res, err
+		return tcpGoodputTrial(t.cfg, t.variant, t.sorting, t.warmup, t.measure)
 	default:
 		cfg := t.cfg
 		if profiled {
 			cfg.Profile = prof.New()
 		}
-		return kernel.RunTrial(cfg, t.axis, t.warmup, t.measure)
+		return kernel.RunTrial(cfg, t.rate, t.warmup, t.measure)
 	}
 }
 
 // grouping is a plan's requests grouped by trial.
 type grouping struct {
-	trials   []trial // distinct, in order of first request
-	profiled []bool  // per trial: some request reads its WastedFrac
-	shares   []int   // per trial: how many requests it serves
-	which    []int   // per request: the index of its trial
-	wasted   []bool  // per request: it reads WastedFrac
+	trials   []trial   // distinct, in order of first request
+	profiled []bool    // per trial: some request reads its WastedFrac
+	shares   []int     // per trial: how many requests it serves
+	which    []int     // per request: the index of its trial
+	xs       []float64 // per request: its x value
+	wasted   []bool    // per request: it reads WastedFrac
 }
 
 // group groups reqs by trial. The key map dies with the call, and the
 // requests are not kept: a running sweep holds each distinct trial once.
 func group(reqs []request) grouping {
-	g := grouping{which: make([]int, len(reqs)), wasted: make([]bool, len(reqs))}
+	g := grouping{which: make([]int, len(reqs)), xs: make([]float64, len(reqs)), wasted: make([]bool, len(reqs))}
 	at := make(map[trial]int, len(reqs))
 	for i, rq := range reqs {
 		k, ok := at[rq.trial]
@@ -127,7 +128,7 @@ func group(reqs []request) grouping {
 		}
 		g.profiled[k] = g.profiled[k] || rq.profiled
 		g.shares[k]++
-		g.which[i], g.wasted[i] = k, rq.profiled
+		g.which[i], g.xs[i], g.wasted[i] = k, rq.x, rq.profiled
 	}
 	return g
 }
@@ -232,11 +233,12 @@ func (p *plan) series(label string, axis []float64, at func(x float64) request) 
 }
 
 // run measures the plan's figures through one executor and returns
-// them in declaration order. A request that does not read the profiler
-// gets WastedFrac zero, as from a plain trial. A failed trial leaves
-// its points zero-valued and a TrialError in each figure that asked
-// for it, in (series, x) order. The plan is spent: its requests are
-// dropped once grouped.
+// them in declaration order. An MLFRR or TCP point reads its own x
+// value as its input rate; a plain point, the load its trial measured.
+// A request that does not read the profiler gets WastedFrac zero, as
+// from a plain trial. A failed trial leaves its points zero-valued and
+// a TrialError in each figure that asked for it, in (series, x) order.
+// The plan is spent: its requests are dropped once grouped.
 func (p *plan) run(run runFunc, o Options) []Figure {
 	g := group(p.reqs)
 	p.reqs = nil
@@ -250,9 +252,12 @@ func (p *plan) run(run runFunc, o Options) []Figure {
 			for j := range pts {
 				k := g.which[i]
 				if errs[k] != nil {
-					fig.Errors = append(fig.Errors, TrialError{Series: label, Rate: g.trials[k].axis, Err: errs[k]})
+					fig.Errors = append(fig.Errors, TrialError{Series: label, Rate: g.xs[i], Err: errs[k]})
 				}
 				pts[j] = points[k]
+				if g.trials[k].kind != plainTrial {
+					pts[j].InputRate = g.xs[i]
+				}
 				if !g.wasted[i] {
 					pts[j].WastedPct = 0
 				}

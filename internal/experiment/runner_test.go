@@ -130,7 +130,7 @@ func stubTrial(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (k
 // plainRun adapts a function of a plain trial's parameters to the
 // executor.
 func plainRun(f func(cfg kernel.Config, rate float64, warmup, measure sim.Duration) (kernel.TrialResult, error)) runFunc {
-	return func(t trial, _ bool) (kernel.TrialResult, error) { return f(t.cfg, t.axis, t.warmup, t.measure) }
+	return func(t trial, _ bool) (kernel.TrialResult, error) { return f(t.cfg, t.rate, t.warmup, t.measure) }
 }
 
 // sweep runs one figure of plain series, one per spec across o.Rates,

@@ -139,9 +139,9 @@ func tcpPlan(p *plan, fig Figure, axis []float64, arms []tcpArm, axisIsCount boo
 			} else {
 				perMill = x
 			}
-			t := o.trial(tcpTrial, tcpConfig(o.config(kernel.Config{}), co, perMill), x)
+			t := o.trial(tcpTrial, tcpConfig(o.config(kernel.Config{}), co, perMill))
 			t.variant, t.sorting = arm.variant, arm.sorting
-			return request{trial: t}
+			return request{trial: t, x: x}
 		})
 	}
 }

@@ -75,6 +75,61 @@ func BuildUDPFrame(b []byte, s *FrameSpec) (int, error) {
 	return frameLen, nil
 }
 
+// UDPTemplate is one UDP flow's frame, built once, from which the
+// flow's packets are stamped: per packet only the IP ID and the UDP
+// source port change. It keeps the exact partial sums (sumBytes before
+// the fold) of the IP header and of the UDP pseudo-header plus
+// datagram, each with those fields and its checksum zero. Stamp adds
+// the packet's field value to a sum and folds, which is the arithmetic
+// BuildUDPFrame does over the whole header, so every stamped frame is
+// byte-identical to the one BuildUDPFrame builds for the same spec.
+type UDPTemplate struct {
+	frame       []byte
+	ipSum       uint32
+	udpSum      uint32
+	udpChecksum bool
+}
+
+// NewUDPTemplate builds the template of s's flow. s.IPID and s.SrcPort
+// are ignored: Stamp supplies them per packet.
+func NewUDPTemplate(s FrameSpec) *UDPTemplate {
+	s.IPID, s.SrcPort = 0, 0
+	t := &UDPTemplate{frame: make([]byte, s.FrameLen()), udpChecksum: s.UDPChecksum}
+	s.UDPChecksum = false
+	if _, err := BuildUDPFrame(t.frame, &s); err != nil {
+		// Impossible by construction: the buffer was sized by FrameLen.
+		panic(err)
+	}
+	ip := t.frame[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
+	ip[10], ip[11] = 0, 0
+	t.ipSum = sumBytes(0, ip)
+	udpStart := EthHeaderLen + IPv4HeaderLen
+	datagram := t.frame[udpStart : udpStart+UDPHeaderLen+len(s.Payload)]
+	t.udpSum = sumBytes(pseudoSum(s.SrcIP, s.DstIP, ProtoUDP, len(datagram)), datagram)
+	return t
+}
+
+// Len returns the frame length, minimum-frame padding included.
+func (t *UDPTemplate) Len() int { return len(t.frame) }
+
+// Stamp writes the flow's frame with IP ID ipid and UDP source port
+// srcPort into b, which must be at least Len() bytes.
+func (t *UDPTemplate) Stamp(b []byte, ipid, srcPort uint16) {
+	copy(b, t.frame)
+	ip := b[EthHeaderLen:]
+	binary.BigEndian.PutUint16(ip[4:6], ipid)
+	binary.BigEndian.PutUint16(ip[10:12], ^foldChecksum(t.ipSum+uint32(ipid)))
+	udp := ip[IPv4HeaderLen:]
+	binary.BigEndian.PutUint16(udp[0:2], srcPort)
+	if t.udpChecksum {
+		c := ^foldChecksum(t.udpSum + uint32(srcPort))
+		if c == 0 {
+			c = 0xffff // RFC 768, as ComputeUDPChecksum
+		}
+		binary.BigEndian.PutUint16(udp[6:8], c)
+	}
+}
+
 // ParseUDPFrame decodes an Ethernet/IPv4/UDP frame, validating the IP
 // checksum, and returns the headers and UDP payload. Used by sinks and
 // by tests to confirm that forwarded frames are intact.

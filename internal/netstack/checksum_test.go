@@ -106,3 +106,37 @@ func TestChecksumUpdate16AllZeroDualZero(t *testing.T) {
 		t.Fatalf("ChecksumUpdate16(0xffff, 0, 0) = %#04x, want 0x0000", inc)
 	}
 }
+
+// sumBytesReference is the byte-at-a-time partial sum sumBytes replaced.
+func sumBytesReference(sum uint32, b []byte) uint32 {
+	n := len(b)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint32(b[n-1]) << 8
+	}
+	return sum
+}
+
+// TestSumBytesMatchesReference checks the word-wise sum against the
+// byte-wise one for every length up to a full frame, at odd and even
+// buffer offsets, from zero and from a nonzero running sum.
+func TestSumBytesMatchesReference(t *testing.T) {
+	buf := make([]byte, EthMaxFrame+1)
+	rng := uint32(1)
+	for i := range buf {
+		rng = rng*1664525 + 1013904223
+		buf[i] = byte(rng >> 24)
+	}
+	for off := 0; off <= 1; off++ {
+		for n := 0; n <= EthMaxFrame; n++ {
+			b := buf[off : off+n]
+			for _, start := range []uint32{0, 0xfffe_1234} {
+				if got, want := sumBytes(start, b), sumBytesReference(start, b); got != want {
+					t.Fatalf("offset %d, length %d, start %#x: sumBytes = %#x, want %#x", off, n, start, got, want)
+				}
+			}
+		}
+	}
+}

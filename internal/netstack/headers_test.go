@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -244,5 +245,63 @@ func TestBuildUDPFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPTemplateMatchesBuildUDPFrame stamps every IP ID under several
+// source ports (both ends of the range, and a cycling spread that wraps
+// past 0xffff), then every source port under a few IP IDs, for 0-, 4-
+// and 100-byte payloads, into a junk-filled buffer, and requires each
+// frame to equal BuildUDPFrame's byte for byte. Sweeping every port
+// reaches the UDP checksum that folds to zero, sent as 0xffff.
+func TestUDPTemplateMatchesBuildUDPFrame(t *testing.T) {
+	ports := []uint16{0, 1, 4000, 0x8000, 0xfffe, 0xffff}
+	for _, n := range []int{0, 4, 100} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*37 + 11)
+		}
+		spec := FrameSpec{
+			SrcMAC: MAC{0xbb, 0, 0, 0, 0, 1}, DstMAC: MAC{0xaa, 0, 0, 0, 0, 1},
+			SrcIP: AddrFrom(10, 0, 0, 2), DstIP: AddrFrom(10, 0, 1, 9),
+			DstPort: 9, Payload: payload, UDPChecksum: true,
+		}
+		tmpl := NewUDPTemplate(spec)
+		if tmpl.Len() != spec.FrameLen() {
+			t.Fatalf("%d-byte payload: template length %d, want %d", n, tmpl.Len(), spec.FrameLen())
+		}
+		got := make([]byte, tmpl.Len())
+		want := make([]byte, tmpl.Len())
+		zeroSums := 0
+		check := func(ipid, port uint16) {
+			for i := range got {
+				got[i] = byte(i) ^ 0xa5 ^ byte(ipid) ^ byte(port>>8)
+			}
+			tmpl.Stamp(got, ipid, port)
+			spec.IPID, spec.SrcPort = ipid, port
+			if _, err := BuildUDPFrame(want, &spec); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-byte payload, IPID %#04x, port %#04x:\n got  %x\n want %x", n, ipid, port, got, want)
+			}
+			if binary.BigEndian.Uint16(got[EthHeaderLen+IPv4HeaderLen+6:]) == 0xffff {
+				zeroSums++
+			}
+		}
+		for id := 0; id <= 0xffff; id++ {
+			for _, port := range ports {
+				check(uint16(id), port)
+			}
+			check(uint16(id), 0xfff8+uint16(id%16)) // a spread of 16 from 0xfff8 wraps
+		}
+		for port := 0; port <= 0xffff; port++ {
+			for _, id := range []uint16{0, 0x1234, 0xffff} {
+				check(id, uint16(port))
+			}
+		}
+		if zeroSums == 0 {
+			t.Errorf("%d-byte payload: no source port gave the all-zero UDP checksum", n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Route is a routing-table entry: packets whose destination matches the
@@ -20,23 +21,43 @@ func (r Route) String() string {
 	return fmt.Sprintf("%v/%d via %v dev %d", r.Prefix, r.Bits, r.NextHop, r.IfIndex)
 }
 
-// RoutingTable performs longest-prefix-match lookup using a binary trie,
-// the classic structure used by BSD's radix routing table (simplified to
-// one bit per level, which is sufficient at simulation scale and easy to
-// verify against a linear-scan reference in tests).
+// RoutingTable performs longest-prefix-match lookup using a
+// path-compressed binary trie (a PATRICIA tree, as in BSD's radix
+// routing table): a node stands for one prefix, routed or a pure
+// branch point, and skips straight to the bit where its subtrees
+// differ, so a lookup visits one node per stored prefix on the path
+// rather than one per address bit. Tests verify it against a
+// linear-scan reference.
 type RoutingTable struct {
 	root *trieNode
 	n    int
 }
 
+// trieNode is the prefix whose high bits are the 1 bits of mask, with
+// key holding those bits and the rest zero. Its children share its
+// prefix and differ from each other at the bit key>>shift&1 selects,
+// the first bit past the prefix; a /32 node has no children.
 type trieNode struct {
-	child [2]*trieNode
-	route *Route // set if a prefix terminates here
+	key, mask uint32
+	shift     uint8
+	route     *Route // set if a route has this exact prefix
+	child     [2]*trieNode
 }
+
+// newTrieNode returns the node of key's high length bits.
+func newTrieNode(key uint32, length int, route *Route) *trieNode {
+	return &trieNode{key: key, mask: maskBits(length), shift: uint8(31-length) & 31, route: route}
+}
+
+// length returns n's prefix length.
+func (n *trieNode) length() int { return bits.OnesCount32(n.mask) }
+
+// next returns the child of n on key's side.
+func (n *trieNode) next(key uint32) **trieNode { return &n.child[key>>n.shift&1] }
 
 // NewRoutingTable returns an empty table.
 func NewRoutingTable() *RoutingTable {
-	return &RoutingTable{root: &trieNode{}}
+	return &RoutingTable{root: newTrieNode(0, 0, nil)}
 }
 
 // ErrBadPrefix is returned for prefix lengths outside [0, 32].
@@ -52,40 +73,56 @@ func (t *RoutingTable) Insert(r Route) error {
 		return ErrBadPrefix
 	}
 	key := r.Prefix.Uint32() & maskBits(r.Bits)
-	node := t.root
-	for i := 0; i < r.Bits; i++ {
-		bit := (key >> (31 - i)) & 1
-		if node.child[bit] == nil {
-			node.child[bit] = &trieNode{}
-		}
-		node = node.child[bit]
-	}
-	if node.route == nil {
-		t.n++
-	}
 	stored := r
 	stored.Prefix = AddrFromUint32(key)
-	node.route = &stored
-	return nil
+	// The root is the /0 node, a prefix of every key.
+	link := &t.root
+	for {
+		n := *link
+		if n == nil {
+			*link = newTrieNode(key, r.Bits, &stored)
+			t.n++
+			return nil
+		}
+		nLen := n.length()
+		common := min(r.Bits, nLen, bits.LeadingZeros32(key^n.key))
+		switch {
+		case common == nLen && common == r.Bits:
+			// n is the route's own prefix.
+			if n.route == nil {
+				t.n++
+			}
+			n.route = &stored
+			return nil
+		case common == nLen:
+			// n is a proper prefix of the route: descend.
+			link = n.next(key)
+			continue
+		}
+		// The route and n part at bit common: the route's node, or a
+		// branch point if the route is not itself that prefix, takes
+		// n's place with n below it.
+		up := newTrieNode(key&maskBits(common), common, nil)
+		*up.next(n.key) = n
+		if common == r.Bits {
+			up.route = &stored
+		} else {
+			*up.next(key) = newTrieNode(key, r.Bits, &stored)
+		}
+		*link = up
+		t.n++
+		return nil
+	}
 }
 
 // Lookup returns the longest-prefix-match route for dst.
 func (t *RoutingTable) Lookup(dst Addr) (Route, error) {
 	key := dst.Uint32()
-	node := t.root
 	var best *Route
-	for i := 0; ; i++ {
-		if node.route != nil {
-			best = node.route
+	for n := t.root; n != nil && (key^n.key)&n.mask == 0; n = *n.next(key) {
+		if n.route != nil {
+			best = n.route
 		}
-		if i == 32 {
-			break
-		}
-		bit := (key >> (31 - i)) & 1
-		if node.child[bit] == nil {
-			break
-		}
-		node = node.child[bit]
 	}
 	if best == nil {
 		return Route{}, ErrNoRoute

@@ -1,6 +1,8 @@
 package netstack
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +146,59 @@ func TestRoutingTableMatchesLinearReference(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRoutingTable inserts a fuzzed sequence of routes, replaces,
+// default (/0) and host (/32) routes included, and after every insert
+// checks Len and the lookup of each stored prefix's first and last
+// address and both neighbours against lpmReference. Each 5-byte record
+// is a route: a big-endian prefix and a length byte (mod 33).
+func FuzzRoutingTable(f *testing.F) {
+	route := func(a, b, c, d, bits byte) []byte { return []byte{a, b, c, d, bits} }
+	f.Add(bytes.Join([][]byte{
+		route(0, 0, 0, 0, 0), route(10, 0, 1, 0, 24), route(10, 0, 1, 128, 25),
+		route(10, 0, 1, 9, 32), route(10, 0, 1, 0, 24), route(255, 255, 255, 255, 32),
+	}, nil))
+	f.Add(bytes.Join([][]byte{
+		route(10, 0, 1, 9, 32), route(10, 0, 1, 8, 31), route(10, 0, 0, 0, 8),
+		route(0x80, 0, 0, 0, 1), route(0, 0, 0, 0, 1), route(1, 2, 3, 4, 0),
+	}, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt := NewRoutingTable()
+		var routes []Route
+		for i := 0; i+5 <= len(data) && i < 5*32; i += 5 {
+			bits := int(data[i+4]) % 33
+			key := binary.BigEndian.Uint32(data[i:]) & maskBits(bits)
+			r := Route{Prefix: AddrFromUint32(key), Bits: bits, NextHop: AddrFromUint32(uint32(i)), IfIndex: i / 5}
+			if err := rt.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+			replaced := false
+			for j, prev := range routes {
+				if prev.Bits == r.Bits && prev.Prefix == r.Prefix {
+					routes[j], replaced = r, true
+				}
+			}
+			if !replaced {
+				routes = append(routes, r)
+			}
+			if rt.Len() != len(routes) {
+				t.Fatalf("Len = %d after %d distinct prefixes", rt.Len(), len(routes))
+			}
+			for _, stored := range routes {
+				first := stored.Prefix.Uint32()
+				last := first | ^maskBits(stored.Bits)
+				for _, p := range []uint32{first, last, first - 1, last + 1} {
+					dst := AddrFromUint32(p)
+					want, wantOK := lpmReference(routes, dst)
+					got, err := rt.Lookup(dst)
+					if wantOK != (err == nil) || got != want {
+						t.Fatalf("Lookup(%v) = %v, %v; want %v (found %v)", dst, got, err, want, wantOK)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestARPTable(t *testing.T) {

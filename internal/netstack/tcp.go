@@ -172,21 +172,11 @@ func ParseSACKBlocks(opts []byte, dst []SACKBlock) []SACKBlock {
 	return dst
 }
 
-// tcpPseudoSum computes the pseudo-header partial sum.
-func tcpPseudoSum(src, dst Addr, segLen int) uint32 {
-	var pseudo [12]byte
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = ProtoTCP
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(segLen))
-	return sumBytes(0, pseudo[:])
-}
-
 // FinishTCPChecksum computes and stores the checksum over a whole TCP
 // segment (header + payload) whose checksum field is zero.
 func FinishTCPChecksum(src, dst Addr, segment []byte) {
 	segment[16], segment[17] = 0, 0
-	sum := tcpPseudoSum(src, dst, len(segment))
+	sum := pseudoSum(src, dst, ProtoTCP, len(segment))
 	sum = sumBytes(sum, segment)
 	binary.BigEndian.PutUint16(segment[16:18], ^foldChecksum(sum))
 }
@@ -196,7 +186,7 @@ func VerifyTCPChecksum(src, dst Addr, segment []byte) bool {
 	if len(segment) < TCPHeaderLen {
 		return false
 	}
-	sum := tcpPseudoSum(src, dst, len(segment))
+	sum := pseudoSum(src, dst, ProtoTCP, len(segment))
 	sum = sumBytes(sum, segment)
 	return foldChecksum(sum) == 0xffff
 }

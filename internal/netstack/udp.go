@@ -44,13 +44,7 @@ func (h *UDPHeader) Unmarshal(b []byte) error {
 // the checksum field zeroed or ignored. Per RFC 768, an all-zero result
 // is transmitted as 0xffff.
 func ComputeUDPChecksum(src, dst Addr, datagram []byte) uint16 {
-	var pseudo [12]byte
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = ProtoUDP
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(datagram)))
-
-	sum := sumBytes(0, pseudo[:])
+	sum := pseudoSum(src, dst, ProtoUDP, len(datagram))
 	// Sum the datagram with the checksum field treated as zero.
 	sum = sumBytes(sum, datagram[:6])
 	if len(datagram) > 8 {

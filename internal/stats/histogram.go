@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"livelock/internal/sim"
@@ -13,29 +14,26 @@ import (
 // span 1ns to ~1000s with a fixed number of sub-buckets per decade, which
 // keeps quantile error under ~12% while using constant memory.
 type Histogram struct {
-	name    string
-	counts  []uint64
-	n       uint64
-	sum     float64
-	min     sim.Duration
-	max     sim.Duration
-	perDec  int
-	decades int
+	name   string
+	counts []uint64
+	n      uint64
+	sum    float64
+	min    sim.Duration
+	max    sim.Duration
 }
 
 const (
 	histSubBuckets = 20 // per decade
 	histDecades    = 12 // 1ns .. 1000s
+	histBuckets    = histSubBuckets*histDecades + 1
 )
 
 // NewHistogram returns an empty named histogram.
 func NewHistogram(name string) *Histogram {
 	return &Histogram{
-		name:    name,
-		counts:  make([]uint64, histSubBuckets*histDecades+1),
-		min:     math.MaxInt64,
-		perDec:  histSubBuckets,
-		decades: histDecades,
+		name:   name,
+		counts: make([]uint64, histBuckets),
+		min:    math.MaxInt64,
 	}
 }
 
@@ -55,28 +53,61 @@ func (h *Histogram) Reset() {
 	h.max = 0
 }
 
-func (h *Histogram) bucket(d sim.Duration) int {
+// logBucket is the bucket of d ≥ 1 by definition: histSubBuckets
+// buckets per decade of log10(d), the last one open-ended.
+func logBucket(d sim.Duration) int {
+	return min(int(math.Log10(float64(d))*histSubBuckets), histBuckets-1)
+}
+
+// bucketEdges[i] is the least d ≥ 1 whose logBucket is at least i, and
+// bucketHints[k] is the logBucket of 2^(k-1), the least d with
+// bits.Len64(d) == k. Both are built once per process by logBucket
+// itself (a binary search for each edge), so bucket returns exactly the
+// index logBucket does, math.Log10's rounding on this architecture
+// included, without a logarithm per observation.
+var bucketEdges, bucketHints = bucketTables()
+
+func bucketTables() (edges [histBuckets]sim.Duration, hints [64]int) {
+	for i := range edges {
+		lo, hi := sim.Duration(1), sim.Duration(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		edges[i] = lo
+	}
+	for k := 1; k < len(hints); k++ {
+		hints[k] = logBucket(1 << (k - 1))
+	}
+	return edges, hints
+}
+
+// bucket returns logBucket(max(d, 1)): from the bucket of d's power of
+// two it steps up past every edge at or below d, at most seven steps (a
+// power of two spans 20·log10(2) ≈ 6 buckets).
+func bucket(d sim.Duration) int {
 	if d < 1 {
-		d = 1
+		return 0
 	}
-	idx := int(math.Log10(float64(d)) * float64(h.perDec))
-	if idx < 0 {
-		idx = 0
+	i := bucketHints[bits.Len64(uint64(d))]
+	for i+1 < histBuckets && d >= bucketEdges[i+1] {
+		i++
 	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	return idx
+	return i
 }
 
 // bucketUpper returns the upper bound of bucket i.
-func (h *Histogram) bucketUpper(i int) sim.Duration {
-	return sim.Duration(math.Pow(10, float64(i+1)/float64(h.perDec)))
+func bucketUpper(i int) sim.Duration {
+	return sim.Duration(math.Pow(10, float64(i+1)/histSubBuckets))
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d sim.Duration) {
-	h.counts[h.bucket(d)]++
+	h.counts[bucket(d)]++
 	h.n++
 	h.sum += float64(d)
 	if d < h.min {
@@ -129,7 +160,7 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
-			u := h.bucketUpper(i)
+			u := bucketUpper(i)
 			if u > h.max {
 				u = h.max
 			}
@@ -167,7 +198,7 @@ func (h *Histogram) Render() string {
 			continue
 		}
 		bar := int(float64(c) / float64(peak) * 40)
-		fmt.Fprintf(&b, "  <=%-12v %8d %s\n", h.bucketUpper(i), c, strings.Repeat("#", bar))
+		fmt.Fprintf(&b, "  <=%-12v %8d %s\n", bucketUpper(i), c, strings.Repeat("#", bar))
 	}
 	return b.String()
 }

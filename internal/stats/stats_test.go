@@ -195,3 +195,56 @@ func TestHistogramRender(t *testing.T) {
 		t.Fatal("render of populated histogram is empty")
 	}
 }
+
+// bucketByLog is the bucket formula the edge table replaced, one
+// math.Log10 per observation.
+func bucketByLog(d sim.Duration) int {
+	if d < 1 {
+		d = 1
+	}
+	idx := int(math.Log10(float64(d)) * float64(histSubBuckets))
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= histBuckets {
+		idx = histBuckets - 1
+	}
+	return idx
+}
+
+// TestBucketMatchesLogFormula checks the edge-table bucket against the
+// math.Log10 formula: exhaustively over 0…3·10⁶, within ±1000 of every
+// edge, within ±100 of every power of two, and at the extremes.
+func TestBucketMatchesLogFormula(t *testing.T) {
+	check := func(d sim.Duration) {
+		if got, want := bucket(d), bucketByLog(d); got != want {
+			t.Fatalf("bucket(%d) = %d, want %d", d, got, want)
+		}
+	}
+	for d := sim.Duration(0); d <= 3_000_000; d++ {
+		check(d)
+	}
+	// near checks c±r for 1 ≤ c, stopping at MaxInt64.
+	near := func(c, r sim.Duration) {
+		hi := c + min(r, math.MaxInt64-c)
+		for d := c - r; ; d++ {
+			check(d)
+			if d == hi {
+				return
+			}
+		}
+	}
+	for i, e := range bucketEdges {
+		if i > 0 && e < bucketEdges[i-1] {
+			t.Fatalf("edge %d (%d) below edge %d (%d)", i, e, i-1, bucketEdges[i-1])
+		}
+		near(e, 1000)
+	}
+	for k := 0; k < 63; k++ {
+		near(sim.Duration(1)<<k, 100)
+	}
+	near(math.MaxInt64, 1000)
+	for _, d := range []sim.Duration{0, -1, -1000, math.MinInt64} {
+		check(d)
+	}
+}

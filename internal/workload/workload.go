@@ -123,7 +123,7 @@ type Generator struct {
 	running bool
 	nextID  uint64
 	ipid    uint16
-	payload []byte
+	tmpl    *netstack.UDPTemplate
 
 	// Sent counts frames handed to the wire (the offered load);
 	// PoolDrops counts sends skipped because the buffer pool was
@@ -138,14 +138,23 @@ func NewGenerator(eng *sim.Engine, rng *sim.RNG, wire *nic.Wire, pool *netstack.
 	if cfg.Arrival == nil {
 		panic("workload: nil arrival process")
 	}
-	payload := make([]byte, cfg.PayloadBytes)
-	if n := (&netstack.FrameSpec{Payload: payload}).FrameLen(); n > netstack.EthMaxFrame {
+	// The flow's frame is built once; sendOne stamps each packet's IP ID
+	// and source port into a copy.
+	tmpl := netstack.NewUDPTemplate(netstack.FrameSpec{
+		SrcMAC: cfg.SrcMAC, DstMAC: cfg.DstMAC,
+		SrcIP: cfg.SrcIP, DstIP: cfg.DstIP,
+		DstPort: cfg.DstPort,
+		Payload: make([]byte, cfg.PayloadBytes),
+		// The paper's packets carry 4 bytes of UDP data; checksum on.
+		UDPChecksum: true,
+	})
+	if n := tmpl.Len(); n > netstack.EthMaxFrame {
 		panic(fmt.Sprintf("workload: %d-byte payload gives a %d-byte frame, over EthMaxFrame %d",
 			cfg.PayloadBytes, n, netstack.EthMaxFrame))
 	}
 	return &Generator{
 		eng: eng, rng: rng, wire: wire, pool: pool, cfg: cfg,
-		payload:   payload,
+		tmpl:      tmpl,
 		Sent:      stats.NewCounter("gen.sent"),
 		PoolDrops: stats.NewCounter("gen.pooldrops"),
 	}
@@ -197,25 +206,14 @@ func (g *Generator) sendOne() {
 	if g.cfg.SrcPortSpread > 1 {
 		srcPort += uint16(g.Sent.Value() % uint64(g.cfg.SrcPortSpread))
 	}
-	spec := netstack.FrameSpec{
-		SrcMAC: g.cfg.SrcMAC, DstMAC: g.cfg.DstMAC,
-		SrcIP: g.cfg.SrcIP, DstIP: g.cfg.DstIP,
-		SrcPort: srcPort, DstPort: g.cfg.DstPort,
-		IPID:    g.ipid,
-		Payload: g.payload,
-		// The paper's packets carry 4 bytes of UDP data; checksum on.
-		UDPChecksum: true,
-	}
+	ipid := g.ipid
 	g.ipid++
-	p := g.pool.Get(spec.FrameLen())
+	p := g.pool.Get(g.tmpl.Len())
 	if p == nil {
 		g.PoolDrops.Inc()
 		return
 	}
-	if _, err := netstack.BuildUDPFrame(p.Data, &spec); err != nil {
-		// Impossible by construction: the buffer was sized by FrameLen.
-		panic(err)
-	}
+	g.tmpl.Stamp(p.Data, ipid, srcPort)
 	g.nextID++
 	p.ID = g.nextID
 	p.Born = g.eng.Now()

@@ -229,6 +229,12 @@ func MLFRR(cfg Config, lossTolerance float64, o Options) (float64, error) {
 	return experiment.MLFRR(cfg, lossTolerance, o)
 }
 
+// MLFRRs estimates the MLFRR of each configuration, all on one worker
+// pool; errs[i] is cfgs[i]'s error.
+func MLFRRs(cfgs []Config, lossTolerance float64, o Options) (ms []float64, errs []error) {
+	return experiment.MLFRRs(cfgs, lossTolerance, o)
+}
+
 // BurstLatency measures §4.3's first-of-burst latency effect.
 func BurstLatency(mode Mode, burstLen int, o Options) (experiment.LatencyPoint, error) {
 	return experiment.BurstLatency(mode, burstLen, o)
