@@ -46,7 +46,8 @@ bench:
 bench-baseline:
 	$(GO) run ./cmd/lkbench -baseline BENCH_baseline.json -update
 
-# The full benchmark suite (figure sweeps, ablations, microbenches).
+# The full benchmark suite: every host-cost bench (substrate
+# microbenches, simulated seconds, the sweep executor).
 bench-full:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 

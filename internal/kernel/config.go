@@ -291,13 +291,6 @@ type Config struct {
 	// help[s] to postpone arrival of livelock".
 	FastPath bool
 
-	// OutputRED replaces drop-tail on the output ifqueues with Random
-	// Early Detection (Floyd & Jacobson, the paper's reference [3];
-	// §8 notes "other policies might provide better results"). This
-	// changes *which* packets are dropped, not when the kernel drops
-	// them — exactly the distinction §8 draws.
-	OutputRED bool
-
 	// ClockedPollInterval, if > 0 in ModePolled, disables device
 	// interrupts entirely and wakes the polling thread on a fixed
 	// period instead — the "clocked interrupts" design of Traw & Smith

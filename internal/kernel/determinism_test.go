@@ -18,7 +18,7 @@ func TestDeterminismAcrossConfigs(t *testing.T) {
 		{Mode: ModePolledCompat},
 		{Mode: ModePolled, Quota: 7, Screend: true, Feedback: true},
 		{Mode: ModePolled, Quota: 5, CycleLimitThreshold: 0.4, UserProcess: true},
-		{Mode: ModePolled, Quota: 5, OutputRED: true, InputNICs: 2},
+		{Mode: ModePolled, Quota: 5, InputNICs: 2},
 		{Mode: ModePolled, Quota: 5, ClockedPollInterval: 500 * sim.Microsecond},
 	}
 	for i, cfg := range configs {
@@ -64,23 +64,6 @@ func TestFairnessThreeInputs(t *testing.T) {
 	}
 	if min == 0 || float64(max)/float64(min) > 1.15 {
 		t.Fatalf("three-way round robin imbalance: min=%d max=%d", min, max)
-	}
-}
-
-// TestREDConservation: the RED admission path keeps exact packet
-// accounting.
-func TestREDConservation(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRouter(eng, Config{Mode: ModePolled, Quota: 5, OutputRED: true})
-	gen := r.AttachGenerator(0, workload.Poisson{Rate: 9000}, 0)
-	gen.Start()
-	eng.Run(sim.Time(2 * sim.Second))
-	gen.Stop()
-	eng.RunFor(500 * sim.Millisecond)
-	a := r.Account()
-	if got := a.Delivered + a.Dropped() + uint64(a.Alive); got != gen.Sent.Value() {
-		t.Fatalf("conservation with RED: %d accounted of %d (%+v)",
-			got, gen.Sent.Value(), a)
 	}
 }
 

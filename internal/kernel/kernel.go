@@ -65,25 +65,18 @@ type netPort struct {
 	idx int
 	nic *nic.NIC
 	//lkvet:guards netLock
-	outq *queue.Queue
-	// red is non-nil when Config.OutputRED; wraps outq.
-	//lkvet:guards netLock
-	red      *queue.RED
+	outq     *queue.Queue
 	localIP  netstack.Addr
 	txTask   *cpu.Task
 	txPoller *core.Poller
 	ld       *cpu.Lockdep // the router's checker, nil unless enabled
 }
 
-// enqueueOut admits a packet to the port's output queue under the
-// configured drop policy.
+// enqueueOut admits a packet to the port's drop-tail output queue.
 //
 //lkvet:requires netLock
 func (p *netPort) enqueueOut(pkt *netstack.Packet) bool {
 	p.ld.Check(p.outq)
-	if p.red != nil {
-		return p.red.Enqueue(pkt)
-	}
 	return p.outq.Enqueue(pkt)
 }
 
@@ -92,9 +85,6 @@ func (p *netPort) enqueueOut(pkt *netstack.Packet) bool {
 //lkvet:requires netLock
 func (p *netPort) dequeueOut() *netstack.Packet {
 	p.ld.Check(p.outq)
-	if p.red != nil {
-		return p.red.Dequeue()
-	}
 	return p.outq.Dequeue()
 }
 
@@ -519,18 +509,11 @@ func (r *Router) addPort(p *netPort) {
 	r.localAddrs[p.localIP] = p
 }
 
-// initOutQueue builds the port's output ifqueue under the configured
-// drop policy. Boot-time only.
+// initOutQueue builds the port's drop-tail output ifqueue. Boot-time
+// only.
 //
 //lkvet:requires boot
 func (r *Router) initOutQueue(p *netPort, name string, clock func() sim.Time) {
-	if r.Cfg.OutputRED {
-		p.red = queue.NewRED(name, r.Cfg.OutQueueLimit, clock, r.RNG,
-			queue.DefaultREDParams(r.Cfg.OutQueueLimit))
-		p.outq = p.red.Queue
-		p.outq.Reason = prov.ReasonOutQFull
-		return
-	}
 	p.outq = queue.New(name, r.Cfg.OutQueueLimit, clock)
 	p.outq.Reason = prov.ReasonOutQFull
 }
@@ -1113,9 +1096,6 @@ func (r *Router) Account() Accounting {
 	}
 	for _, p := range r.ports {
 		a.OutQueueDrops += p.outq.Drops.Value()
-		if p.red != nil {
-			a.OutQueueDrops += p.red.EarlyDrops.Value()
-		}
 	}
 	if r.ipintrq != nil {
 		a.IPIntrQDrops = r.ipintrq.Drops.Value()

@@ -127,14 +127,22 @@ func TestPolledNoQuotaCollapses(t *testing.T) {
 	// Figure 6-3 (diamonds): without a quota, throughput above the
 	// MLFRR "drops almost to zero", because the input callback never
 	// returns and transmit-buffer descriptors are never released
-	// (§6.6). The drops move to the output queue.
-	cfg := Config{Mode: ModePolled, Quota: -1}
-	res := trial(t, cfg, 9000)
-	if res.OutputRate > 500 {
-		t.Fatalf("no-quota output at 9000 pps = %.0f, want near zero", res.OutputRate)
-	}
-	if res.Accounting.OutQueueDrops == 0 {
-		t.Fatalf("no output-queue drops; collapse has wrong mechanism: %+v", res.Accounting)
+	// (§6.6). The drops move to the output queue. A deeper transmit
+	// ring only delays the starvation (§4.4): at every depth the
+	// no-quota kernel forwards under 1% of what quota 5 forwards.
+	quota5 := trial(t, Config{Mode: ModePolled, Quota: 5}, 9000).OutputRate
+	for _, ring := range []int{8, 32, 128} { // 32 is the default ring
+		cfg := Config{Mode: ModePolled, Quota: -1}
+		cfg.NIC.TxRing = ring
+		res := trial(t, cfg, 9000)
+		if res.OutputRate >= 0.01*quota5 {
+			t.Errorf("tx ring %d: no-quota output at 9000 pps = %.0f, want under 1%% of quota 5's %.0f",
+				ring, res.OutputRate, quota5)
+		}
+		if res.Accounting.OutQueueDrops == 0 {
+			t.Errorf("tx ring %d: no output-queue drops; collapse has wrong mechanism: %+v",
+				ring, res.Accounting)
+		}
 	}
 }
 
@@ -177,6 +185,26 @@ func TestFeedbackPreventsLivelock(t *testing.T) {
 	}
 	if acct.ScreendDrops > acct.RingDrops/10 {
 		t.Fatalf("too many expensive screend-queue drops: %+v", acct)
+	}
+}
+
+func TestFeedbackWatermarksArbitrary(t *testing.T) {
+	// §6.6.1: "we chose these high and low water marks arbitrarily".
+	// The claim is that feedback prevents livelock whatever the marks
+	// are: every (high, low) pair forwards at least 0.9x what the
+	// default (24, 8) pair forwards. Polled screend without feedback
+	// forwards nothing at this load (figure 6-4).
+	def := trial(t, Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true}, 10000).OutputRate
+	if def <= 0 {
+		t.Fatalf("default watermarks (24, 8): output %.0f at 10000 pps, want > 0", def)
+	}
+	for _, wm := range []struct{ high, low int }{{28, 4}, {20, 12}, {16, 14}} {
+		cfg := Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true,
+			ScreendQHigh: wm.high, ScreendQLow: wm.low}
+		if out := trial(t, cfg, 10000).OutputRate; out < 0.9*def {
+			t.Errorf("watermarks (%d, %d): output %.0f at 10000 pps, want >= 0.9x default's %.0f",
+				wm.high, wm.low, out, def)
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func TestConfigValidateRejectsUnbuildable(t *testing.T) {
 		{"IPIntrQLimit", kernel.Config{IPIntrQLimit: -1}},
 		{"IPIntrQLimit", kernel.Config{Mode: kernel.ModePolledCompat, IPIntrQLimit: -1}},
 		{"OutQueueLimit", kernel.Config{Mode: kernel.ModePolled, OutQueueLimit: -1}},
-		{"OutQueueLimit", kernel.Config{OutQueueLimit: -1, OutputRED: true}},
+		{"OutQueueLimit", kernel.Config{OutQueueLimit: -1}},
 		{"ScreendQLimit", kernel.Config{Screend: true, ScreendQLimit: -1}},
 		{"NIC.RxRing", nicRing(-1, 0)},
 		{"NIC.TxRing", nicRing(0, -1)},

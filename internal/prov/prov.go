@@ -205,7 +205,7 @@ const (
 	ReasonIPIntrQFull
 	// ReasonScreendQFull: dropped at the screend input queue.
 	ReasonScreendQFull
-	// ReasonOutQFull: dropped at an output ifqueue (drop-tail or RED).
+	// ReasonOutQFull: dropped at an output ifqueue (drop-tail).
 	ReasonOutQFull
 	// ReasonSockBufFull: dropped at a socket receive buffer.
 	ReasonSockBufFull
