@@ -78,10 +78,11 @@ examples:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz pass over every netstack wire-format decoder and the
-# routing table's longest-prefix match (CI runs the same loop). Override
-# FUZZTIME for longer local hunts; crashes land in
-# internal/netstack/testdata/fuzz/ — commit them as regression seeds.
+# Short fuzz pass over every netstack wire-format decoder, the routing
+# table's longest-prefix match and the event engine against its
+# reference (CI runs the same targets). Override FUZZTIME for longer
+# local hunts; crashes land in the package's testdata/fuzz/ — commit
+# them as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	for target in FuzzIPv4Unmarshal FuzzUDPParse FuzzTCPParse \
@@ -89,6 +90,8 @@ fuzz:
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" \
 			-fuzztime=$(FUZZTIME) ./internal/netstack/ || exit 1; \
 	done
+	$(GO) test -run '^FuzzEngineDifferential$$' -fuzz '^FuzzEngineDifferential$$' \
+		-fuzztime=$(FUZZTIME) ./internal/sim/
 
 # Exhaust every built-in exploration scenario: enumerate all bounded
 # interleavings and fault outcomes, checking the livelock-freedom

@@ -92,6 +92,32 @@ func BenchmarkEngineEventsCall(b *testing.B) {
 	eng.Run(sim.Time(int64(b.N+1) * 1000))
 }
 
+// BenchmarkEngineQueue measures one fired event at a fixed queue depth:
+// depth self-rescheduling timers with seeded delays, so every firing
+// schedules its successor into a queue that holds depth events. The
+// Engine benches above keep one event pending and never exercise the
+// queue's ordering; this one shows its cost as the depth grows.
+func BenchmarkEngineQueue(b *testing.B) {
+	for _, depth := range []int{8, 128, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			eng := sim.NewEngine()
+			rng := sim.NewRNG(1)
+			var tick sim.Callback
+			tick = func(_, _ any) {
+				eng.AfterCall(sim.Duration(1+rng.Intn(1000)), tick, nil, nil)
+			}
+			for i := 0; i < depth; i++ {
+				tick(nil, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkQueueOps measures one enqueue+dequeue through a bounded FIFO
 // with live watermark hysteresis, per op pair.
 func BenchmarkQueueOps(b *testing.B) {

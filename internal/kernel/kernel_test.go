@@ -385,6 +385,8 @@ func TestBurstFirstPacketLatency(t *testing.T) {
 	// first packet of a burst behind link-level processing of the whole
 	// burst; the polled kernel processes it to completion immediately.
 	// The minimum observed latency captures the first-of-burst packet.
+	// Each run ends through Finish, so its conservation and cycle audits
+	// must pass too.
 	run := func(mode Mode) sim.Duration {
 		eng := sim.NewEngine()
 		cfg := Config{Mode: mode, Quota: 5}
@@ -393,7 +395,11 @@ func TestBurstFirstPacketLatency(t *testing.T) {
 		gen := r.AttachGenerator(0, burst, 0)
 		gen.Start()
 		eng.Run(sim.Time(2 * sim.Second))
-		return r.Sink.Latency.Min()
+		min := r.Sink.Latency.Min()
+		if _, err := r.Finish(200 * sim.Millisecond); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		return min
 	}
 	unmod := run(ModeUnmodified)
 	polled := run(ModePolled)

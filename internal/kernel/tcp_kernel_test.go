@@ -159,7 +159,13 @@ func TestRenoResendsLessThanTahoe(t *testing.T) {
 		gen.Start()
 		snd.Start()
 		eng.Run(sim.Time(10 * sim.Second))
-		return snd.SegmentsSent.Value(), snd.Timeouts.Value(), snd.Done
+		sent, timeouts, done = snd.SegmentsSent.Value(), snd.Timeouts.Value(), snd.Done
+		// End through Finish, so the run's conservation and cycle audits
+		// must pass too.
+		if _, err := r.Finish(200 * sim.Millisecond); err != nil {
+			t.Fatalf("%v: %v", variant, err)
+		}
+		return sent, timeouts, done
 	}
 	tahoeSent, _, tahoeDone := run(VariantTahoe)
 	renoSent, _, renoDone := run(VariantReno)

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // Allocation regression tests: the engine hot path — closure-free
-// scheduling through the event pool, firing, and lazy cancellation —
+// scheduling through the event pool, firing, and cancellation —
 // must not allocate in steady state. A failure here means a change
 // reintroduced per-event garbage, which the benchmark gate would catch
 // later and more expensively.

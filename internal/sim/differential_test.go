@@ -1,12 +1,13 @@
 package sim
 
-// Differential test: the pooled 4-ary lazy-cancellation engine is
-// checked against a retained copy of the original implementation (a
-// binary heap of per-event allocations with eager cancellation). Both
-// engines execute the same seeded random schedule/cancel/reschedule
-// scripts — including same-instant ties and cancel-while-pending — and
-// must produce the identical firing order and identical Fired/Pending
-// counts at every run boundary.
+// Differential test: the pooled engine (one sorted slice of inline
+// (when, seq) nodes, eager cancellation) is checked against a retained
+// copy of the original implementation (a binary heap of per-event
+// allocations, also with eager cancellation). Both engines execute the
+// same schedule/cancel/reschedule scripts — seeded random ones here and
+// fuzzed ones in FuzzEngineDifferential, including same-instant ties
+// and cancel-while-pending — and must produce the identical firing
+// order and identical Fired/Pending counts at every run boundary.
 
 import (
 	"fmt"
@@ -370,8 +371,8 @@ func TestEngineDifferentialSameInstantResched(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialCancelStorm drives the cancel-heavy pattern the
-// lazy-cancellation compactor exists for: most scheduled events are
+// TestEngineDifferentialCancelStorm drives the cancel-heavy pattern of
+// a retransmit timer cancelled on every ACK: most scheduled events are
 // cancelled before firing, at far-future deadlines, interleaved with
 // live near-term work. The pooled engine must still agree with the
 // reference exactly.
@@ -407,4 +408,68 @@ func TestEngineDifferentialCancelStorm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// decodeScript turns fuzz bytes into an op script, three bytes per op:
+// the kind, a cancel target (taken modulo the ids used so far) and a
+// delay. A quarter of the delay bytes map to zero, so same-instant ties
+// stay common; an advance spans up to 4× a schedule's reach.
+func decodeScript(data []byte) []op {
+	var script []op
+	nextID := 0
+	for ; len(data) >= 3 && len(script) < 2000; data = data[3:] {
+		kind, target := opKind(data[0]%4), int(data[1])
+		delay := Duration(0)
+		if data[2] >= 64 {
+			delay = Duration(data[2] - 64)
+		}
+		switch {
+		case kind == opSchedule:
+			script = append(script, op{kind: opSchedule, id: nextID, delay: delay})
+			nextID++
+		case kind == opAdvance:
+			script = append(script, op{kind: opAdvance, delay: 4 * Duration(data[2])})
+		case nextID == 0:
+			// Nothing to cancel yet.
+		case kind == opCancel:
+			script = append(script, op{kind: opCancel, target: target % nextID})
+		default:
+			script = append(script, op{kind: opResched, target: target % nextID, id: nextID, delay: delay})
+			nextID++
+		}
+	}
+	return script
+}
+
+// FuzzEngineDifferential runs fuzzed op scripts on both engines and
+// demands the same firing order and the same (fired, pending) at every
+// run boundary.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0})                 // three ties at t=0, then run
+	f.Add([]byte{0, 0, 80, 0, 0, 80, 1, 0, 0, 3, 0, 30})              // cancel one of a tie
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 1, 70, 3, 0, 0, 3, 0, 255})     // same-instant reschedules
+	f.Add([]byte{0, 0, 255, 0, 0, 10, 1, 0, 0, 0, 0, 200, 3, 0, 100}) // far timer cancelled
+	f.Fuzz(func(t *testing.T, data []byte) {
+		script := decodeScript(data)
+		gotOrder, gotMarks := runNew(script)
+		wantOrder, wantMarks := runRef(script)
+		if len(gotOrder) != len(wantOrder) {
+			t.Fatalf("fired %d events, reference fired %d", len(gotOrder), len(wantOrder))
+		}
+		for i := range gotOrder {
+			if gotOrder[i] != wantOrder[i] {
+				t.Fatalf("firing order diverges at position %d: got id %d, reference id %d",
+					i, gotOrder[i], wantOrder[i])
+			}
+		}
+		if len(gotMarks) != len(wantMarks) {
+			t.Fatalf("%d run boundaries vs reference %d", len(gotMarks), len(wantMarks))
+		}
+		for i := range gotMarks {
+			if gotMarks[i] != wantMarks[i] {
+				t.Fatalf("(fired, pending) at boundary %d = %v, reference %v", i, gotMarks[i], wantMarks[i])
+			}
+		}
+	})
 }

@@ -10,18 +10,18 @@ import "fmt"
 type Callback func(a, b any)
 
 // Event is a pooled scheduler entry. Events are owned by the engine's
-// free list and recycled the moment they fire or their cancelled heap
-// node is collected; user code never holds an *Event directly — it
-// holds a generation-checked Handle, which stays safe (Pending reports
-// false, Cancel is a no-op) even after the underlying Event has been
-// reused for a later scheduling.
+// free list and recycled the moment they fire or are cancelled; user
+// code never holds an *Event directly — it holds a generation-checked
+// Handle, which stays safe (Pending reports false, Cancel is a no-op)
+// even after the underlying Event has been reused for a later
+// scheduling.
 type Event struct {
-	when    Time
-	gen     uint64 // bumped on every recycle; Handles pin the value
-	pending bool   // true while queued; false once fired or cancelled
-	fn      Callback
-	a, b    any
-	next    *Event // free-list link
+	when Time
+	seq  uint64 // the event's queue key with when; Cancel searches by it
+	gen  uint64 // bumped on every recycle; Handles pin the value
+	fn   Callback
+	a, b any
+	next *Event // free-list link
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and
@@ -33,10 +33,11 @@ type Handle struct {
 }
 
 // Pending reports whether the event is still queued (not yet fired and
-// not cancelled). A handle whose event has been recycled for a newer
-// scheduling reports false.
+// not cancelled). An Event is recycled, and its generation bumped, the
+// moment it fires or is cancelled, so the generation check is the whole
+// test: a handle to a fired, cancelled or reused event reports false.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.pending
+	return h.ev != nil && h.ev.gen == h.gen
 }
 
 // When returns the instant the event is scheduled to fire, or zero if
@@ -48,21 +49,12 @@ func (h Handle) When() Time {
 	return h.ev.when
 }
 
-// heapNode is one entry of the event queue. The ordering key (when,
-// seq) is stored inline so sift comparisons never chase the Event
-// pointer.
-type heapNode struct {
+// node is one entry of the event queue. The ordering key (when, seq) is
+// stored inline so the insertion search never chases the Event pointer.
+type node struct {
 	when Time
 	seq  uint64 // FIFO tie-break for events at the same instant
 	ev   *Event
-}
-
-// nodeBefore orders heap nodes by (when, seq).
-func nodeBefore(a, b heapNode) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
 }
 
 // Tie describes one of several pending events due at the same instant,
@@ -82,7 +74,8 @@ type Tie struct {
 // TieBreaker chooses which of the tied same-instant events fires next,
 // returning an index into ties. Returning 0 reproduces the engine's
 // default FIFO order. The ties slice is reused between calls and must
-// not be retained. Installed only by schedule-exploration harnesses;
+// not be retained, and the breaker must not schedule or cancel events
+// (Engine panics if it does). Installed only by schedule-exploration harnesses;
 // normal runs leave it nil and pay nothing beyond one nil check per
 // fired event.
 type TieBreaker func(now Time, ties []Tie) int
@@ -91,27 +84,27 @@ type TieBreaker func(now Time, ties []Tie) int
 // use; a simulation is a single-threaded, deterministic computation.
 //
 // The scheduler hot path is allocation-free at steady state: Events are
-// recycled through a free list, the priority queue is a 4-ary heap of
-// inline (when, seq) keys, and cancellation is lazy — a cancelled
-// event's heap node is skipped (and its Event recycled) when it
-// surfaces at the root, or reclaimed wholesale by an occasional
-// compaction when cancellations pile up. None of this changes
-// observable order: events fire strictly by (when, seq), with seq
-// assigned in scheduling order, exactly as the original eager binary
-// heap fired them.
+// recycled through a free list, and the queue is one slice of inline
+// (when, seq) nodes kept sorted latest-first, so the next event is
+// always the last element. Firing pops it with no comparisons;
+// scheduling binary-searches its slot and shifts the nodes due sooner
+// up by one; Cancel finds the node with the same search and removes it
+// at once. The simulator keeps a handful of events pending (about 5 on
+// average over the figure sweep, 127 at most), where the shift is
+// cheaper than a heap's sifts; DESIGN.md §6 gives the depth at which
+// that reverses. Events fire strictly by (when, seq), with seq
+// assigned in scheduling order.
 type Engine struct {
 	now     Time
-	heap    []heapNode
+	queue   []node // sorted by (when, seq), latest first
 	seq     uint64
 	stopped bool
 	fired   uint64
-	live    int    // queued events that have not been cancelled
-	dead    int    // cancelled events still occupying heap nodes
 	free    *Event // recycled Events ready for reuse
 
 	tie     TieBreaker
-	tieBuf  []heapNode // scratch: popped tied nodes, in (when, seq) order
-	tieList []Tie      // scratch: the view handed to the TieBreaker
+	tieList []Tie // scratch: the view handed to the TieBreaker
+	held    int   // tied events out of the queue while the TieBreaker runs
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -169,13 +162,16 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
 	} else {
 		ev = &Event{}
 	}
-	ev.when = t
-	ev.pending = true
+	ev.when, ev.seq = t, e.seq
 	ev.fn = fn
 	ev.a, ev.b = a, b
-	e.heapPush(heapNode{when: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.live++
+	// Insert at the node's (when, seq) slot; the nodes from there to
+	// the end, all due sooner, shift up by one.
+	i := e.search(t, ev.seq)
+	e.queue = append(e.queue, node{})
+	copy(e.queue[i+1:], e.queue[i:])
+	e.queue[i] = node{when: t, seq: ev.seq, ev: ev}
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -185,21 +181,16 @@ func (e *Engine) AfterCall(d Duration, fn Callback, a, b any) Handle {
 	return e.AtCall(e.now.Add(d), fn, a, b)
 }
 
-// Cancel removes a pending event. Cancelling a fired, already-cancelled
-// or zero handle is a no-op, so callers can unconditionally cancel
-// stored handles. Cancellation is lazy: the heap node stays queued and
-// is discarded when it reaches the root (or at the next compaction),
-// which keeps Cancel O(1) without any sift work.
+// Cancel removes a pending event from the queue and recycles it at
+// once. Cancelling a fired, already-cancelled or zero handle is a
+// no-op, so callers can unconditionally cancel stored handles.
 func (e *Engine) Cancel(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || !ev.pending {
+	if !h.Pending() {
 		return
 	}
-	ev.pending = false
-	ev.fn, ev.a, ev.b = nil, nil, nil
-	e.live--
-	e.dead++
-	e.maybeCompact()
+	ev := h.ev
+	e.remove(e.search(ev.when, ev.seq))
+	e.recycle(ev)
 }
 
 // fire recycles ev and runs its callback. The Event returns to the free
@@ -208,8 +199,6 @@ func (e *Engine) Cancel(h Handle) {
 // simulation cycles a single Event per timer chain.
 func (e *Engine) fire(ev *Event) {
 	fn, a, b := ev.fn, ev.a, ev.b
-	ev.pending = false
-	e.live--
 	e.recycle(ev)
 	e.fired++
 	fn(a, b)
@@ -224,98 +213,90 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = ev
 }
 
-// collectRoot discards the cancelled event at the heap root.
-func (e *Engine) collectRoot() {
-	n := e.heapPop()
-	e.dead--
-	e.recycle(n.ev)
+// next removes and returns the node to fire: the last one, unless a
+// TieBreaker is installed and other events are due at its instant.
+func (e *Engine) next() node {
+	last := len(e.queue) - 1
+	n := e.queue[last]
+	if e.tie != nil && last > 0 && e.queue[last-1].when == n.when {
+		return e.breakTie(last)
+	}
+	e.queue[last] = node{}
+	e.queue = e.queue[:last]
+	return n
 }
 
-// breakTie gathers every pending event tied at first's instant and lets
-// the installed TieBreaker choose which fires; the others are pushed
-// back with their original (when, seq) keys, so their relative FIFO
-// order is preserved for the next tie decision. Cancelled nodes
-// surfacing inside the tie set are collected, never offered.
-func (e *Engine) breakTie(first heapNode) heapNode {
-	when := first.when
-	e.tieBuf = append(e.tieBuf[:0], first)
-	for len(e.heap) > 0 && e.heap[0].when == when {
-		if !e.heap[0].ev.pending {
-			e.collectRoot()
-			continue
-		}
-		e.tieBuf = append(e.tieBuf, e.heapPop())
+// breakTie lets the TieBreaker pick which of the events due at the last
+// node's instant fires, and removes and returns that node. The tie set
+// is the queue's tail of nodes sharing the instant, offered in
+// (when, seq) order. While the breaker decides, the set is held out of
+// the queue: VisitPending does not show it and Pending still counts
+// it. Afterwards the unpicked nodes are back where they were, so their
+// FIFO order holds for the next decision.
+func (e *Engine) breakTie(last int) node {
+	when := e.queue[last].when
+	e.tieList = e.tieList[:0]
+	for i := last; i >= 0 && e.queue[i].when == when; i-- {
+		n := &e.queue[i]
+		e.tieList = append(e.tieList, Tie{Seq: n.seq, Fn: n.ev.fn, Arg: n.ev.a})
 	}
-	chosen := first
-	if len(e.tieBuf) > 1 {
-		e.tieList = e.tieList[:0]
-		for _, n := range e.tieBuf {
-			e.tieList = append(e.tieList, Tie{Seq: n.seq, Fn: n.ev.fn, Arg: n.ev.a})
-		}
-		pick := e.tie(when, e.tieList)
-		if pick < 0 || pick >= len(e.tieBuf) {
-			panic(fmt.Sprintf("sim: tie-breaker chose %d of %d tied events", pick, len(e.tieBuf)))
-		}
-		chosen = e.tieBuf[pick]
-		for i, n := range e.tieBuf {
-			if i != pick {
-				e.heapPush(n)
-			}
-		}
-		for i := range e.tieList {
-			e.tieList[i] = Tie{}
-		}
+	rest := last + 1 - len(e.tieList)
+	e.queue, e.held = e.queue[:rest], len(e.tieList)
+	pick := e.tie(when, e.tieList)
+	if len(e.queue) != rest {
+		panic("sim: tie-breaker scheduled or cancelled an event")
 	}
-	for i := range e.tieBuf {
-		e.tieBuf[i] = heapNode{}
+	e.queue, e.held = e.queue[:last+1], 0
+	if pick < 0 || pick >= len(e.tieList) {
+		panic(fmt.Sprintf("sim: tie-breaker chose %d of %d tied events", pick, len(e.tieList)))
 	}
-	return chosen
+	for i := range e.tieList {
+		e.tieList[i] = Tie{}
+	}
+	n := e.queue[last-pick]
+	e.remove(last - pick)
+	return n
 }
 
 // Step fires the next pending event. It reports false if no events
 // remain.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		if !e.heap[0].ev.pending {
-			e.collectRoot()
-			continue
-		}
-		n := e.heapPop()
-		if e.tie != nil {
-			n = e.breakTie(n)
-		}
-		e.now = n.when
-		e.fire(n.ev)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	n := e.next()
+	e.now = n.when
+	e.fire(n.ev)
+	return true
 }
 
 // Run fires events in order until the clock would pass `until`, then sets
 // the clock to exactly `until`. Events scheduled at `until` itself are
 // fired. Run returns the number of events fired.
 //
-// The loop inspects the heap root in place and pops at most once per
-// fired event: the former peek-then-pop pair (each descending the heap)
-// is now a single traversal.
+// The loop body is Step's, with next and fire inlined by hand: neither
+// fits the compiler's inlining budget, and the two calls per event cost
+// about 5% of a polled router's host time.
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		root := &e.heap[0]
-		if !root.ev.pending {
-			e.collectRoot()
-			continue
-		}
-		if root.when > until {
+	for !e.stopped && len(e.queue) > 0 {
+		last := len(e.queue) - 1
+		n := e.queue[last]
+		if n.when > until {
 			break
 		}
-		n := e.heapPop()
-		if e.tie != nil {
-			n = e.breakTie(n)
+		if e.tie != nil && last > 0 && e.queue[last-1].when == n.when {
+			n = e.breakTie(last)
+		} else {
+			e.queue[last] = node{}
+			e.queue = e.queue[:last]
 		}
 		e.now = n.when
-		e.fire(n.ev)
+		fn, a, b := n.ev.fn, n.ev.a, n.ev.b
+		e.recycle(n.ev)
+		e.fired++
+		fn(a, b)
 	}
 	if e.now < until {
 		e.now = until
@@ -329,116 +310,42 @@ func (e *Engine) RunFor(d Duration) uint64 { return e.Run(e.now.Add(d)) }
 // Stop makes the innermost Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued events, excluding cancelled ones
-// whose heap nodes have not been collected yet.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events that have been scheduled and
+// have neither fired nor been cancelled. Cancelled events leave the
+// queue at once, so none of them is counted.
+func (e *Engine) Pending() int { return len(e.queue) + e.held }
 
-// VisitPending calls visit for every pending (not fired, not cancelled)
-// event, in unspecified order. Exploration harnesses use this to
-// fingerprint the scheduler's forward-relevant state; callers needing a
-// canonical order must sort what they collect. visit must not schedule
-// or cancel events.
+// VisitPending calls visit for every queued event, latest first: every
+// pending one, except a tie set held out while the TieBreaker decides.
+// Exploration harnesses use this to fingerprint the scheduler's
+// forward-relevant state; callers needing a canonical order must sort
+// what they collect. visit must not schedule or cancel events.
 func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
-	for i := range e.heap {
-		ev := e.heap[i].ev
-		if ev.pending {
-			visit(ev.when, ev.fn, ev.a, ev.b)
-		}
+	for _, n := range e.queue {
+		visit(n.when, n.ev.fn, n.ev.a, n.ev.b)
 	}
 }
 
-// --- 4-ary heap keyed by (when, seq) ---
-//
-// A 4-ary heap halves the tree depth of a binary heap, trading slightly
-// more comparisons per level for far fewer cache lines touched per
-// sift; with 24-byte inline nodes, four children share two cache lines.
-// Sifts move the hole rather than swapping, so each level costs one
-// copy instead of three.
-
-func (e *Engine) heapPush(n heapNode) {
-	e.heap = append(e.heap, n)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !nodeBefore(n, e.heap[parent]) {
-			break
-		}
-		e.heap[i] = e.heap[parent]
-		i = parent
-	}
-	e.heap[i] = n
-}
-
-// heapPop removes and returns the root. The caller must ensure the heap
-// is non-empty.
-func (e *Engine) heapPop() heapNode {
-	h := e.heap
-	root := h[0]
-	last := len(h) - 1
-	n := h[last]
-	h[last] = heapNode{}
-	e.heap = h[:last]
-	if last > 0 {
-		e.siftDown(0, n)
-	}
-	return root
-}
-
-// siftDown places n into the subtree rooted at i, moving smaller
-// children up into the hole as it descends.
-func (e *Engine) siftDown(i int, n heapNode) {
-	h := e.heap
-	sz := len(h)
-	for {
-		first := 4*i + 1
-		if first >= sz {
-			break
-		}
-		best := first
-		limit := first + 4
-		if limit > sz {
-			limit = sz
-		}
-		for j := first + 1; j < limit; j++ {
-			if nodeBefore(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !nodeBefore(h[best], n) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = n
-}
-
-// maybeCompact rebuilds the heap without its cancelled nodes once they
-// outnumber the live ones (beyond a small floor, so tiny heaps never
-// bother). Cancel-heavy workloads — a retransmit timer cancelled on
-// every ACK, say — would otherwise accumulate dead nodes until their
-// distant deadlines surfaced. Compaction only removes nodes that can
-// never fire, and heapify preserves the (when, seq) pop order, so
-// firing order is untouched.
-func (e *Engine) maybeCompact() {
-	if e.dead <= 64 || e.dead <= len(e.heap)/2 {
-		return
-	}
-	h := e.heap
-	kept := h[:0]
-	for _, n := range h {
-		if n.ev.pending {
-			kept = append(kept, n)
+// search returns the index of the first node not ordered after
+// (when, seq): the node itself if it is queued, else the slot a node
+// with that key belongs in.
+func (e *Engine) search(when Time, seq uint64) int {
+	lo, hi := 0, len(e.queue)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n := &e.queue[m]; n.when > when || n.when == when && n.seq > seq {
+			lo = m + 1
 		} else {
-			e.recycle(n.ev)
+			hi = m
 		}
 	}
-	for i := len(kept); i < len(h); i++ {
-		h[i] = heapNode{}
-	}
-	e.heap = kept
-	e.dead = 0
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
-		e.siftDown(i, e.heap[i])
-	}
+	return lo
+}
+
+// remove deletes the node at index i.
+func (e *Engine) remove(i int) {
+	last := len(e.queue) - 1
+	copy(e.queue[i:], e.queue[i+1:])
+	e.queue[last] = node{}
+	e.queue = e.queue[:last]
 }

@@ -262,7 +262,8 @@ func TestEngineStopMidBatch(t *testing.T) {
 // TestEngineLazyCancelRecycling exercises the interaction between the
 // free-list pool and generation-checked handles: a handle kept across
 // its event's recycling must go inert rather than cancel the Event's
-// next occupant.
+// next occupant. (Cancellation was once lazy; the name is kept, and the
+// check covers the eager Cancel, which recycles just as firing does.)
 func TestEngineLazyCancelRecycling(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -285,9 +286,10 @@ func TestEngineLazyCancelRecycling(t *testing.T) {
 	}
 }
 
-// TestEngineCancelHeavyCompaction drives the lazy-cancellation path
-// through its compaction threshold: thousands of schedule/cancel pairs
-// with far-future deadlines must not change what actually fires.
+// TestEngineCancelHeavyCompaction drives a cancel-heavy load (named
+// for the compaction the lazy-cancellation heap once needed here):
+// thousands of schedule/cancel pairs with far-future deadlines must not
+// change what actually fires.
 func TestEngineCancelHeavyCompaction(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -302,6 +304,26 @@ func TestEngineCancelHeavyCompaction(t *testing.T) {
 	e.Run(10_000)
 	if fired != 5000 {
 		t.Fatalf("fired = %d, want 5000", fired)
+	}
+}
+
+// TestEngineCancelFreesAtOnce: Cancel takes the event's node out of
+// the queue there and then, so after every far-future schedule/cancel
+// pair the queue holds exactly the pending events and no cancelled
+// node waits for a later sweep.
+func TestEngineCancelFreesAtOnce(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 5000; i++ {
+		h := e.At(Time(1_000_000+i), func() { t.Error("cancelled event fired") })
+		e.At(Time(i+1), func() {})
+		e.Cancel(h)
+		if len(e.queue) != e.Pending() {
+			t.Fatalf("pair %d: queue holds %d nodes, %d pending", i, len(e.queue), e.Pending())
+		}
+	}
+	e.Run(10_000)
+	if len(e.queue) != 0 || e.Pending() != 0 {
+		t.Fatalf("drained engine: queue %d nodes, %d pending", len(e.queue), e.Pending())
 	}
 }
 

@@ -159,9 +159,9 @@ func TestTieBreakerOutOfRangePanics(t *testing.T) {
 	e.Run(20)
 }
 
-// TestTieBreakerRestoresOrderAfterPick verifies the unchosen events are
-// pushed back with their original seq keys: a one-shot reorder must not
-// perturb subsequent FIFO order among the survivors.
+// TestTieBreakerRestoresOrderAfterPick verifies the unchosen events keep
+// their original seq keys: a one-shot reorder must not perturb
+// subsequent FIFO order among the survivors.
 func TestTieBreakerRestoresOrderAfterPick(t *testing.T) {
 	e := NewEngine()
 	var got []string
@@ -184,4 +184,58 @@ func TestTieBreakerRestoresOrderAfterPick(t *testing.T) {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
+}
+
+// TestTieBreakerHoldsTieSetOut pins what the breaker sees of the engine
+// while it decides: the tie set is out of the queue, so VisitPending
+// shows only the later events, and Pending still counts the whole set.
+// Exploration fingerprints the queue from inside the breaker, so its
+// pinned state spaces rest on this view.
+func TestTieBreakerHoldsTieSetOut(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	checked := false
+	e.SetTieBreaker(func(_ Time, ties []Tie) int {
+		if checked {
+			return 0
+		}
+		checked = true
+		var visible []Time
+		e.VisitPending(func(when Time, _ Callback, _, _ any) { visible = append(visible, when) })
+		if len(ties) != 3 || e.Pending() != 4 || len(visible) != 1 || visible[0] != 20 {
+			t.Fatalf("in the breaker: %d ties, Pending %d, visible %v; want 3, 4, [20]",
+				len(ties), e.Pending(), visible)
+		}
+		return 1
+	})
+	e.AtCall(10, record, &got, "a")
+	e.AtCall(10, record, &got, "b")
+	e.AtCall(20, record, &got, "late")
+	e.AtCall(10, record, &got, "c")
+	e.Run(30)
+	want := []string{"b", "a", "c", "late"}
+	for i := range want {
+		if !checked || i >= len(got) || got[i] != want[i] {
+			t.Fatalf("order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestTieBreakerSchedulingPanics: a breaker that schedules an event
+// would write into the held-out tie set, so the engine refuses it.
+func TestTieBreakerSchedulingPanics(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.SetTieBreaker(func(now Time, _ []Tie) int {
+		e.AtCall(now+5, record, &got, "from-breaker")
+		return 0
+	})
+	e.AtCall(10, record, &got, "a")
+	e.AtCall(10, record, &got, "b")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling from the tie-breaker did not panic")
+		}
+	}()
+	e.Run(20)
 }
