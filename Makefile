@@ -79,10 +79,10 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz pass over every netstack wire-format decoder, the routing
-# table's longest-prefix match and the event engine against its
-# reference (CI runs the same targets). Override FUZZTIME for longer
-# local hunts; crashes land in the package's testdata/fuzz/ — commit
-# them as regression seeds.
+# table's longest-prefix match, and the event engine and the CPU
+# dispatcher against their references (CI runs the same targets).
+# Override FUZZTIME for longer local hunts; crashes land in the
+# package's testdata/fuzz/ — commit them as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	for target in FuzzIPv4Unmarshal FuzzUDPParse FuzzTCPParse \
@@ -92,6 +92,8 @@ fuzz:
 	done
 	$(GO) test -run '^FuzzEngineDifferential$$' -fuzz '^FuzzEngineDifferential$$' \
 		-fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^FuzzCPUDispatch$$' -fuzz '^FuzzCPUDispatch$$' \
+		-fuzztime=$(FUZZTIME) ./internal/cpu/
 
 # Exhaust every built-in exploration scenario: enumerate all bounded
 # interleavings and fault outcomes, checking the livelock-freedom

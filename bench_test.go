@@ -167,18 +167,41 @@ func BenchmarkSamplerTick(b *testing.B) {
 }
 
 // BenchmarkCPUDispatch measures the scheduling path: post + preempt +
-// complete across two priority levels.
+// complete. ready=2 posts to two priority levels, the higher preempting
+// the lower; ready=6 posts to six tasks at distinct levels in rising
+// order, so each post preempts and all six are runnable at once.
 func BenchmarkCPUDispatch(b *testing.B) {
-	eng := sim.NewEngine()
-	c := cpu.New(eng)
-	low := c.NewTask("low", cpu.IPLThread, 0, cpu.ClassUser)
-	high := c.NewTask("high", cpu.IPLDevice, 0, cpu.ClassIntr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		low.Post(100, nil)
-		high.Post(10, nil) // preempts low
-		eng.Run(eng.Now().Add(1000))
+	levels := []struct {
+		ipl  cpu.IPL
+		prio int
+	}{
+		{cpu.IPLThread, 0}, {cpu.IPLThread, 1}, {cpu.IPLSoft, 0},
+		{cpu.IPLDevice, 0}, {cpu.IPLDevice, 1}, {cpu.IPLClock, 0},
+	}
+	for _, ready := range []int{2, 6} {
+		b.Run(fmt.Sprintf("ready=%d", ready), func(b *testing.B) {
+			eng := sim.NewEngine()
+			c := cpu.New(eng)
+			var tasks []*cpu.Task
+			if ready == 2 {
+				tasks = []*cpu.Task{
+					c.NewTask("low", cpu.IPLThread, 0, cpu.ClassUser),
+					c.NewTask("high", cpu.IPLDevice, 0, cpu.ClassIntr),
+				}
+			} else {
+				for i, l := range levels {
+					tasks = append(tasks, c.NewTask(fmt.Sprint("t", i), l.ipl, l.prio, cpu.ClassKernel))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, t := range tasks {
+					t.Post(sim.Duration(100-10*j), nil) // preempts the one before
+				}
+				eng.Run(eng.Now().Add(1000))
+			}
+		})
 	}
 }
 

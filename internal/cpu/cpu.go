@@ -20,6 +20,9 @@ package cpu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"livelock/internal/prov"
 	"livelock/internal/sim"
@@ -89,25 +92,26 @@ func (c Class) String() string {
 	}
 }
 
+// workItem is 48 bytes: the small fields share the last word.
 type workItem struct {
-	cost   sim.Duration // remaining cost of the copy at the head
-	center prov.Center  // cost center the item's cycles are charged to
-	fn     func()
-
-	// repeat counts further identical copies queued behind this one,
-	// each costing full: a run of nil-fn, unlocked posts of the same
-	// cost and center is one item, so a starved task's backlog does
-	// not grow its slice (see Task).
-	repeat int
-	full   sim.Duration
+	cost sim.Duration // remaining cost of the copy at the head
+	full sim.Duration // cost of each further copy (see repeat)
+	spin sim.Duration // lock spin, filled in at dispatch
+	fn   func()
 
 	// lock, when non-nil, makes this a critical-section item: at
 	// dispatch the CPU acquires lock (spinning with interrupts disabled
 	// until it is free, FIFO), holds it for cost, runs fn at unlock, and
 	// restores the saved interrupt flag. spin and savedInt are filled in
 	// at dispatch.
-	lock     *FairLock
-	spin     sim.Duration
+	lock *FairLock
+
+	// repeat counts further identical copies queued behind this one,
+	// each costing full: a run of nil-fn, unlocked posts of the same
+	// cost and center is one item, so a starved task's backlog does
+	// not grow its slice (see Task).
+	repeat   int32
+	center   prov.Center // cost center the item's cycles are charged to
 	savedInt bool
 }
 
@@ -130,11 +134,14 @@ type Task struct {
 	class  Class
 	center prov.Center
 
-	items    []workItem
-	head     int
-	repeats  int // Σ repeat over the queued items
-	ready    bool
-	readySeq uint64
+	items   []workItem
+	head    int
+	repeats int // Σ repeat over the queued items
+
+	// lvl is its (ipl, prio) rank's ready list; nextReady its link there.
+	lvl       int
+	ready     bool
+	nextReady *Task
 
 	consumed sim.Duration
 	cpu      *CPU
@@ -198,8 +205,8 @@ func (t *Task) PostCenter(cost sim.Duration, center prov.Center, fn func()) {
 	if center >= prov.NumCenters {
 		panic("cpu: invalid cost center")
 	}
-	if tail := t.tail(); fn == nil && tail != nil && tail.fn == nil &&
-		tail.lock == nil && tail.full == cost && tail.center == center {
+	if tail := t.tail(); fn == nil && tail != nil && tail.fn == nil && tail.lock == nil &&
+		tail.full == cost && tail.center == center && tail.repeat < math.MaxInt32 {
 		tail.repeat++
 		t.repeats++
 	} else {
@@ -263,24 +270,20 @@ func (t *Task) PostLockedTail(l *FairLock, cost, tail sim.Duration, center prov.
 	t.PostLocked(l, tail, center, fn)
 }
 
-func (t *Task) popItem() workItem {
+// dropHead retires the head copy; the next one starts at full cost.
+func (t *Task) dropHead() {
 	if head := &t.items[t.head]; head.repeat > 0 {
-		// Hand out the head copy; the next one starts at full cost.
-		it := *head
-		it.repeat = 0
 		head.repeat--
 		head.cost = head.full
 		t.repeats--
-		return it
+		return
 	}
-	it := t.items[t.head]
 	t.items[t.head] = workItem{}
 	t.head++
 	if t.head == len(t.items) {
 		t.items = t.items[:0]
 		t.head = 0
 	}
-	return it
 }
 
 func (t *Task) peekItem() *workItem { return &t.items[t.head] }
@@ -312,12 +315,17 @@ type CPU struct {
 	intEnabled bool
 
 	tasks []*Task
-	ready []*Task
-	seq   uint64
+
+	// Per level (Task.lvl) a circular FIFO of ready tasks kept by its
+	// tail, and a bit set while it is non-empty; inline to 8 and 64.
+	levels    []*Task
+	mask      []uint64
+	levelsBuf [8]*Task
+	maskBuf   [1]uint64
 
 	cur        *Task
 	curStart   sim.Time
-	completion sim.Handle
+	completion sim.Timer
 
 	idleSince sim.Time
 	isIdle    bool
@@ -345,6 +353,9 @@ func (c *CPU) init(eng *sim.Engine) {
 	c.eng = eng
 	c.isIdle = true
 	c.intEnabled = true
+	c.levels = c.levelsBuf[:0]
+	c.mask = c.maskBuf[:]
+	c.completion.Init(cpuComplete, c, nil)
 }
 
 // ID returns the CPU's index within its System (0 for a standalone CPU).
@@ -383,6 +394,33 @@ func (c *CPU) NewTask(name string, ipl IPL, prio int, class Class) *Task {
 		panic("cpu: invalid accounting class")
 	}
 	t := &Task{name: name, ipl: ipl, prio: prio, class: class, cpu: c}
+	// Levels are dense (ipl, prio) ranks: a new rank's empty level opens
+	// above the ranks below it, and those above move up, FIFOs and all.
+	fresh := true
+	for _, u := range c.tasks {
+		if u.ipl == ipl && u.prio == prio {
+			t.lvl, fresh = u.lvl, false
+		} else if u.ipl < ipl || u.ipl == ipl && u.prio < prio {
+			t.lvl = max(t.lvl, u.lvl+1)
+		}
+	}
+	if fresh {
+		for _, u := range c.tasks {
+			if u.lvl >= t.lvl {
+				u.lvl++
+			}
+		}
+		c.levels = slices.Insert(c.levels, t.lvl, nil)
+		if len(c.levels) > 64*len(c.mask) {
+			c.mask = append(c.mask, 0)
+		}
+		clear(c.mask)
+		for l, tail := range c.levels {
+			if tail != nil {
+				c.mask[l>>6] |= 1 << (l & 63)
+			}
+		}
+	}
 	c.tasks = append(c.tasks, t)
 	return t
 }
@@ -500,25 +538,20 @@ func (c *CPU) IdleTime() sim.Duration {
 // IPLTime returns the cumulative CPU time consumed by tasks at
 // interrupt priority level l, including the current partial item. The
 // sampler differentiates this into per-IPL utilization.
-func (c *CPU) IPLTime(l IPL) sim.Duration {
-	var v sim.Duration
-	for _, t := range c.tasks {
-		if t.ipl == l {
-			v += t.Consumed()
-		}
-	}
-	return v
-}
+func (c *CPU) IPLTime(l IPL) sim.Duration { return c.iplTime(l, l) }
 
 // RaisedIPLTime returns the cumulative CPU time spent above thread
 // level — device interrupts, software interrupts, and the clock. Under
 // receive livelock this is the quantity that saturates: the paper's
 // "100% of its time processing receive interrupts" (§3) is this
 // utilization pinned at 1.0 while thread-level work gets nothing.
-func (c *CPU) RaisedIPLTime() sim.Duration {
+func (c *CPU) RaisedIPLTime() sim.Duration { return c.iplTime(IPLThread+1, math.MaxInt) }
+
+// iplTime sums the CPU time of the tasks at IPLs lo through hi.
+func (c *CPU) iplTime(lo, hi IPL) sim.Duration {
 	var v sim.Duration
 	for _, t := range c.tasks {
-		if t.ipl > IPLThread {
+		if lo <= t.ipl && t.ipl <= hi {
 			v += t.Consumed()
 		}
 	}
@@ -531,59 +564,46 @@ func (c *CPU) Dispatches() uint64 { return c.dispatches }
 // Preemptions returns the number of mid-item preemptions.
 func (c *CPU) Preemptions() uint64 { return c.preemptions }
 
-// higher reports whether a should preempt/beat b.
-func higher(a, b *Task) bool {
-	if a.ipl != b.ipl {
-		return a.ipl > b.ipl
-	}
-	return a.prio > b.prio
-}
-
-// beats orders ready tasks: (ipl, prio) desc, then readySeq asc (FIFO).
-func beats(a, b *Task) bool {
-	if a.ipl != b.ipl {
-		return a.ipl > b.ipl
-	}
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.readySeq < b.readySeq
-}
-
+// markReady queues t at the back of its level.
 func (c *CPU) markReady(t *Task) {
+	c.pushFront(t)
+	c.levels[t.lvl] = t
+}
+
+// pushFront queues t at the front of its level, just after the tail.
+func (c *CPU) pushFront(t *Task) {
 	t.ready = true
-	t.readySeq = c.seq
-	c.seq++
-	c.ready = append(c.ready, t)
+	if tail := c.levels[t.lvl]; tail != nil {
+		t.nextReady, tail.nextReady = tail.nextReady, t
+		return
+	}
+	t.nextReady = t
+	c.levels[t.lvl] = t
+	c.mask[t.lvl>>6] |= 1 << (t.lvl & 63)
 }
 
-func (c *CPU) takeBest() *Task {
-	best := -1
-	for i, t := range c.ready {
-		if best < 0 || beats(t, c.ready[best]) {
-			best = i
+// topLevel returns the highest level with a ready task, or -1.
+func (c *CPU) topLevel() int {
+	for i := len(c.mask) - 1; i >= 0; i-- {
+		if w := c.mask[i]; w != 0 {
+			return i<<6 + bits.Len64(w) - 1
 		}
 	}
-	if best < 0 {
-		return nil
+	return -1
+}
+
+// takeHead dequeues the task at the front of level l.
+func (c *CPU) takeHead(l int) *Task {
+	tail := c.levels[l]
+	t := tail.nextReady
+	if t == tail {
+		c.levels[l] = nil
+		c.mask[l>>6] &^= 1 << (l & 63)
+	} else {
+		tail.nextReady = t.nextReady
 	}
-	t := c.ready[best]
-	last := len(c.ready) - 1
-	c.ready[best] = c.ready[last]
-	c.ready[last] = nil
-	c.ready = c.ready[:last]
-	t.ready = false
+	t.nextReady, t.ready = nil, false
 	return t
-}
-
-func (c *CPU) peekBest() *Task {
-	var best *Task
-	for _, t := range c.ready {
-		if best == nil || beats(t, best) {
-			best = t
-		}
-	}
-	return best
 }
 
 // charge is the single site that accumulates busy time; every consumed
@@ -599,25 +619,24 @@ func (c *CPU) charge(t *Task, center prov.Center, d sim.Duration) {
 // reschedule enforces the dispatching invariant: the CPU runs the
 // highest-priority runnable task, preempting mid-item if necessary.
 func (c *CPU) reschedule() {
+	if c.cur != nil && !c.intEnabled {
+		// Interrupts disabled (spinlock critical section): the
+		// running item cannot be preempted; pended work is
+		// re-evaluated when the flag is restored.
+		return
+	}
+	top := c.topLevel()
 	if c.cur != nil {
-		if !c.intEnabled {
-			// Interrupts disabled (spinlock critical section): the
-			// running item cannot be preempted; pended work is
-			// re-evaluated when the flag is restored.
-			return
-		}
-		best := c.peekBest()
-		if best == nil || !higher(best, c.cur) {
+		if top <= c.cur.lvl {
 			return
 		}
 		c.preempt()
 	}
-	next := c.takeBest()
-	if next == nil {
+	if top < 0 {
 		c.enterIdle()
 		return
 	}
-	c.start(next)
+	c.start(c.takeHead(top))
 }
 
 func (c *CPU) preempt() {
@@ -629,15 +648,12 @@ func (c *CPU) preempt() {
 		c.runHook(t, c.curStart, now)
 	}
 	t.peekItem().cost -= elapsed
-	c.eng.Cancel(c.completion)
-	c.completion = sim.Handle{}
+	c.eng.Disarm(&c.completion)
 	c.cur = nil
 	c.preemptions++
-	// The preempted task keeps its original readySeq so it resumes
-	// before same-priority tasks that became runnable after it.
-	seq := t.readySeq
-	c.markReady(t)
-	t.readySeq = seq
+	// The preempted task resumes before every task at its level: it
+	// was the front of its FIFO when picked, and all since are behind.
+	c.pushFront(t)
 }
 
 func (c *CPU) start(t *Task) {
@@ -665,10 +681,8 @@ func (c *CPU) start(t *Task) {
 			c.ld.acquire(c, it.lock)
 		}
 	}
-	// Closure-free scheduling: the dispatch path runs once per work
-	// item, so a method-value closure here would be the CPU model's
-	// single biggest allocation source.
-	c.completion = c.eng.AfterCall(run, cpuComplete, c, nil)
+	// The CPU's own completion timer: no event from the free list.
+	c.eng.ArmAfter(&c.completion, run)
 }
 
 // cpuComplete is the completion-timer callback (sim.Callback shape).
@@ -676,39 +690,40 @@ func cpuComplete(a, _ any) { a.(*CPU).complete() }
 
 func (c *CPU) complete() {
 	t := c.cur
-	c.completion = sim.Handle{}
-	item := t.popItem()
-	if item.spin > 0 {
-		c.charge(t, prov.CenterLock, item.spin)
+	it := t.peekItem()
+	if it.spin > 0 {
+		c.charge(t, prov.CenterLock, it.spin)
 	}
-	c.charge(t, item.center, item.cost)
+	c.charge(t, it.center, it.cost)
+	fn, lock, savedInt := it.fn, it.lock, it.savedInt
+	t.dropHead()
 	if c.runHook != nil {
 		c.runHook(t, c.curStart, c.eng.Now())
 	}
 	c.cur = nil
-	if item.lock != nil {
+	if lock != nil {
 		// Unlock: restore the interrupt flag saved at acquisition
 		// before the commit fn runs, so work fn posts is dispatched
 		// under normal preemption rules.
-		c.intEnabled = item.savedInt
+		c.intEnabled = savedInt
 	}
 	if t.Pending() > 0 {
-		// Refresh the sequence number so equal-priority tasks
-		// round-robin at item granularity.
+		// Back of its level, so equal-priority tasks round-robin at
+		// item granularity.
 		c.markReady(t)
 	}
-	if item.lock != nil && c.ld != nil {
-		c.ld.release(c, item.lock)
+	if lock != nil && c.ld != nil {
+		c.ld.release(c, lock)
 	}
-	if item.fn != nil {
-		if item.lock != nil && c.ld != nil {
+	if fn != nil {
+		if lock != nil && c.ld != nil {
 			// The commit fn is the critical section's body: it runs at
 			// the unlock instant but logically under the lock.
-			c.ld.enter(c, item.lock)
-			item.fn()
+			c.ld.enter(c, lock)
+			fn()
 			c.ld.exit()
 		} else {
-			item.fn()
+			fn()
 		}
 	}
 	c.reschedule()
@@ -743,12 +758,9 @@ func (c *CPU) Utilization() map[Class]float64 {
 		return out
 	}
 	for cl := Class(0); cl < NumClasses; cl++ {
-		v := c.classTime[cl]
-		if c.cur != nil && c.cur.class == cl {
-			v += now.Sub(c.curStart)
-		}
-		if cl == ClassIdle && c.cur == nil && c.isIdle {
-			v += now.Sub(c.idleSince)
+		v := c.ClassTime(cl)
+		if cl == ClassIdle {
+			v += c.IdleTime() - c.classTime[ClassIdle]
 		}
 		out[cl] = float64(v) / float64(total)
 	}

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"livelock/internal/sim"
@@ -170,6 +172,40 @@ func TestPreemptedResumesBeforeLaterPeer(t *testing.T) {
 	eng.Run(sim.Time(sim.Second))
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v, want [a b]: preempted task resumes first", order)
+	}
+}
+
+// TestManyLevels spans more (ipl, prio) ranks than one word of the
+// ready mask holds, registered out of order, the last of them in the
+// middle while every other task waits: all run in rank order, and the
+// tasks sharing a rank in the order they were posted.
+func TestManyLevels(t *testing.T) {
+	eng, c := newCPU()
+	hog := c.NewTask("hog", IPLClock, 0, ClassClock)
+	hog.Post(10*us, nil)
+	type key struct {
+		ipl  IPL
+		prio int
+	}
+	var posted []key
+	var order []key
+	post := func(k key) {
+		c.NewTask("", k.ipl, k.prio, ClassKernel).Post(us, func() { order = append(order, k) })
+		posted = append(posted, k)
+	}
+	for j := 0; j < 150; j++ {
+		i := j * 7 % 150 // every index below 150, shuffled
+		post(key{IPL(i / 40), i / 2})
+	}
+	post(key{1, 1000}) // above every other IPL 1 task, below IPL 2
+	eng.Run(sim.Time(sim.Second))
+
+	want := slices.Clone(posted)
+	slices.SortStableFunc(want, func(a, b key) int {
+		return cmp.Or(cmp.Compare(b.ipl, a.ipl), cmp.Compare(b.prio, a.prio))
+	})
+	if !slices.Equal(order, want) {
+		t.Fatalf("ran %v, want %v", order, want)
 	}
 }
 

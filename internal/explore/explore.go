@@ -234,11 +234,11 @@ type controller struct {
 
 // breakTie is the sim.TieBreaker: every same-instant tie is an
 // invariant checkpoint, a dedup point, and a choice site.
-func (c *controller) breakTie(_ sim.Time, ties []sim.Tie) int {
+func (c *controller) breakTie(at sim.Time, ties []sim.Tie) int {
 	if c.stopped {
 		return 0
 	}
-	c.w.checkpoint(true)
+	c.w.checkpoint(at, ties)
 	if c.stopped {
 		return 0
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"livelock/internal/netstack"
 	"livelock/internal/sim"
 )
 
@@ -217,6 +218,40 @@ func TestExploreEnumeratesTies(t *testing.T) {
 	}
 	if !without.Exhausted {
 		t.Error("oracle-less exploration did not exhaust")
+	}
+}
+
+func tieFnA(_, _ any) {}
+func tieFnB(_, _ any) {}
+
+// TestFingerprintHashesTieSet: at a tie site the engine holds the tied
+// events out of its queue, so the fingerprint must hash them from the
+// tie set. Two states that differ only in their tie sets (which events
+// tie, or which packet one carries) must hash differently, or dedup
+// prunes a state it never explored; the tie set's order must not
+// matter, as the pending set's does not.
+func TestFingerprintHashesTieSet(t *testing.T) {
+	opts := Options{}.withDefaults()
+	sc := mustScenario(t, "smpcontend")
+	w := newWorld(sc, &opts, &controller{opts: &opts, sc: sc})
+	p1, p2 := &netstack.Packet{ID: 1}, &netstack.Packet{ID: 2}
+	at := w.eng.Now().Add(sim.Microsecond)
+	tieSet := func(ties ...sim.Tie) uint64 { return w.fingerprint(at, ties) }
+
+	base := tieSet(sim.Tie{Fn: tieFnA, Arg: w}, sim.Tie{Fn: tieFnB, Arg: w, Arg2: p1})
+	if got := tieSet(sim.Tie{Fn: tieFnB, Arg: w, Arg2: p1}, sim.Tie{Fn: tieFnA, Arg: w}); got != base {
+		t.Error("the same tie set in another order hashes differently")
+	}
+	for name, other := range map[string]uint64{
+		"no tie set":       tieSet(),
+		"another event":    tieSet(sim.Tie{Fn: tieFnA, Arg: w}, sim.Tie{Fn: tieFnA, Arg: w, Arg2: p1}),
+		"another packet":   tieSet(sim.Tie{Fn: tieFnA, Arg: w}, sim.Tie{Fn: tieFnB, Arg: w, Arg2: p2}),
+		"one event fewer":  tieSet(sim.Tie{Fn: tieFnA, Arg: w}),
+		"another due time": w.fingerprint(at.Add(1), []sim.Tie{{Fn: tieFnA, Arg: w}, {Fn: tieFnB, Arg: w, Arg2: p1}}),
+	} {
+		if other == base {
+			t.Errorf("%s: states that differ only in their tie sets hash the same", name)
+		}
 	}
 }
 

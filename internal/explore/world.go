@@ -226,7 +226,7 @@ func monitorProbe(x, _ any) {
 	if w.ctl.stopped {
 		return
 	}
-	w.checkpoint(false)
+	w.checkpoint(0, nil)
 	if w.ctl.stopped {
 		return
 	}
@@ -245,9 +245,9 @@ func horizonSweep(x, _ any) {
 	}
 }
 
-// checkpoint runs the invariants and, at tie sites during exploration,
-// the state-dedup cut.
-func (w *world) checkpoint(dedupOK bool) {
+// checkpoint runs the invariants and, at a tie site (ties, due at at,
+// non-nil) during exploration, the state-dedup cut.
+func (w *world) checkpoint(at sim.Time, ties []sim.Tie) {
 	c := w.ctl
 	if w.eng.Fired() > w.opts.MaxEventsPerExec {
 		c.clipped = true
@@ -261,8 +261,8 @@ func (w *world) checkpoint(dedupOK bool) {
 	// Dedup only strictly beyond the prefix: at the divergence site
 	// itself the state equals the parent execution's (already cached)
 	// state, and pruning there would cut the branch before it diverges.
-	if dedupOK && c.seen != nil && len(c.path) > len(c.prefix) {
-		fp := w.fingerprint()
+	if ties != nil && c.seen != nil && len(c.path) > len(c.prefix) {
+		fp := w.fingerprint(at, ties)
 		remaining := c.opts.DepthBudget - len(c.path)
 		if prev, ok := c.seen[fp]; ok && prev >= remaining {
 			c.prune()
@@ -477,12 +477,13 @@ func (z *hasher) bool(v bool) {
 // queue contents by packet ID, device and control-plane state, and the
 // progress clock. Monotone counters that cannot influence future
 // behaviour are excluded so converging schedules actually collide.
-func (w *world) fingerprint() uint64 {
+// The engine holds a tie site's tie set, due at at, out of its queue.
+func (w *world) fingerprint(at sim.Time, ties []sim.Tie) uint64 {
 	z := newHasher()
 	now := w.eng.Now()
 
 	w.pend = w.pend[:0]
-	w.eng.VisitPending(func(when sim.Time, fn sim.Callback, a, b any) {
+	pending := func(when sim.Time, fn sim.Callback, a, b any) {
 		pe := pendEvent{
 			delta: uint64(int64(when) - int64(now)),
 			label: w.eventLabel(fn, a),
@@ -491,7 +492,11 @@ func (w *world) fingerprint() uint64 {
 			pe.pid = p.ID
 		}
 		w.pend = append(w.pend, pe)
-	})
+	}
+	w.eng.VisitPending(pending)
+	for _, t := range ties {
+		pending(at, t.Fn, t.Arg, t.Arg2)
+	}
 	sort.Slice(w.pend, func(i, j int) bool {
 		a, b := w.pend[i], w.pend[j]
 		if a.delta != b.delta {

@@ -62,6 +62,34 @@ func TestLongRunZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewRouterAllocs pins router construction's allocation count,
+// which the figure sweep pays once per distinct trial: the CPU's ready
+// lists and completion timer are inline in the CPU, so dispatch state
+// costs construction no allocation. LIVELOCK_LOCKDEP=1 arms a Lockdep
+// on the SMP router, which costs 9 more.
+func TestNewRouterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation changes allocation counts")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		max  float64
+	}{
+		{"unmodified", Config{Mode: ModeUnmodified}, 153},
+		{"polled", Config{Mode: ModePolled, Quota: 5}, 164},
+		{"polled-smp4", Config{Mode: ModePolled, Quota: 5, CPUs: 4}, 286},
+	} {
+		if envLockdep && tc.cfg.CPUs > 1 {
+			tc.max += 9
+		}
+		allocs := testing.AllocsPerRun(10, func() { NewRouter(sim.NewEngine(), tc.cfg) })
+		if allocs > tc.max {
+			t.Errorf("%s: NewRouter makes %.0f allocations, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
 // steadyStateCases are the benchmark's three simulation workloads.
 var steadyStateCases = []struct {
 	name string

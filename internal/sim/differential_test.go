@@ -163,7 +163,24 @@ const (
 	opCancel                 // cancel event `target` (may already be fired/cancelled)
 	opResched                // cancel `target`, then schedule `id` after `delay`
 	opAdvance                // run until now+delay, then compare state
+	opArm                    // arm Timer `target` after `delay` unless it is armed
+	opDisarm                 // disarm Timer `target` (may be disarmed already)
+	opRearm                  // disarm Timer `target`, then arm it after `delay`
 )
+
+// numTimers is how many Timers a script drives; their firings are
+// recorded as timerID(k). The reference engine models each Timer as a
+// plain event: arming is an at, disarming a cancel.
+const numTimers = 4
+
+func timerID(k int) int { return -1 - k }
+
+// timerRearms decides whether Timer k's firing re-arms it, and after
+// how long: even timers re-arm themselves (as a CPU's completion timer
+// is re-armed from its own callback) up to three times.
+func timerRearms(k, fired int) (Duration, bool) {
+	return Duration(7 * k), k%2 == 0 && fired <= 3
+}
 
 type op struct {
 	kind   opKind
@@ -236,8 +253,29 @@ func runNew(script []op) (order []int, marks [][2]uint64) {
 			handles[child] = eng.AfterCall(d, fire, child, nil)
 		}
 	}
+	var timers [numTimers]Timer
+	var fired [numTimers]int
+	for k := range timers {
+		timers[k].Init(func(a, _ any) {
+			k := a.(int)
+			order = append(order, timerID(k))
+			fired[k]++
+			if d, ok := timerRearms(k, fired[k]); ok {
+				eng.ArmAfter(&timers[k], d)
+			}
+		}, k, nil)
+	}
 	for _, o := range script {
 		switch o.kind {
+		case opArm:
+			if !timers[o.target].ev.armed {
+				eng.ArmAfter(&timers[o.target], o.delay)
+			}
+		case opDisarm:
+			eng.Disarm(&timers[o.target])
+		case opRearm:
+			eng.Disarm(&timers[o.target])
+			eng.ArmAfter(&timers[o.target], o.delay)
 		case opSchedule:
 			handles[o.id] = eng.AfterCall(o.delay, fire, o.id, nil)
 		case opCancel:
@@ -268,8 +306,29 @@ func runRef(script []op) (order []int, marks [][2]uint64) {
 			}
 		})
 	}
+	var timers [numTimers]*refEvent
+	var fired [numTimers]int
+	var arm func(k int, d Duration)
+	arm = func(k int, d Duration) {
+		timers[k] = eng.at(eng.now.Add(d), func() {
+			order = append(order, timerID(k))
+			fired[k]++
+			if d, ok := timerRearms(k, fired[k]); ok {
+				arm(k, d)
+			}
+		})
+	}
 	for _, o := range script {
 		switch o.kind {
+		case opArm:
+			if !timers[o.target].pendingRef() {
+				arm(o.target, o.delay)
+			}
+		case opDisarm:
+			eng.cancel(timers[o.target])
+		case opRearm:
+			eng.cancel(timers[o.target])
+			arm(o.target, o.delay)
 		case opSchedule:
 			schedule(o.id, o.delay)
 		case opCancel:
@@ -411,19 +470,25 @@ func TestEngineDifferentialCancelStorm(t *testing.T) {
 }
 
 // decodeScript turns fuzz bytes into an op script, three bytes per op:
-// the kind, a cancel target (taken modulo the ids used so far) and a
-// delay. A quarter of the delay bytes map to zero, so same-instant ties
-// stay common; an advance spans up to 4× a schedule's reach.
+// the kind, a cancel target (taken modulo the ids used so far, or the
+// number of Timers) and a delay. A quarter of the delay bytes map to
+// zero, so same-instant ties stay common; an advance spans up to 4× a
+// schedule's reach. Kind bytes 7 mod 8 decode as an advance.
 func decodeScript(data []byte) []op {
 	var script []op
 	nextID := 0
 	for ; len(data) >= 3 && len(script) < 2000; data = data[3:] {
-		kind, target := opKind(data[0]%4), int(data[1])
+		kind, target := opKind(data[0]%8), int(data[1])
+		if kind > opRearm {
+			kind = opAdvance
+		}
 		delay := Duration(0)
 		if data[2] >= 64 {
 			delay = Duration(data[2] - 64)
 		}
 		switch {
+		case kind >= opArm:
+			script = append(script, op{kind: kind, target: target % numTimers, delay: delay})
 		case kind == opSchedule:
 			script = append(script, op{kind: opSchedule, id: nextID, delay: delay})
 			nextID++
@@ -441,15 +506,18 @@ func decodeScript(data []byte) []op {
 	return script
 }
 
-// FuzzEngineDifferential runs fuzzed op scripts on both engines and
-// demands the same firing order and the same (fired, pending) at every
-// run boundary.
+// FuzzEngineDifferential runs fuzzed op scripts, Timer arms, disarms
+// and re-arms included, on both engines and demands the same firing
+// order and the same (fired, pending) at every run boundary.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0})                 // three ties at t=0, then run
 	f.Add([]byte{0, 0, 80, 0, 0, 80, 1, 0, 0, 3, 0, 30})              // cancel one of a tie
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 1, 70, 3, 0, 0, 3, 0, 255})     // same-instant reschedules
 	f.Add([]byte{0, 0, 255, 0, 0, 10, 1, 0, 0, 0, 0, 200, 3, 0, 100}) // far timer cancelled
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 4, 0, 80, 3, 0, 40})               // Timer ties an event, re-arms itself
+	f.Add([]byte{4, 1, 70, 0, 0, 70, 5, 1, 0, 7, 0, 100})             // Timer disarmed before its tie
+	f.Add([]byte{4, 2, 90, 6, 2, 64, 0, 0, 64, 3, 0, 50, 6, 2, 0})    // Timer re-armed into a tie
 	f.Fuzz(func(t *testing.T, data []byte) {
 		script := decodeScript(data)
 		gotOrder, gotMarks := runNew(script)

@@ -14,14 +14,26 @@ type Callback func(a, b any)
 // code never holds an *Event directly — it holds a generation-checked
 // Handle, which stays safe (Pending reports false, Cancel is a no-op)
 // even after the underlying Event has been reused for a later
-// scheduling.
+// scheduling. A Timer's Event is the exception: its owner keeps it.
 type Event struct {
-	when Time
-	seq  uint64 // the event's queue key with when; Cancel searches by it
-	gen  uint64 // bumped on every recycle; Handles pin the value
-	fn   Callback
-	a, b any
-	next *Event // free-list link
+	when  Time
+	seq   uint64 // the event's queue key with when; Cancel searches by it
+	gen   uint64 // bumped on every recycle; Handles pin the value
+	fn    Callback
+	a, b  any
+	next  *Event // free-list link
+	kept  bool   // a Timer's Event: its owner keeps it, never recycled
+	armed bool   // a Timer's Event is queued
+}
+
+// Timer is an Event its owner keeps and re-arms, so it never enters the
+// free list: Init it once, then Engine.ArmAfter and Engine.Disarm. An
+// arm takes the next seq exactly as AtCall does.
+type Timer struct{ ev Event }
+
+// Init binds the timer's callback; call it once, before arming.
+func (t *Timer) Init(fn Callback, a, b any) {
+	t.ev = Event{fn: fn, a: a, b: b, kept: true}
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and
@@ -68,7 +80,8 @@ type Tie struct {
 	Fn Callback
 	// Arg is the event's first operand (typically the receiver), used to
 	// distinguish instances sharing a callback function.
-	Arg any
+	Arg  any
+	Arg2 any // the second operand (a per-packet event's packet)
 }
 
 // TieBreaker chooses which of the tied same-instant events fires next,
@@ -162,17 +175,37 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
 	} else {
 		ev = &Event{}
 	}
-	ev.when, ev.seq = t, e.seq
 	ev.fn = fn
 	ev.a, ev.b = a, b
+	e.insert(ev, t)
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// insert queues ev at t, next seq; the nodes due sooner shift up one.
+func (e *Engine) insert(ev *Event, t Time) {
+	ev.when, ev.seq = t, e.seq
 	e.seq++
-	// Insert at the node's (when, seq) slot; the nodes from there to
-	// the end, all due sooner, shift up by one.
 	i := e.search(t, ev.seq)
 	e.queue = append(e.queue, node{})
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = node{when: t, seq: ev.seq, ev: ev}
-	return Handle{ev: ev, gen: ev.gen}
+}
+
+// ArmAfter queues tm d after now; arming it in the past or twice panics.
+func (e *Engine) ArmAfter(tm *Timer, d Duration) {
+	if d < 0 || tm.ev.armed {
+		panic("sim: timer armed in the past or twice")
+	}
+	tm.ev.armed = true
+	e.insert(&tm.ev, e.now.Add(d))
+}
+
+// Disarm removes tm from the queue if it is armed.
+func (e *Engine) Disarm(tm *Timer) {
+	if ev := &tm.ev; ev.armed {
+		ev.armed = false
+		e.remove(e.search(ev.when, ev.seq))
+	}
 }
 
 // AfterCall schedules fn(a, b) to run d after the current instant. See
@@ -193,37 +226,18 @@ func (e *Engine) Cancel(h Handle) {
 	e.recycle(ev)
 }
 
-// fire recycles ev and runs its callback. The Event returns to the free
-// list before the callback executes, so a callback that immediately
-// schedules reuses the very Event that just fired — steady-state
-// simulation cycles a single Event per timer chain.
-func (e *Engine) fire(ev *Event) {
-	fn, a, b := ev.fn, ev.a, ev.b
-	e.recycle(ev)
-	e.fired++
-	fn(a, b)
-}
-
-// recycle returns ev to the free list, bumping its generation so stale
-// Handles can never observe (or cancel) a later occupant.
+// recycle returns ev to the free list (a Timer's is only disarmed),
+// bumping its generation so stale Handles never see a later occupant.
+// Firing recycles first, so a rescheduling callback reuses the Event.
 func (e *Engine) recycle(ev *Event) {
+	if ev.kept {
+		ev.armed = false
+		return
+	}
 	ev.gen++
 	ev.fn, ev.a, ev.b = nil, nil, nil
 	ev.next = e.free
 	e.free = ev
-}
-
-// next removes and returns the node to fire: the last one, unless a
-// TieBreaker is installed and other events are due at its instant.
-func (e *Engine) next() node {
-	last := len(e.queue) - 1
-	n := e.queue[last]
-	if e.tie != nil && last > 0 && e.queue[last-1].when == n.when {
-		return e.breakTie(last)
-	}
-	e.queue[last] = node{}
-	e.queue = e.queue[:last]
-	return n
 }
 
 // breakTie lets the TieBreaker pick which of the events due at the last
@@ -238,7 +252,7 @@ func (e *Engine) breakTie(last int) node {
 	e.tieList = e.tieList[:0]
 	for i := last; i >= 0 && e.queue[i].when == when; i-- {
 		n := &e.queue[i]
-		e.tieList = append(e.tieList, Tie{Seq: n.seq, Fn: n.ev.fn, Arg: n.ev.a})
+		e.tieList = append(e.tieList, Tie{Seq: n.seq, Fn: n.ev.fn, Arg: n.ev.a, Arg2: n.ev.b})
 	}
 	rest := last + 1 - len(e.tieList)
 	e.queue, e.held = e.queue[:rest], len(e.tieList)
@@ -258,15 +272,25 @@ func (e *Engine) breakTie(last int) node {
 	return n
 }
 
-// Step fires the next pending event. It reports false if no events
-// remain.
+// Step fires the next pending event (the last node, or a TieBreaker's
+// pick among those due at its instant), reporting false if none remain.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	last := len(e.queue) - 1
+	if last < 0 {
 		return false
 	}
-	n := e.next()
+	n := e.queue[last]
+	if e.tie != nil && last > 0 && e.queue[last-1].when == n.when {
+		n = e.breakTie(last)
+	} else {
+		e.queue[last] = node{}
+		e.queue = e.queue[:last]
+	}
 	e.now = n.when
-	e.fire(n.ev)
+	fn, a, b := n.ev.fn, n.ev.a, n.ev.b
+	e.recycle(n.ev)
+	e.fired++
+	fn(a, b)
 	return true
 }
 
@@ -274,9 +298,8 @@ func (e *Engine) Step() bool {
 // the clock to exactly `until`. Events scheduled at `until` itself are
 // fired. Run returns the number of events fired.
 //
-// The loop body is Step's, with next and fire inlined by hand: neither
-// fits the compiler's inlining budget, and the two calls per event cost
-// about 5% of a polled router's host time.
+// The loop body is Step's: as calls per event, the pop and the fire
+// cost about 5% of a polled router's host time.
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false

@@ -329,6 +329,46 @@ func TestEngineCancelFreesAtOnce(t *testing.T) {
 
 // TestEngineAtCall covers the closure-free scheduling variant,
 // including handle cancellation.
+// A Timer's Event is its owner's: firing or disarming it must never
+// put it on the free list, where AtCall would hand it out while the
+// owner still holds it.
+func TestTimerNeverRecycled(t *testing.T) {
+	eng := NewEngine()
+	var tm Timer
+	fired := 0
+	tm.Init(func(_, _ any) { fired++ }, nil, nil)
+	var handles []Handle
+	noop := func(_, _ any) {}
+	for i := 0; i < 50; i++ {
+		eng.ArmAfter(&tm, Duration(i%3))
+		handles = append(handles, eng.AfterCall(1, noop, nil, nil))
+		if i%2 == 0 {
+			eng.Disarm(&tm)
+			eng.Cancel(handles[len(handles)-1])
+		}
+		eng.RunFor(5)
+		if tm.ev.armed {
+			t.Fatalf("round %d: timer still armed after it was due", i)
+		}
+		for ev := eng.free; ev != nil; ev = ev.next {
+			if ev == &tm.ev {
+				t.Fatalf("round %d: the timer's Event is on the free list", i)
+			}
+		}
+		for j := 0; j < 4; j++ {
+			handles = append(handles, eng.AfterCall(Duration(j), noop, nil, nil))
+		}
+	}
+	for _, h := range handles {
+		if h.ev == &tm.ev {
+			t.Fatal("AtCall handed out the timer's Event")
+		}
+	}
+	if fired != 25 {
+		t.Fatalf("timer fired %d times, want 25", fired)
+	}
+}
+
 func TestEngineAtCall(t *testing.T) {
 	e := NewEngine()
 	type rec struct{ got []int }
