@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lkvet bench bench-baseline bench-full perfbench-test figures plots examples cover fuzz explore clean
+.PHONY: all build test vet lint lkvet bench bench-baseline bench-full perfbench-test invariance figures plots examples cover fuzz explore clean
 
 all: build vet test
 
@@ -14,10 +14,9 @@ vet:
 	$(GO) vet ./...
 
 # Static-invariant gate, matching the CI lint lane: the repo's own
-# analyzers (cmd/lkvet: simdeterminism, hotalloc, handleleak, uncharged,
-# lockguard) plus `go vet`, then staticcheck and govulncheck at the
-# versions pinned in scripts/lint-extra.sh (skipped gracefully when
-# offline). See DESIGN.md "Static invariants" and §13 "Lock-discipline
+# analyzers (cmd/lkvet: simdeterminism, hotalloc, uncharged, lockguard)
+# plus `go vet`, then staticcheck and govulncheck at the versions pinned
+# in scripts/lint-extra.sh (skipped gracefully when offline). See DESIGN.md "Static invariants" and §13 "Lock-discipline
 # verification" for what the custom passes enforce and how to excuse a
 # finding with //lkvet:allow.
 lint: lkvet
@@ -57,6 +56,19 @@ bench-full:
 # metrics, zero failed operations, and its pinned output digests.
 perfbench-test:
 	cd perfbench && $(GO) test -short ./...
+
+# One command proves that no model output moved: every figure's CSV at
+# seeds 1, 3 and 7 with the default and the 100 ms/300 ms windows, the
+# golden figures, the kernel timeline digests, the Perfetto golden, the
+# explore state spaces and the perfbench output digests, all against
+# pins in the tree. Outside tier-1 (about a minute on 2 vCPUs); each pin's
+# regeneration command is in its test.
+invariance:
+	LIVELOCK_INVARIANCE=1 $(GO) test -count=1 -run '^(TestFigureSeedDigests|TestGoldenFigureHashes)$$' .
+	$(GO) test -count=1 -run '^(TestUniprocessorEquivalence|TestSMPTimelineDigests)$$' ./internal/kernel/
+	$(GO) test -count=1 -run '^TestPerfettoGolden$$' ./cmd/lkstat/
+	$(GO) test -count=1 -run '^TestExploreExhaustsBuiltins$$' ./internal/explore/
+	$(MAKE) perfbench-test
 
 # Regenerate every figure from the paper's evaluation.
 figures:

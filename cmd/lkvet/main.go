@@ -1,12 +1,11 @@
 // Command lkvet is the repository's static-invariant checker: a
 // multichecker that runs the custom passes in internal/analysis —
-// simdeterminism, hotalloc, handleleak, uncharged and lockguard — over
-// the simulation packages, optionally alongside `go vet`.
+// simdeterminism, hotalloc, uncharged and lockguard — over the
+// simulation packages, optionally alongside `go vet`.
 //
 // The passes enforce properties the test suite can only observe after
 // the fact: runs are pure functions of (config, seed), the event-engine
-// hot path stays allocation-free, timer handles follow the pooled
-// engine's ownership discipline, simulated work charges simulated
+// hot path stays allocation-free, simulated work charges simulated
 // cycles, and lock-guarded shared state is only touched under its
 // declared lock in a cycle-free acquisition order. Violations are fixed
 // or excused inline with //lkvet:allow <analyzer> <reason>; stale or
@@ -34,7 +33,6 @@ import (
 	"strings"
 
 	"livelock/internal/analysis"
-	"livelock/internal/analysis/handleleak"
 	"livelock/internal/analysis/hotalloc"
 	"livelock/internal/analysis/lockguard"
 	"livelock/internal/analysis/simdeterminism"
@@ -44,7 +42,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
 	hotalloc.Analyzer,
-	handleleak.Analyzer,
 	uncharged.Analyzer,
 	lockguard.Analyzer,
 }

@@ -11,7 +11,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"simdeterminism", "hotalloc", "handleleak", "uncharged", "lockguard"} {
+	for _, name := range []string{"simdeterminism", "hotalloc", "uncharged", "lockguard"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

@@ -31,15 +31,15 @@ import (
 
 const goldenFigurePath = "testdata/golden-figures.json"
 
-// goldenFigureCSVs renders every figure at the benchmark settings as
-// canonical CSV, keyed by figure ID. The sweep runs through the
-// parallel executor at the default worker count; worker count is proven
-// not to change bytes by TestTimelineDeterministicAcrossWorkers and the
-// executor's positional assembly.
-func goldenFigureCSVs(t *testing.T) map[string]string {
+// figureCSVs renders every figure at o as canonical CSV, keyed by
+// figure ID. The sweep runs through the parallel executor at the
+// default worker count; worker count is proven not to change bytes by
+// TestTimelineDeterministicAcrossWorkers and the executor's positional
+// assembly.
+func figureCSVs(t *testing.T, o Options) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, fig := range AllFigures(benchOpts) {
+	for _, fig := range AllFigures(o) {
 		if len(fig.Errors) != 0 {
 			t.Fatalf("figure %s sweep failed: %v", fig.ID, fig.Errors)
 		}
@@ -59,11 +59,10 @@ func TestGoldenFigureHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep is slow")
 	}
-	csvs := goldenFigureCSVs(t)
+	csvs := figureCSVs(t, benchOpts)
 	got := make(map[string]string, len(csvs))
 	for id, csv := range csvs {
-		sum := sha256.Sum256([]byte(csv))
-		got[id] = hex.EncodeToString(sum[:])
+		got[id] = sha256Hex(csv)
 	}
 
 	if os.Getenv("REGEN_GOLDEN") != "" {
@@ -111,6 +110,11 @@ func TestGoldenFigureHashes(t *testing.T) {
 			t.Errorf("figure %s produced but missing from golden file (REGEN_GOLDEN=1 to adopt)", id)
 		}
 	}
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 // diffHint returns the first lines of the drifted CSV so the failure

@@ -36,7 +36,7 @@ import (
 // KnownAnalyzers names every analyzer shipped with lkvet. The runner uses
 // it to validate //lkvet:allow annotations; keeping the list here (names
 // only) avoids an import cycle between the framework and the passes.
-var KnownAnalyzers = []string{"simdeterminism", "hotalloc", "handleleak", "uncharged", "lockguard"}
+var KnownAnalyzers = []string{"simdeterminism", "hotalloc", "uncharged", "lockguard"}
 
 // MetaAnalyzer is the analyzer name under which the runner reports
 // annotation-hygiene problems (malformed or unused //lkvet:allow).
@@ -213,12 +213,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// IsPkgFunc reports whether fn is the package-level function pkgPath.name.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // IsMethod reports whether fn is the method pkgPath.(recv).name, where

@@ -8,11 +8,11 @@
 //     or After (each schedule allocates a closure; the pooled
 //     AtCall/AfterCall path with a package-level sim.Callback does not);
 //   - capturing closures or method values passed as the Callback to
-//     AtCall/AfterCall, which smuggle the same allocation into the
-//     pooled path;
-//   - non-pointer-shaped values boxed into AtCall/AfterCall's any slots
-//     (storing an int or struct in an interface allocates; pointers,
-//     funcs, maps and channels do not);
+//     AtCall/AfterCall or bound to a sim.Timer by Timer.Init, which
+//     smuggle the same allocation into the pooled path;
+//   - non-pointer-shaped values boxed into the any slots of
+//     AtCall/AfterCall or Timer.Init (storing an int or struct in an
+//     interface allocates; pointers, funcs, maps and channels do not);
 //   - fmt calls inside the packages whose operations are protected by
 //     AllocsPerRun gates, where a single Sprintf on a per-packet or
 //     per-event path silently reintroduces garbage;
@@ -71,7 +71,7 @@ func New(fmtPackages, postPackages map[string]bool) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "hotalloc",
 		Doc: "flag allocation sources on the event-engine hot path: closures to " +
-			"At/After, boxing in AtCall/AfterCall arguments, fmt in gated packages, " +
+			"At/After, closures and boxing in AtCall/AfterCall/Timer.Init arguments, fmt in gated packages, " +
 			"closures and method values posted to cpu.Task in the kernel packages",
 		Run: func(pass *analysis.Pass) error { return run(pass, fmtPackages, postPackages) },
 	}
@@ -102,6 +102,8 @@ func checkSchedule(pass *analysis.Pass, call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
+	var cb ast.Expr         // a pooled-path Callback, bound or scheduled
+	var operands []ast.Expr // its any slots
 	switch {
 	case (analysis.IsMethod(fn, simPath, "Engine", "At") ||
 		analysis.IsMethod(fn, simPath, "Engine", "After")) && len(call.Args) == 2:
@@ -117,25 +119,30 @@ func checkSchedule(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 	case (analysis.IsMethod(fn, simPath, "Engine", "AtCall") ||
 		analysis.IsMethod(fn, simPath, "Engine", "AfterCall")) && len(call.Args) == 4:
-		cb := ast.Unparen(call.Args[1])
-		if lit, ok := cb.(*ast.FuncLit); ok {
-			if capt := captures(pass, lit); capt != "" {
-				pass.Reportf(cb.Pos(),
-					"callback literal captures %s and allocates per schedule: hoist it to a package-level sim.Callback and pass state via the any slots", capt)
-			}
-		} else if isMethodValue(pass, cb) {
+		cb, operands = call.Args[1], call.Args[2:]
+	case analysis.IsMethod(fn, simPath, "Timer", "Init") && len(call.Args) == 3:
+		cb, operands = call.Args[0], call.Args[1:]
+	default:
+		return
+	}
+	cb = ast.Unparen(cb)
+	if lit, ok := cb.(*ast.FuncLit); ok {
+		if capt := captures(pass, lit); capt != "" {
 			pass.Reportf(cb.Pos(),
-				"bound method value as the %s callback allocates a closure per schedule: pass a package-level trampoline", fn.Name())
+				"callback literal captures %s and allocates per %s: hoist it to a package-level sim.Callback and pass state via the any slots", capt, fn.Name())
 		}
-		for _, arg := range call.Args[2:] {
-			t := pass.TypesInfo.TypeOf(arg)
-			if t == nil || analysis.PointerShaped(t) {
-				continue
-			}
-			pass.Reportf(arg.Pos(),
-				"%s argument boxes a %s into the any slot, allocating per schedule: pass a pointer to the state instead",
-				fn.Name(), t.String())
+	} else if isMethodValue(pass, cb) {
+		pass.Reportf(cb.Pos(),
+			"bound method value as the %s callback allocates a closure per call: pass a package-level trampoline", fn.Name())
+	}
+	for _, arg := range operands {
+		t := pass.TypesInfo.TypeOf(arg)
+		if t == nil || analysis.PointerShaped(t) {
+			continue
 		}
+		pass.Reportf(arg.Pos(),
+			"%s argument boxes a %s into the any slot, allocating per call: pass a pointer to the state instead",
+			fn.Name(), t.String())
 	}
 }
 

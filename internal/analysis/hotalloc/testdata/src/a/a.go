@@ -32,6 +32,22 @@ func schedule(nd *node, eng *sim.Engine) {
 	eng.After(5, func() { nd.n++ })
 }
 
+type timerOwner struct {
+	tm sim.Timer
+	n  int
+}
+
+func bind(o *timerOwner, eng *sim.Engine) {
+	o.tm.Init(tick, o, nil)                                   // package-level callback, pointer state: fine
+	o.tm.Init(func(a, b any) { a.(*timerOwner).n++ }, o, nil) // capture-free literal: fine
+	o.tm.Init(func(a, b any) { o.n++ }, nil, nil)             // want `callback literal captures o`
+	o.tm.Init(o.fire, o, nil)                                 // want `bound method value as the Init callback`
+	o.tm.Init(tick, o.n, nil)                                 // want `Init argument boxes a int`
+	eng.ArmAfter(&o.tm, 5)
+}
+
+func (o *timerOwner) fire(a, b any) {}
+
 type label struct{ id int }
 
 func (n *node) bumpCall(a, b any) {}

@@ -49,9 +49,6 @@ func NewLoader() *Loader {
 	}
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load parses and type-checks the non-test Go files in dir as the
 // package importPath. Test files are excluded on purpose: the invariants
 // lkvet enforces protect the simulation's measurement paths, and tests

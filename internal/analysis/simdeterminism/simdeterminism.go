@@ -140,7 +140,7 @@ func sinkCall(pass *analysis.Pass, call *ast.CallExpr, enclosing *ast.BlockStmt)
 		if fn.Type().(*types.Signature).Recv() != nil {
 			return "writes output via " + fn.Name()
 		}
-	case "At", "After", "AtCall", "AfterCall":
+	case "At", "After", "AtCall", "AfterCall", "ArmAfter":
 		if analysis.IsMethod(fn, "livelock/internal/sim", "Engine", fn.Name()) {
 			return "schedules engine events, making event order depend on map order"
 		}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"livelock/internal/sim"
 )
 
 func clocks() {
@@ -62,6 +64,21 @@ func sum(m map[string]int) int {
 		total += v
 	}
 	return total
+}
+
+// Arming a Timer schedules its event: the arm order sets the seq order
+// of same-instant firings.
+func armAll(eng *sim.Engine, timers map[string]*sim.Timer) {
+	for _, tm := range timers { // want `map iteration order is nondeterministic and this loop schedules engine events`
+		eng.ArmAfter(tm, 1)
+	}
+}
+
+// Disarming is order-insensitive: every disarm removes its own node.
+func disarmAll(eng *sim.Engine, timers map[string]*sim.Timer) {
+	for _, tm := range timers {
+		eng.Disarm(tm)
+	}
 }
 
 // Slice iteration is ordered; no diagnostic even with output in the body.

@@ -46,6 +46,23 @@ func start(m *model) {
 	m.eng.After(7, m.chain) // want `engine-scheduled callback does work without charging CPU cycles`
 }
 
+// timed owns a Timer; Init binds its callback, so the callback is
+// checked where it is bound, as AtCall's is where it is scheduled.
+type timed struct {
+	m  *model
+	tm sim.Timer
+}
+
+func chargedTimer(a, b any) { a.(*timed).m.task.Post(3, nil) }
+
+func freeTimer(a, b any) { a.(*timed).m.work() }
+
+func bindTimers(t *timed) {
+	t.tm.Init(chargedTimer, t, nil) // fine: posts on every firing
+	t.tm.Init(freeTimer, t, nil)    // want `engine-scheduled callback does work without charging CPU cycles`
+	t.m.eng.ArmAfter(&t.tm, 7)
+}
+
 // onlyBookkeeping clears a field; control without work is free by rule.
 func onlyBookkeeping(a, b any) { a.(*model).hits = 0 }
 

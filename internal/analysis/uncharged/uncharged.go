@@ -10,10 +10,11 @@
 //     but charges nothing;
 //   - run hooks (CPU.SetRunHook) that re-enter the CPU via Task.Post,
 //     which the cpu package documents as forbidden;
-//   - callbacks scheduled directly on the sim engine, in packages that
-//     use the CPU model, whose entire (same-package, depth-limited) call
-//     tree provably never posts CPU work: state changes that should have
-//     been routed through a cpu.Task and charged.
+//   - callbacks scheduled directly on the sim engine, or bound to a
+//     sim.Timer by Timer.Init, in packages that use the CPU model, whose
+//     entire (same-package, depth-limited) call tree provably never
+//     posts CPU work: state changes that should have been routed
+//     through a cpu.Task and charged.
 //
 // The third check is deliberately conservative: a call the analyzer
 // cannot resolve — cross-package, through an interface, or via a
@@ -78,9 +79,10 @@ func run(pass *analysis.Pass) error {
 				checkZeroPost(pass, call, "PostLockedTail", call.Args[1], call.Args[4])
 			case analysis.IsMethod(fn, cpuPath, "CPU", "SetRunHook") && len(call.Args) == 1:
 				checkRunHook(pass, call, decls)
-			case fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == simPath &&
-				isScheduling(fn) && len(call.Args) >= 2:
-				checkEngineCallback(pass, call, decls)
+			case analysis.IsMethod(fn, simPath, "Timer", "Init") && len(call.Args) == 3:
+				checkEngineCallback(pass, call, call.Args[0], decls)
+			case isScheduling(fn) && len(call.Args) >= 2:
+				checkEngineCallback(pass, call, call.Args[1], decls)
 			}
 			return true
 		})
@@ -98,6 +100,9 @@ func importsCPU(pass *analysis.Pass) bool {
 }
 
 func isScheduling(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
 	switch fn.Name() {
 	case "At", "After", "AtCall", "AfterCall":
 		return analysis.IsMethod(fn, simPath, "Engine", fn.Name())
@@ -134,11 +139,12 @@ func checkRunHook(pass *analysis.Pass, call *ast.CallExpr, decls map[*types.Func
 	}
 }
 
-// checkEngineCallback flags engine-scheduled callbacks whose whole
-// resolvable call tree does work without ever posting to a cpu.Task.
-func checkEngineCallback(pass *analysis.Pass, call *ast.CallExpr, decls map[*types.Func]*ast.FuncDecl) {
+// checkEngineCallback flags an engine callback (cb, scheduled or bound
+// to a Timer by call) whose whole resolvable call tree does work without
+// ever posting to a cpu.Task.
+func checkEngineCallback(pass *analysis.Pass, call *ast.CallExpr, cb ast.Expr, decls map[*types.Func]*ast.FuncDecl) {
 	w := &walker{pass: pass, decls: decls}
-	w.walkCallee(call.Args[1], 0)
+	w.walkCallee(cb, 0)
 	if w.posts || w.unresolved || w.calls == 0 {
 		return
 	}

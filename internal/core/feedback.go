@@ -21,7 +21,7 @@ type Feedback struct {
 	gate    *Gate
 	source  string
 	timeout sim.Duration
-	timer   sim.Handle
+	timer   sim.Timer
 
 	// Inhibits counts transitions into the inhibited state; Timeouts
 	// counts re-enables forced by the timeout rather than the low
@@ -33,11 +33,13 @@ type Feedback struct {
 // NewFeedback returns a controller operating on gate under the given
 // source name. timeout <= 0 disables the hang-recovery timer.
 func NewFeedback(eng *sim.Engine, gate *Gate, source string, timeout sim.Duration) *Feedback {
-	return &Feedback{
+	f := &Feedback{
 		eng: eng, gate: gate, source: source, timeout: timeout,
 		Inhibits: stats.NewCounter(source + ".inhibits"),
 		Timeouts: stats.NewCounter(source + ".timeouts"),
 	}
+	f.timer.Init(feedbackTimeout, f, nil)
+	return f
 }
 
 // QueueHigh handles the queue reaching its high watermark.
@@ -48,14 +50,13 @@ func (f *Feedback) QueueHigh() {
 	f.Inhibits.Inc()
 	f.gate.Inhibit(f.source)
 	if f.timeout > 0 {
-		f.timer = f.eng.AfterCall(f.timeout, feedbackTimeout, f, nil)
+		f.eng.ArmAfter(&f.timer, f.timeout)
 	}
 }
 
 // QueueLow handles the queue draining to its low watermark.
 func (f *Feedback) QueueLow() {
-	f.eng.Cancel(f.timer)
-	f.timer = sim.Handle{}
+	f.eng.Disarm(&f.timer)
 	f.gate.Release(f.source)
 }
 
@@ -65,9 +66,9 @@ func (f *Feedback) QueueLow() {
 // program is hung"), so a live consumer should never trip it even when a
 // full drain takes longer than the timeout.
 func (f *Feedback) Progress() {
-	if f.timer.Pending() {
-		f.eng.Cancel(f.timer)
-		f.timer = f.eng.AfterCall(f.timeout, feedbackTimeout, f, nil)
+	if f.timer.Armed() {
+		f.eng.Disarm(&f.timer)
+		f.eng.ArmAfter(&f.timer, f.timeout)
 	}
 }
 
@@ -77,7 +78,6 @@ func (f *Feedback) Progress() {
 func feedbackTimeout(a, _ any) { a.(*Feedback).onTimeout() }
 
 func (f *Feedback) onTimeout() {
-	f.timer = sim.Handle{}
 	if f.gate.Holds(f.source) {
 		f.Timeouts.Inc()
 		f.gate.Release(f.source)

@@ -88,7 +88,7 @@ type refCPU struct {
 	seq        uint64
 	cur        *refTask
 	curStart   sim.Time
-	completion sim.Handle
+	completion sim.Timer
 	hook       spanHook
 }
 
@@ -144,7 +144,7 @@ func (c *refCPU) preempt() {
 	t, now := c.cur, c.eng.Now()
 	c.hook(c.id, t.id, c.curStart, now)
 	t.items[0].cost -= now.Sub(c.curStart)
-	c.eng.Cancel(c.completion)
+	c.eng.Disarm(&c.completion)
 	c.cur = nil
 	seq := t.readySeq
 	c.markReady(t)
@@ -161,7 +161,7 @@ func (c *refCPU) start(t *refTask) {
 		it.savedInt, c.intEnabled = c.intEnabled, false
 		run += it.spin
 	}
-	c.completion = c.eng.AfterCall(run, func(a, _ any) { a.(*refCPU).complete() }, c, nil)
+	c.eng.ArmAfter(&c.completion, run)
 }
 
 func (c *refCPU) complete() {
@@ -192,6 +192,7 @@ func newRefDispatch(eng *sim.Engine, hook spanHook) dispatcher {
 	d := &refDispatch{lock: NewFairLock("l")}
 	for i := range d.cpus {
 		d.cpus[i] = &refCPU{eng: eng, id: i, intEnabled: true, hook: hook}
+		d.cpus[i].completion.Init(func(a, _ any) { a.(*refCPU).complete() }, d.cpus[i], nil)
 	}
 	return d
 }

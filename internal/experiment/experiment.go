@@ -339,18 +339,16 @@ func plan71(p *plan, o Options) {
 	}
 }
 
-// FigWasted is this reproduction's own figure W-1: the wasted-work
-// fraction — the share of attributed packet cycles spent on packets
-// that were ultimately dropped — against offered load, for the same
-// configurations as figures 6-1/6-4. It quantifies the paper's central
-// mechanism directly: under livelock the unmodified kernel's curve
-// climbs toward 100% (every cycle spent, nothing delivered), while
-// early ring drops keep the polled kernel's curve near zero.
-func FigWasted(o Options) Figure { return runFigure(o, planWasted) }
-
-// planWasted declares W-1's profiled trials. Each is the trial of a
-// plain series of figures 6-1, 6-3 or 6-4, so a sweep of all figures
-// runs it once, with the profiler, for both.
+// planWasted declares this reproduction's own figure W-1: the
+// wasted-work fraction — the share of attributed packet cycles spent on
+// packets that were ultimately dropped — against offered load, for the
+// same configurations as figures 6-1/6-4. It quantifies the paper's
+// central mechanism directly: under livelock the unmodified kernel's
+// curve climbs toward 100% (every cycle spent, nothing delivered),
+// while early ring drops keep the polled kernel's curve near zero.
+// Each profiled trial is the trial of a plain series of figures 6-1,
+// 6-3 or 6-4, so a sweep of all figures runs it once, with the
+// profiler, for both.
 func planWasted(p *plan, o Options) {
 	fig := forwardingFrame("W-1", "Wasted work fraction under increasing offered load")
 	fig.YLabel = "Wasted work (per cent of packet cycles)"
@@ -395,7 +393,7 @@ func coresPlan(p *plan, fig Figure, cores []float64, specs []seriesSpec, o Optio
 	}
 }
 
-// FigSMP1 is this reproduction's figure S-1: MLFRR against the virtual
+// planSMP1 declares this reproduction's figure S-1: MLFRR against the virtual
 // CPU count for the paper's best kernel (polling, quota 10, screend,
 // queue-state feedback) and, for contrast, the unmodified kernel on
 // the same screend path plus the pure in-kernel forwarding path with
@@ -405,8 +403,6 @@ func coresPlan(p *plan, fig Figure, cores []float64, specs []seriesSpec, o Optio
 // user process pinned to the boot CPU, so extra cores only offload
 // the device and IP work around it — Amdahl's law, not livelock, is
 // the SMP ceiling.
-func FigSMP1(o Options) Figure { return runFigure(o, planSMP1) }
-
 func planSMP1(p *plan, o Options) {
 	coresPlan(p, Figure{
 		ID:     "S-1",

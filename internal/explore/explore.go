@@ -54,7 +54,9 @@ const (
 	InvConservation
 	// InvHandles: the engine's pending-event population stays within a
 	// scenario bound during the run and collapses to the perpetual
-	// self-rescheduling events at quiescence — no leaked sim.Handles.
+	// self-rescheduling events at quiescence — no event or armed Timer
+	// outlives the work it was scheduled for. (The name predates the
+	// Timers; it stays because reports and scripts print it.)
 	InvHandles
 	// InvHysteresis: the screend queue's OnHigh/OnLow watermark
 	// callbacks strictly alternate — exactly one firing per regime

@@ -306,7 +306,7 @@ func (w *world) check() (string, string) {
 	if on&InvHandles != 0 {
 		if n := w.eng.Pending(); n > w.sc.MaxPendingEvents {
 			return "handles", fmt.Sprintf(
-				"%d events pending (scenario bound %d): leaked handles or runaway self-scheduling",
+				"%d events pending (scenario bound %d): leaked events or runaway self-scheduling",
 				n, w.sc.MaxPendingEvents)
 		}
 	}
@@ -388,7 +388,7 @@ func (w *world) checkEnd() {
 	if on&InvHandles != 0 {
 		if n := w.eng.Pending(); n > w.sc.MaxQuiescentEvents {
 			c.fail("handles", fmt.Sprintf(
-				"%d events still pending at quiescence (bound %d): leaked handles",
+				"%d events still pending at quiescence (bound %d): leaked events or armed timers",
 				n, w.sc.MaxQuiescentEvents))
 			return
 		}

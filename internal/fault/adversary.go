@@ -145,7 +145,7 @@ func (a *Adversary) AttachWireReorder(eng *sim.Engine, w *nic.Wire, name string,
 	pt := &WireReorder{
 		reorderHold: reorderHold{
 			eng: eng, w: w, span: span, flush: flush,
-			held: make([]reorderEntry, 0, budget),
+			slots: make([]reorderSlot, budget),
 		},
 		adv: a, kind: "reorder:" + name, budget: budget,
 	}
@@ -176,13 +176,13 @@ func (pt *WireReorder) Injected() int { return pt.injected }
 func (pt *WireReorder) Budget() int { return pt.budget }
 
 // Held reports how many frames are currently held out of order.
-func (pt *WireReorder) Held() int { return len(pt.held) }
+func (pt *WireReorder) Held() int { return pt.n }
 
 // VisitHeld walks the held frames in insertion order (explore
 // fingerprinting: the hold set and each frame's remaining displacement
 // are forward-relevant state).
 func (pt *WireReorder) VisitHeld(f func(pid uint64, left int)) {
-	for i := range pt.held {
-		f(pt.held[i].p.ID, pt.held[i].left)
+	for i, k := pt.head, 0; k < pt.n; i, k = pt.slots[i].next, k+1 {
+		f(pt.slots[i].p.ID, pt.slots[i].left)
 	}
 }

@@ -212,8 +212,8 @@ func (pl *Plane) AttachWire(w *nic.Wire) {
 	if c := &pl.cfg; c.ReorderProb > 0 {
 		rs = &reorderHold{
 			eng: pl.eng, w: w, span: c.ReorderSpan, flush: c.ReorderFlush,
-			swap: c.ReorderMode == ReorderSwap,
-			held: make([]reorderEntry, 0, maxReorderHeld),
+			swap:  c.ReorderMode == ReorderSwap,
+			slots: make([]reorderSlot, maxReorderHeld),
 		}
 		pl.reorders = append(pl.reorders, rs)
 	}
@@ -262,7 +262,7 @@ func (pl *Plane) tapFrame(w *nic.Wire, rs *reorderHold, p *netstack.Packet) {
 		return
 	}
 	if rs != nil {
-		if pl.rng.Float64() < c.ReorderProb && len(rs.held) < maxReorderHeld {
+		if pl.rng.Float64() < c.ReorderProb && rs.n < maxReorderHeld {
 			pl.Reordered.Inc()
 			rs.hold(p)
 			return

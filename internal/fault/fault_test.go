@@ -170,3 +170,86 @@ func TestStallWindowToggling(t *testing.T) {
 		t.Fatal("NIC still stalled after the window closed")
 	}
 }
+
+// idReceiver records the ID of every frame a wire delivers.
+type idReceiver struct{ got []uint64 }
+
+func (r *idReceiver) DeliverFrame(p *netstack.Packet) { r.got = append(r.got, p.ID) }
+
+// TestReorderHoldSlotsStayPut ages the oldest held frame out through
+// pass while later frames stay held, releases the next one through pass
+// too, and lets the last two frames' flushes fire at one instant, the
+// newest first (a tie-breaker picks it, as explore may). The engine's
+// queue points at each held frame's flush timer, so releasing one frame
+// must not move another: disarming a moved timer panics, and a flush
+// must deliver its own frame. Each frame is delivered exactly once and
+// the hold drains.
+func TestReorderHoldSlotsStayPut(t *testing.T) {
+	eng := sim.NewEngine()
+	var rx idReceiver
+	w := nic.NewWire(eng, &rx, nic.EthernetBitRate, 0)
+	h := &reorderHold{eng: eng, w: w, span: 2, flush: sim.Millisecond,
+		slots: make([]reorderSlot, maxReorderHeld)}
+	pl := &Plane{reorders: []*reorderHold{h}}
+	frame := func(id uint64) *netstack.Packet { return &netstack.Packet{ID: id} }
+	mainLine := func(id uint64) {
+		w.Deliver(frame(id))
+		h.pass()
+	}
+
+	h.hold(frame(1))
+	mainLine(10)
+	eng.RunFor(100 * sim.Microsecond)
+	h.hold(frame(2))
+	mainLine(11) // frame 1 has seen two frames pass: released
+	h.hold(frame(3))
+	h.hold(frame(4))
+	if got := pl.HeldReorder(); got != 3 {
+		t.Fatalf("HeldReorder = %d after the first release, want 3", got)
+	}
+	mainLine(12) // frame 2 released; its flush timer is disarmed
+	eng.SetTieBreaker(func(_ sim.Time, ties []sim.Tie) int { return len(ties) - 1 })
+	eng.RunFor(sim.Second)
+
+	want := []uint64{10, 11, 1, 12, 2, 4, 3}
+	if len(rx.got) != len(want) {
+		t.Fatalf("delivered %v, want %v", rx.got, want)
+	}
+	for i := range want {
+		if rx.got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", rx.got, want)
+		}
+	}
+	if pl.HeldReorder() != 0 || eng.Pending() != 0 {
+		t.Fatalf("after the flushes: HeldReorder %d, %d events pending", pl.HeldReorder(), eng.Pending())
+	}
+}
+
+// TestReorderHoldSwapDrainsReversed: under ReorderSwap an expired batch
+// leaves newest first, and a later hold reuses the freed slots.
+func TestReorderHoldSwapDrainsReversed(t *testing.T) {
+	eng := sim.NewEngine()
+	var rx idReceiver
+	w := nic.NewWire(eng, &rx, nic.EthernetBitRate, 0)
+	h := &reorderHold{eng: eng, w: w, span: 1, flush: sim.Millisecond, swap: true,
+		slots: make([]reorderSlot, 3)}
+	for round := uint64(0); round < 2; round++ {
+		for id := uint64(1); id <= 3; id++ {
+			h.hold(&netstack.Packet{ID: 10*round + id})
+		}
+		w.Deliver(&netstack.Packet{ID: 100 + round})
+		h.pass()
+	}
+	want := []uint64{100, 3, 2, 1, 101, 13, 12, 11}
+	if len(rx.got) != len(want) {
+		t.Fatalf("delivered %v, want %v", rx.got, want)
+	}
+	for i := range want {
+		if rx.got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", rx.got, want)
+		}
+	}
+	if h.n != 0 || eng.Pending() != 0 {
+		t.Fatalf("hold keeps %d frames, %d events pending", h.n, eng.Pending())
+	}
+}

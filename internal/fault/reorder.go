@@ -46,10 +46,16 @@ func ParseReorderMode(s string) (ReorderMode, bool) {
 // stream is unperturbed).
 const maxReorderHeld = 16
 
-type reorderEntry struct {
-	p     *netstack.Packet
-	left  int        // frames still to pass before release
-	flush sim.Handle // flush-timeout backstop
+// reorderSlot is one frame's place in a hold. A hold allocates its
+// slots once, at its capacity, and a frame keeps its slot while held,
+// because the engine's queue points at the slot's flush timer. Hold
+// order is a list threaded through the slots, so releasing a frame
+// moves no other.
+type reorderSlot struct {
+	p     *netstack.Packet // the held frame; nil when the slot is free
+	left  int              // frames still to pass before release
+	next  int              // the next slot in hold order
+	flush sim.Timer        // flush-timeout backstop, bound to (hold, p)
 }
 
 // reorderHold is one wire's set of frames held out of order, the state
@@ -65,57 +71,70 @@ type reorderHold struct {
 	w     *nic.Wire
 	span  int
 	flush sim.Duration
-	swap  bool // an expired batch drains in reverse (ReorderSwap)
-	held  []reorderEntry
+	swap  bool          // an expired batch drains in reverse (ReorderSwap)
+	slots []reorderSlot // fixed at attach; its length bounds the frames held
+	head  int           // the oldest held frame's slot, when n > 0
+	tail  int           // the newest held frame's slot, when n > 0
+	n     int           // frames held
 }
 
 // hold takes ownership of p. The flush timer guarantees a tail frame
-// with no successors is still delivered.
+// with no successors is still delivered. The caller keeps the hold
+// below its capacity.
 func (h *reorderHold) hold(p *netstack.Packet) {
-	h.held = append(h.held, reorderEntry{
-		p:     p,
-		left:  h.span,
-		flush: h.eng.AfterCall(h.flush, reorderFlushFire, h, p),
-	})
+	i := 0
+	for h.slots[i].p != nil {
+		i++
+	}
+	s := &h.slots[i]
+	s.p, s.left = p, h.span
+	s.flush.Init(reorderFlushFire, h, p)
+	h.eng.ArmAfter(&s.flush, h.flush)
+	if h.n == 0 {
+		h.head = i
+	} else {
+		h.slots[h.tail].next = i
+	}
+	h.tail = i
+	h.n++
 }
 
 // pass ages every held frame by the one that just went by and delivers
 // the expired prefix. Entries are inserted with the same span and age
-// together, so expired entries always form a prefix in insertion order.
+// together, so expired entries always form a prefix in hold order.
 func (h *reorderHold) pass() {
-	if len(h.held) == 0 {
-		return
+	expired := 0
+	for i, k := h.head, 0; k < h.n; i, k = h.slots[i].next, k+1 {
+		h.slots[i].left--
+		if h.slots[i].left <= 0 && expired == k {
+			expired++
+		}
 	}
-	for i := range h.held {
-		h.held[i].left--
+	h.release(h.head, expired)
+	for ; expired > 0; expired-- {
+		h.head = h.slots[h.head].next
+		h.n--
 	}
-	n := 0
-	for n < len(h.held) && h.held[n].left <= 0 {
-		n++
-	}
+}
+
+// release delivers the n frames held from slot i on, in hold order or,
+// under ReorderSwap, newest first, cancelling each flush backstop.
+// Delivery bypasses the tap (a released frame must not re-enter the
+// injectors or age its fellow holds).
+func (h *reorderHold) release(i, n int) {
 	if n == 0 {
 		return
 	}
+	s := &h.slots[i]
 	if h.swap {
-		for i := n - 1; i >= 0; i-- {
-			h.release(i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			h.release(i)
-		}
+		h.release(s.next, n-1)
 	}
-	rest := copy(h.held, h.held[n:])
-	h.held = h.held[:rest]
-}
-
-// release cancels entry i's flush backstop and delivers its frame.
-// Delivery bypasses the tap (a released frame must not re-enter the
-// injectors or age its fellow holds).
-func (h *reorderHold) release(i int) {
-	h.eng.Cancel(h.held[i].flush)
-	h.w.Deliver(h.held[i].p)
-	h.held[i].p = nil
+	h.eng.Disarm(&s.flush)
+	h.w.Deliver(s.p)
+	s.p = nil
+	if !h.swap {
+		h.release(s.next, n-1)
+	}
 }
 
 // reorderFlushFire is the hold-timeout callback (sim.Callback shape): a
@@ -124,12 +143,23 @@ func (h *reorderHold) release(i int) {
 // frame.
 func reorderFlushFire(a, b any) {
 	h, p := a.(*reorderHold), b.(*netstack.Packet)
-	for i := range h.held {
-		if h.held[i].p == p {
-			h.held = append(h.held[:i], h.held[i+1:]...)
-			h.w.Deliver(p)
-			return
+	for i, prev, k := h.head, -1, 0; k < h.n; i, prev, k = h.slots[i].next, i, k+1 {
+		s := &h.slots[i]
+		if s.p != p {
+			continue
 		}
+		if k == 0 {
+			h.head = s.next
+		} else {
+			h.slots[prev].next = s.next
+		}
+		if k == h.n-1 {
+			h.tail = prev
+		}
+		h.n--
+		s.p = nil
+		h.w.Deliver(p)
+		return
 	}
 }
 
@@ -139,7 +169,7 @@ func reorderFlushFire(a, b any) {
 func (pl *Plane) HeldReorder() int {
 	total := 0
 	for _, rs := range pl.reorders {
-		total += len(rs.held)
+		total += rs.n
 	}
 	return total
 }

@@ -39,7 +39,7 @@ type Client struct {
 	outstanding int
 	ipid        uint16
 	nextID      uint64
-	timer       sim.Handle
+	timer       sim.Timer
 	oldestSent  []sim.Time // FIFO of outstanding send times
 
 	// Sent counts request transmissions (including retransmissions);
@@ -71,6 +71,7 @@ func (r *Router) AttachClient(i int, cfg ClientConfig) *Client {
 		Retransmits: stats.NewCounter("client.retransmits"),
 		RTT:         stats.NewHistogram("client.rtt"),
 	}
+	c.timer.Init(clientTimeout, c, nil)
 	// Chain onto the reverse sink's delivery hook (tracing may already
 	// be attached).
 	rev := r.RevSinks[i]
@@ -125,13 +126,10 @@ func (c *Client) sendRequest() {
 }
 
 func (c *Client) armTimer() {
-	if c.timer.Pending() {
+	if c.timer.Armed() || c.outstanding == 0 {
 		return
 	}
-	if c.outstanding == 0 {
-		return
-	}
-	c.timer = c.r.Eng.AfterCall(c.cfg.Timeout, clientTimeout, c, nil)
+	c.r.Eng.ArmAfter(&c.timer, c.cfg.Timeout)
 }
 
 // clientTimeout is the retransmission callback (sim.Callback shape).
@@ -164,8 +162,7 @@ func (c *Client) onReply(p *netstack.Packet) {
 	c.outstanding--
 	c.Completed.Inc()
 	c.RTT.Observe(c.r.Eng.Now().Sub(sent))
-	c.r.Eng.Cancel(c.timer)
-	c.timer = sim.Handle{}
+	c.r.Eng.Disarm(&c.timer)
 	c.armTimer()
 	for c.outstanding < c.cfg.Window && !c.done() {
 		c.sendRequest()
@@ -174,7 +171,6 @@ func (c *Client) onReply(p *netstack.Packet) {
 
 // onTimeout retransmits the oldest outstanding request.
 func (c *Client) onTimeout() {
-	c.timer = sim.Handle{}
 	if c.outstanding == 0 {
 		return
 	}

@@ -130,9 +130,6 @@ func (r *Router) registerMonitorMetrics(reg *metrics.Registry) {
 	}))
 }
 
-// Backlog returns the capture-buffer occupancy.
-func (m *Monitor) Backlog() int { return m.cnt }
-
 // LossRate returns the fraction of tapped packets lost to buffer
 // overflow.
 func (m *Monitor) LossRate() float64 {

@@ -54,12 +54,6 @@ func (r *Router) OpenSocket(port uint16, bufPackets int) *Socket {
 	return s
 }
 
-// Buffered returns the current socket-buffer occupancy. An observer
-// API, like Router.Account.
-//
-//lkvet:requires boot
-func (s *Socket) Buffered() int { return s.buf.Len() }
-
 // Drops returns datagrams dropped because the socket buffer was full.
 // An observer API, like Router.Account.
 //

@@ -46,7 +46,7 @@ type TCPReceiver struct {
 	// ACKs every arrival again, so a real loss still triggers fast
 	// retransmit (just later). signaling clears when the gap closes.
 	reseqHold  sim.Duration
-	reseqTimer sim.Handle
+	reseqTimer sim.Timer
 	signaling  bool
 
 	// Addressing for timer-driven ACKs, captured from the latest
@@ -97,6 +97,7 @@ func (r *Router) OpenTCPReceiver(port uint16) *TCPReceiver {
 		AcksSent:       stats.NewCounter("tcp.acks"),
 		AcksSuppressed: stats.NewCounter("tcp.reseq.suppressed"),
 	}
+	rx.reseqTimer.Init(tcpReseqFire, rx, nil)
 	r.tcpPorts[port] = rx
 	return rx
 }
@@ -116,9 +117,6 @@ func (rx *TCPReceiver) SetResequencing(hold sim.Duration) { rx.reseqHold = hold 
 // minus the initial sequence (zero), which the property tests assert.
 func (rx *TCPReceiver) RcvNxt() uint64 { return rx.rcvNxt }
 
-// OOOHeld returns how many byte ranges the out-of-order buffer holds.
-func (rx *TCPReceiver) OOOHeld() int { return len(rx.ooo) }
-
 // VisitState folds the receiver's forward-relevant state into f one
 // word at a time (explore fingerprinting): the reassembly cursor, the
 // held ranges, and the resequencer regime. Monotone counters are
@@ -132,7 +130,7 @@ func (rx *TCPReceiver) VisitState(f func(uint64)) {
 	}
 	f(uint64(rx.lastRange))
 	f(boolWord(rx.signaling))
-	f(boolWord(rx.reseqTimer.Pending()))
+	f(boolWord(rx.reseqTimer.Armed()))
 }
 
 func boolWord(b bool) uint64 {
@@ -209,9 +207,7 @@ func (rx *TCPReceiver) segment(ip netstack.IPv4Header, th netstack.TCPHeader, pa
 		if len(rx.ooo) == 0 {
 			// Gap closed: stand the resequencer down.
 			rx.signaling = false
-			if rx.reseqTimer.Pending() {
-				rx.r.Eng.Cancel(rx.reseqTimer)
-			}
+			rx.r.Eng.Disarm(&rx.reseqTimer)
 		}
 	case seq > rx.rcvNxt:
 		outcome = rx.storeOOO(seq, uint64(payloadLen))
@@ -224,8 +220,8 @@ func (rx *TCPReceiver) segment(ip netstack.IPv4Header, th netstack.TCPHeader, pa
 		if rx.reseqHold > 0 && !rx.signaling {
 			suppress = true
 			rx.AcksSuppressed.Inc()
-			if !rx.reseqTimer.Pending() {
-				rx.reseqTimer = rx.r.Eng.AfterCall(rx.reseqHold, tcpReseqFire, rx, nil)
+			if !rx.reseqTimer.Armed() {
+				rx.r.Eng.ArmAfter(&rx.reseqTimer, rx.reseqHold)
 			}
 		}
 	default:
@@ -400,7 +396,7 @@ type TCPSender struct {
 	m     *ccMachine
 
 	backoff sim.Duration
-	timer   sim.Handle
+	timer   sim.Timer
 	ipid    uint16
 	maxSent uint64 // highest sequence ever transmitted (retransmit detection)
 	payload []byte // MSS-sized zero scratch, sliced per segment
@@ -448,6 +444,7 @@ func (r *Router) AttachTCPSender(i int, cfg TCPSenderConfig) *TCPSender {
 		Timeouts:     stats.NewCounter("tcpsnd.timeouts"),
 		RtxSegments:  stats.NewCounter("tcpsnd.rtxsegments"),
 	}
+	s.timer.Init(tcpRTO, s, nil)
 	rev := r.RevSinks[i]
 	prev := rev.OnDeliver
 	rev.OnDeliver = func(p *netstack.Packet) {
@@ -469,19 +466,8 @@ func (s *TCPSender) AckedBytes() uint64 { return s.m.una }
 // Cwnd returns the current congestion window in segments.
 func (s *TCPSender) Cwnd() float64 { return s.m.cwnd }
 
-// Ssthresh returns the slow-start threshold in segments.
-func (s *TCPSender) Ssthresh() float64 { return s.m.ssthresh }
-
-// InRecovery reports whether the sender is inside a fast-recovery
-// episode (always false for Tahoe).
-func (s *TCPSender) InRecovery() bool { return s.m.inRecovery }
-
 // Variant returns the sender's configured loss-recovery variant.
 func (s *TCPSender) Variant() TCPVariant { return s.cfg.Variant }
-
-// RTOPending reports whether the retransmission timer is armed (used by
-// the explore plane's state fingerprint).
-func (s *TCPSender) RTOPending() bool { return s.timer.Pending() }
 
 // VisitState folds the sender's forward-relevant state into f one word
 // at a time (explore fingerprinting): the congestion machine, queued
@@ -565,13 +551,10 @@ func (s *TCPSender) sendSegment(seq uint64, n int) bool {
 }
 
 func (s *TCPSender) armTimer() {
-	if s.timer.Pending() {
-		return
+	if s.timer.Armed() || s.m.una >= s.m.nxt {
+		return // armed already, or nothing outstanding
 	}
-	if s.m.una >= s.m.nxt {
-		return // nothing outstanding
-	}
-	s.timer = s.r.Eng.AfterCall(s.backoff, tcpRTO, s, nil)
+	s.r.Eng.ArmAfter(&s.timer, s.backoff)
 }
 
 // tcpRTO is the retransmission-timeout callback (sim.Callback shape);
@@ -610,8 +593,7 @@ func (s *TCPSender) onAck(ack uint64, sacks []netstack.SACKBlock) {
 	s.m.onAck(ack, sacks)
 	if s.m.una > prevUna {
 		s.backoff = s.cfg.RTO
-		s.r.Eng.Cancel(s.timer)
-		s.timer = sim.Handle{}
+		s.r.Eng.Disarm(&s.timer)
 		if s.cfg.TotalBytes > 0 && s.m.una >= s.cfg.TotalBytes {
 			s.Done = true
 			s.FinishedAt = s.r.Eng.Now()
@@ -634,8 +616,7 @@ func (s *TCPSender) execute() {
 	if s.m.resetNxt {
 		s.m.resetNxt = false
 		s.m.nxt = s.m.una
-		s.r.Eng.Cancel(s.timer)
-		s.timer = sim.Handle{}
+		s.r.Eng.Disarm(&s.timer)
 	}
 	for i := 0; i < s.m.nrtx; i++ {
 		seq := s.m.rtx[i]
@@ -652,7 +633,6 @@ func (s *TCPSender) execute() {
 }
 
 func (s *TCPSender) onRTO() {
-	s.timer = sim.Handle{}
 	if s.Done || s.m.una >= s.m.nxt {
 		return
 	}

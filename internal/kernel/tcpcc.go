@@ -378,17 +378,3 @@ func (m *ccMachine) pruneSACK() {
 		m.sacked[0].start = m.una
 	}
 }
-
-// sackedContains reports whether seq is covered by the scoreboard
-// (never retransmit sacked data).
-func (m *ccMachine) sackedContains(seq uint64) bool {
-	for i := 0; i < m.nsacked; i++ {
-		if seq >= m.sacked[i].start && seq < m.sacked[i].end {
-			return true
-		}
-		if seq < m.sacked[i].start {
-			return false
-		}
-	}
-	return false
-}

@@ -416,7 +416,7 @@ func TestConformanceReceiverResequencing(t *testing.T) {
 	if rx.RcvNxt() != 200 {
 		t.Fatalf("rcvNxt = %d, want 200", rx.RcvNxt())
 	}
-	if rx.reseqTimer.Pending() {
+	if rx.reseqTimer.Armed() {
 		t.Fatal("hold timer still armed after the gap closed")
 	}
 	eng.RunFor(20 * sim.Millisecond)

@@ -29,7 +29,7 @@ type Sampler struct {
 
 	samples []Sample
 	arena   []float64 // chunked backing store for Sample.Values
-	event   sim.Handle
+	tick    sim.Timer
 }
 
 // NewSampler returns a sampler over reg with the given interval. The
@@ -39,7 +39,9 @@ func NewSampler(eng *sim.Engine, reg *Registry, interval sim.Duration) *Sampler 
 	if interval <= 0 {
 		panic("metrics: non-positive sample interval")
 	}
-	return &Sampler{eng: eng, reg: reg, interval: interval}
+	s := &Sampler{eng: eng, reg: reg, interval: interval}
+	s.tick.Init(samplerTick, s, nil)
+	return s
 }
 
 // Interval returns the sampling period.
@@ -59,15 +61,12 @@ func (s *Sampler) Start() {
 			s.prevBusy[i] = in.busy()
 		}
 	}
-	s.event = s.eng.AfterCall(s.interval, samplerTick, s, nil)
+	s.eng.ArmAfter(&s.tick, s.interval)
 }
 
 // Stop cancels the pending sample event. Rows already recorded are
 // kept; call Flush first to capture a final partial interval.
-func (s *Sampler) Stop() {
-	s.eng.Cancel(s.event)
-	s.event = sim.Handle{}
-}
+func (s *Sampler) Stop() { s.eng.Disarm(&s.tick) }
 
 // Flush records one extra sample covering the partial interval since
 // the last edge, if any simulated time has passed. Deltas and
@@ -81,11 +80,10 @@ func (s *Sampler) Flush() {
 // samplerTick is the periodic sampling callback (sim.Callback shape);
 // with the chunked value arena below, a steady-state tick schedules and
 // records without per-tick allocation.
-func samplerTick(a, _ any) { a.(*Sampler).tick() }
-
-func (s *Sampler) tick() {
+func samplerTick(a, _ any) {
+	s := a.(*Sampler)
 	s.snapshot()
-	s.event = s.eng.AfterCall(s.interval, samplerTick, s, nil)
+	s.eng.ArmAfter(&s.tick, s.interval)
 }
 
 // valuesBuf carves a row's value slice out of a chunked arena: chunks

@@ -123,8 +123,8 @@ func (n *NIC) coalesceEval(rq *rxQueue) {
 		n.raiseRx(rq)
 		return
 	}
-	if !rq.coalesceTimer.Pending() {
-		rq.coalesceTimer = n.eng.AfterCall(n.coalesce.TimerThresh, nicCoalesceFire, n, rq)
+	if !rq.coalesceTimer.Armed() {
+		n.eng.ArmAfter(&rq.coalesceTimer, n.coalesce.TimerThresh)
 	}
 }
 
@@ -153,14 +153,12 @@ func nicCoalesceFire(a, b any) {
 func (n *NIC) raiseRx(rq *rxQueue) {
 	if n.loseRxIntr != nil && n.loseRxIntr() {
 		n.LostRxIntrs.Inc()
-		if n.coalesce.Policy != CoalesceImmediate && !rq.coalesceTimer.Pending() {
-			rq.coalesceTimer = n.eng.AfterCall(n.coalesce.TimerThresh, nicCoalesceFire, n, rq)
+		if n.coalesce.Policy != CoalesceImmediate && !rq.coalesceTimer.Armed() {
+			n.eng.ArmAfter(&rq.coalesceTimer, n.coalesce.TimerThresh)
 		}
 		return
 	}
-	if rq.coalesceTimer.Pending() {
-		n.eng.Cancel(rq.coalesceTimer)
-	}
+	n.eng.Disarm(&rq.coalesceTimer)
 	rq.pending = true
 	rq.onIntr()
 }
@@ -173,7 +171,7 @@ func (n *NIC) Coalesce() CoalesceConfig { return n.coalesce }
 // the immediate policy.
 //
 //lkvet:requires rxipl
-func (n *NIC) RxQueueHoldoffPending(q int) bool { return n.rxq[q].coalesceTimer.Pending() }
+func (n *NIC) RxQueueHoldoffPending(q int) bool { return n.rxq[q].coalesceTimer.Armed() }
 
 // RxQueueCoalesceThresh returns queue q's effective packet-count
 // threshold (the adaptive policy moves it; other policies hold it at

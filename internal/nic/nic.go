@@ -122,7 +122,7 @@ type rxQueue struct {
 	// Coalescing state (unused under CoalesceImmediate): the armed
 	// holdoff timer and the adaptive policy's effective count
 	// threshold.
-	coalesceTimer  sim.Handle
+	coalesceTimer  sim.Timer
 	coalesceThresh int
 }
 
@@ -160,6 +160,7 @@ func New(eng *sim.Engine, name string, mac netstack.MAC, cfg Config, wire *Wire)
 		n.rxq[i].ring = make([]*netstack.Packet, cfg.RxRing)
 		if n.coalesce.Policy != CoalesceImmediate {
 			n.rxq[i].coalesceThresh = n.coalesce.CountThresh
+			n.rxq[i].coalesceTimer.Init(nicCoalesceFire, n, &n.rxq[i])
 		}
 	}
 	return n
@@ -414,10 +415,10 @@ func (n *NIC) TakeRxQueue(q int) *netstack.Packet {
 	rq.ring[rq.head] = nil
 	rq.head = (rq.head + 1) % n.cfg.RxRing
 	rq.count--
-	if rq.count == 0 && n.coalesce.Policy != CoalesceImmediate && rq.coalesceTimer.Pending() {
+	if rq.count == 0 {
 		// The driver drained the holdoff batch before the timer fired;
 		// an empty ring has nothing to signal.
-		n.eng.Cancel(rq.coalesceTimer)
+		n.eng.Disarm(&rq.coalesceTimer)
 	}
 	return p
 }
@@ -507,7 +508,6 @@ func (n *NIC) kickTx() {
 	n.txInFlight++
 	done := n.wire.Transmit(p)
 	// Closure-free: one completion event per transmitted frame.
-	//lkvet:allow handleleak tx completion always fires; the frame is already on the wire and there is no cancel path for it
 	n.eng.AtCall(done, nicTxDone, n, nil)
 }
 

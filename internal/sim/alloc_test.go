@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // Allocation regression tests: the engine hot path — closure-free
-// scheduling through the event pool, firing, and cancellation —
+// scheduling through the event pool, firing, and Timer arm/disarm —
 // must not allocate in steady state. A failure here means a change
 // reintroduced per-event garbage, which the benchmark gate would catch
 // later and more expensively.
@@ -27,17 +27,19 @@ func TestAllocsAfterCallStep(t *testing.T) {
 func TestAllocsCancelResched(t *testing.T) {
 	eng := NewEngine()
 	tick := func(a, _ any) {}
-	h := eng.AfterCall(1, tick, nil, nil)
-	eng.Cancel(h)
+	var rto Timer
+	rto.Init(tick, nil, nil)
+	eng.AfterCall(1, tick, nil, nil)
+	eng.Step()
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		h := eng.AfterCall(10, tick, nil, nil)
-		eng.Cancel(h)
+		eng.ArmAfter(&rto, 10)
+		eng.Disarm(&rto)
 		eng.AfterCall(1, tick, nil, nil)
 		eng.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("cancel/reschedule cycle allocates %v objects, want 0", allocs)
+		t.Fatalf("disarm/reschedule cycle allocates %v objects, want 0", allocs)
 	}
 }
 

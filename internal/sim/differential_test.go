@@ -1,13 +1,16 @@
 package sim
 
-// Differential test: the pooled engine (one sorted slice of inline
-// (when, seq) nodes, eager cancellation) is checked against a retained
-// copy of the original implementation (a binary heap of per-event
-// allocations, also with eager cancellation). Both engines execute the
-// same schedule/cancel/reschedule scripts — seeded random ones here and
-// fuzzed ones in FuzzEngineDifferential, including same-instant ties
-// and cancel-while-pending — and must produce the identical firing
-// order and identical Fired/Pending counts at every run boundary.
+// Differential test: the engine (one sorted slice of inline (when, seq)
+// nodes, pooled fire-and-forget events, owned Timers removed at once by
+// Disarm) is checked against a retained copy of the original
+// implementation (a binary heap of per-event allocations with eager
+// cancellation). Both engines execute the same schedule/cancel/
+// reschedule scripts — seeded random ones here and fuzzed ones in
+// FuzzEngineDifferential, including same-instant ties and
+// cancel-while-pending — and must produce the identical firing order
+// and identical Fired/Pending counts at every run boundary. A script's
+// cancellable events are Timers, one per id; the events a firing
+// spawns are pooled.
 
 import (
 	"fmt"
@@ -159,9 +162,9 @@ func (e *refEngine) down(i int) {
 type opKind int
 
 const (
-	opSchedule opKind = iota // schedule event `id` after `delay`
-	opCancel                 // cancel event `target` (may already be fired/cancelled)
-	opResched                // cancel `target`, then schedule `id` after `delay`
+	opSchedule opKind = iota // arm event `id`'s Timer after `delay`
+	opCancel                 // disarm event `target` (may already be fired/disarmed)
+	opResched                // disarm `target`, then arm `id` after `delay`
 	opAdvance                // run until now+delay, then compare state
 	opArm                    // arm Timer `target` after `delay` unless it is armed
 	opDisarm                 // disarm Timer `target` (may be disarmed already)
@@ -240,18 +243,24 @@ func childSpec(id int) (child int, delay Duration, ok bool) {
 	return id + 1_000_000, Duration((id*37)%97 + 1), true
 }
 
-// runNew executes script on the pooled engine, returning the firing
-// order and (fired, pending) observed after every advance.
+// runNew executes script on the engine, returning the firing order
+// and (fired, pending) observed after every advance.
 func runNew(script []op) (order []int, marks [][2]uint64) {
 	eng := NewEngine()
-	handles := map[int]Handle{}
 	var fire Callback
 	fire = func(a, _ any) {
 		id := a.(int)
 		order = append(order, id)
 		if child, d, ok := childSpec(id); ok {
-			handles[child] = eng.AfterCall(d, fire, child, nil)
+			eng.AfterCall(d, fire, child, nil)
 		}
+	}
+	events := map[int]*Timer{}
+	schedule := func(id int, d Duration) {
+		tm := new(Timer)
+		tm.Init(fire, id, nil)
+		eng.ArmAfter(tm, d)
+		events[id] = tm
 	}
 	var timers [numTimers]Timer
 	var fired [numTimers]int
@@ -268,7 +277,7 @@ func runNew(script []op) (order []int, marks [][2]uint64) {
 	for _, o := range script {
 		switch o.kind {
 		case opArm:
-			if !timers[o.target].ev.armed {
+			if !timers[o.target].Armed() {
 				eng.ArmAfter(&timers[o.target], o.delay)
 			}
 		case opDisarm:
@@ -277,12 +286,12 @@ func runNew(script []op) (order []int, marks [][2]uint64) {
 			eng.Disarm(&timers[o.target])
 			eng.ArmAfter(&timers[o.target], o.delay)
 		case opSchedule:
-			handles[o.id] = eng.AfterCall(o.delay, fire, o.id, nil)
+			schedule(o.id, o.delay)
 		case opCancel:
-			eng.Cancel(handles[o.target])
+			eng.Disarm(events[o.target])
 		case opResched:
-			eng.Cancel(handles[o.target])
-			handles[o.id] = eng.AfterCall(o.delay, fire, o.id, nil)
+			eng.Disarm(events[o.target])
+			schedule(o.id, o.delay)
 		case opAdvance:
 			eng.Run(eng.Now().Add(o.delay))
 			marks = append(marks, [2]uint64{eng.Fired(), uint64(eng.Pending())})

@@ -9,16 +9,13 @@ import "fmt"
 // package-level function schedule without producing any garbage.
 type Callback func(a, b any)
 
-// Event is a pooled scheduler entry. Events are owned by the engine's
-// free list and recycled the moment they fire or are cancelled; user
-// code never holds an *Event directly — it holds a generation-checked
-// Handle, which stays safe (Pending reports false, Cancel is a no-op)
-// even after the underlying Event has been reused for a later
-// scheduling. A Timer's Event is the exception: its owner keeps it.
+// Event is a scheduler entry. A fire-and-forget event, scheduled by
+// AtCall and its wrappers, comes from the engine's free list and goes
+// back to it the moment it fires; nothing outside the engine holds it.
+// An event that must be cancellable is a Timer's: its owner keeps it.
 type Event struct {
 	when  Time
-	seq   uint64 // the event's queue key with when; Cancel searches by it
-	gen   uint64 // bumped on every recycle; Handles pin the value
+	seq   uint64 // the event's queue key with when; Disarm searches by it
 	fn    Callback
 	a, b  any
 	next  *Event // free-list link
@@ -28,38 +25,20 @@ type Event struct {
 
 // Timer is an Event its owner keeps and re-arms, so it never enters the
 // free list: Init it once, then Engine.ArmAfter and Engine.Disarm. An
-// arm takes the next seq exactly as AtCall does.
+// arm takes the next seq exactly as AtCall does. The queue points at
+// the Timer while it is armed, so an armed Timer must not move: keep it
+// in a field of its owner, or in a slot of an array that never shifts.
 type Timer struct{ ev Event }
 
-// Init binds the timer's callback; call it once, before arming.
+// Init binds the timer's callback; call it before arming, and re-bind
+// only while it is disarmed.
 func (t *Timer) Init(fn Callback, a, b any) {
 	t.ev = Event{fn: fn, a: a, b: b, kept: true}
 }
 
-// Handle identifies a scheduled event. The zero Handle is valid and
-// refers to no event: Pending reports false and Cancel is a no-op, so
-// callers can store handles unconditionally without nil checks.
-type Handle struct {
-	ev  *Event
-	gen uint64
-}
-
-// Pending reports whether the event is still queued (not yet fired and
-// not cancelled). An Event is recycled, and its generation bumped, the
-// moment it fires or is cancelled, so the generation check is the whole
-// test: a handle to a fired, cancelled or reused event reports false.
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen
-}
-
-// When returns the instant the event is scheduled to fire, or zero if
-// the handle is no longer pending.
-func (h Handle) When() Time {
-	if !h.Pending() {
-		return 0
-	}
-	return h.ev.when
-}
+// Armed reports whether the timer is queued. A timer is disarmed when
+// its callback runs, so the callback may re-arm it.
+func (t *Timer) Armed() bool { return t.ev.armed }
 
 // node is one entry of the event queue. The ordering key (when, seq) is
 // stored inline so the insertion search never chases the Event pointer.
@@ -87,8 +66,8 @@ type Tie struct {
 // TieBreaker chooses which of the tied same-instant events fires next,
 // returning an index into ties. Returning 0 reproduces the engine's
 // default FIFO order. The ties slice is reused between calls and must
-// not be retained, and the breaker must not schedule or cancel events
-// (Engine panics if it does). Installed only by schedule-exploration harnesses;
+// not be retained, and the breaker must not schedule, arm or disarm
+// events (Engine panics if it does). Installed only by schedule-exploration harnesses;
 // normal runs leave it nil and pay nothing beyond one nil check per
 // fired event.
 type TieBreaker func(now Time, ties []Tie) int
@@ -101,8 +80,8 @@ type TieBreaker func(now Time, ties []Tie) int
 // (when, seq) nodes kept sorted latest-first, so the next event is
 // always the last element. Firing pops it with no comparisons;
 // scheduling binary-searches its slot and shifts the nodes due sooner
-// up by one; Cancel finds the node with the same search and removes it
-// at once. The simulator keeps a handful of events pending (about 5 on
+// up by one; Disarm finds a Timer's node with the same search and
+// removes it at once. The simulator keeps a handful of events pending (about 5 on
 // average over the figure sweep, 127 at most), where the shift is
 // cheaper than a heap's sifts; DESIGN.md §6 gives the depth at which
 // that reverses. Events fire strictly by (when, seq), with seq
@@ -143,25 +122,26 @@ func runClosure(a, _ any) { a.(func())() }
 // At schedules fn to run at instant t. Scheduling in the past panics:
 // a discrete-event simulation must never move the clock backwards, and a
 // past timestamp always indicates a bug in the caller.
-func (e *Engine) At(t Time, fn func()) Handle {
+func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.AtCall(t, runClosure, fn, nil)
+	e.AtCall(t, runClosure, fn, nil)
 }
 
 // After schedules fn to run d after the current instant. Negative d
 // panics, as with At.
-func (e *Engine) After(d Duration, fn func()) Handle {
-	return e.At(e.now.Add(d), fn)
+func (e *Engine) After(d Duration, fn func()) {
+	e.At(e.now.Add(d), fn)
 }
 
 // AtCall schedules fn(a, b) to run at instant t. Unlike At it takes a
 // plain function plus its arguments rather than a closure, so hot
 // schedulers pass a package-level function and their receiver pointer
-// and the call allocates nothing. Scheduling in the past or with a nil
-// fn panics.
-func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
+// and the call allocates nothing. The event cannot be cancelled; an
+// owner that may need to cancel keeps a Timer instead. Scheduling in the
+// past or with a nil fn panics.
+func (e *Engine) AtCall(t Time, fn Callback, a, b any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
@@ -178,7 +158,6 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
 	ev.fn = fn
 	ev.a, ev.b = a, b
 	e.insert(ev, t)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // insert queues ev at t, next seq; the nodes due sooner shift up one.
@@ -200,41 +179,38 @@ func (e *Engine) ArmAfter(tm *Timer, d Duration) {
 	e.insert(&tm.ev, e.now.Add(d))
 }
 
-// Disarm removes tm from the queue if it is armed.
+// Disarm removes tm from the queue if it is armed. It panics if the
+// node at tm's key is not tm's: the Timer was copied or moved while
+// armed, and the queue still points at the old place.
 func (e *Engine) Disarm(tm *Timer) {
-	if ev := &tm.ev; ev.armed {
-		ev.armed = false
-		e.remove(e.search(ev.when, ev.seq))
+	if tm.ev.armed {
+		e.disarm(&tm.ev)
 	}
+}
+
+// disarm is Disarm's removal, kept apart so Disarm inlines.
+func (e *Engine) disarm(ev *Event) {
+	i := e.search(ev.when, ev.seq)
+	if i == len(e.queue) || e.queue[i].ev != ev {
+		panic("sim: timer moved while armed")
+	}
+	ev.armed = false
+	e.remove(i)
 }
 
 // AfterCall schedules fn(a, b) to run d after the current instant. See
 // AtCall.
-func (e *Engine) AfterCall(d Duration, fn Callback, a, b any) Handle {
-	return e.AtCall(e.now.Add(d), fn, a, b)
+func (e *Engine) AfterCall(d Duration, fn Callback, a, b any) {
+	e.AtCall(e.now.Add(d), fn, a, b)
 }
 
-// Cancel removes a pending event from the queue and recycles it at
-// once. Cancelling a fired, already-cancelled or zero handle is a
-// no-op, so callers can unconditionally cancel stored handles.
-func (e *Engine) Cancel(h Handle) {
-	if !h.Pending() {
-		return
-	}
-	ev := h.ev
-	e.remove(e.search(ev.when, ev.seq))
-	e.recycle(ev)
-}
-
-// recycle returns ev to the free list (a Timer's is only disarmed),
-// bumping its generation so stale Handles never see a later occupant.
+// recycle returns ev to the free list (a Timer's is only disarmed).
 // Firing recycles first, so a rescheduling callback reuses the Event.
 func (e *Engine) recycle(ev *Event) {
 	if ev.kept {
 		ev.armed = false
 		return
 	}
-	ev.gen++
 	ev.fn, ev.a, ev.b = nil, nil, nil
 	ev.next = e.free
 	e.free = ev
@@ -258,7 +234,7 @@ func (e *Engine) breakTie(last int) node {
 	e.queue, e.held = e.queue[:rest], len(e.tieList)
 	pick := e.tie(when, e.tieList)
 	if len(e.queue) != rest {
-		panic("sim: tie-breaker scheduled or cancelled an event")
+		panic("sim: tie-breaker scheduled or disarmed an event")
 	}
 	e.queue, e.held = e.queue[:last+1], 0
 	if pick < 0 || pick >= len(e.tieList) {
@@ -334,15 +310,15 @@ func (e *Engine) RunFor(d Duration) uint64 { return e.Run(e.now.Add(d)) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events that have been scheduled and
-// have neither fired nor been cancelled. Cancelled events leave the
-// queue at once, so none of them is counted.
+// have neither fired nor been disarmed. A disarmed Timer leaves the
+// queue at once, so it is not counted.
 func (e *Engine) Pending() int { return len(e.queue) + e.held }
 
 // VisitPending calls visit for every queued event, latest first: every
 // pending one, except a tie set held out while the TieBreaker decides.
 // Exploration harnesses use this to fingerprint the scheduler's
 // forward-relevant state; callers needing a canonical order must sort
-// what they collect. visit must not schedule or cancel events.
+// what they collect. visit must not schedule, arm or disarm events.
 func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
 	for _, n := range e.queue {
 		visit(n.when, n.ev.fn, n.ev.a, n.ev.b)

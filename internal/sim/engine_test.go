@@ -62,33 +62,103 @@ func TestEngineEventAtUntilFires(t *testing.T) {
 	}
 }
 
+// countFire is a Timer callback counting into *a.
+func countFire(a, _ any) { *a.(*int)++ }
+
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	ev := e.At(10, func() { fired++ })
-	keep := e.At(20, func() { fired++ })
-	e.Cancel(ev)
-	e.Cancel(ev) // double-cancel is a no-op
+	var ev, keep Timer
+	ev.Init(countFire, &fired, nil)
+	keep.Init(countFire, &fired, nil)
+	e.ArmAfter(&ev, 10)
+	e.ArmAfter(&keep, 20)
+	e.Disarm(&ev)
+	e.Disarm(&ev) // disarming a disarmed timer is a no-op
+	if ev.Armed() || !keep.Armed() {
+		t.Fatalf("Armed: disarmed %v, pending %v", ev.Armed(), keep.Armed())
+	}
 	e.Run(100)
 	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (cancelled event must not run)", fired)
+		t.Fatalf("fired = %d, want 1 (disarmed timer must not run)", fired)
 	}
-	if keep.Pending() {
-		t.Fatal("fired event still reports Pending")
+	if keep.Armed() {
+		t.Fatal("fired timer still reports Armed")
 	}
-	e.Cancel(keep) // cancelling a fired event is a no-op
+	e.Disarm(&keep) // disarming a fired timer is a no-op
 }
 
 func TestEngineCancelFromWithinEvent(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	var victim Handle
-	e.At(5, func() { e.Cancel(victim) })
-	victim = e.At(10, func() { fired++ })
+	var victim Timer
+	victim.Init(countFire, &fired, nil)
+	e.At(5, func() { e.Disarm(&victim) })
+	e.ArmAfter(&victim, 10)
 	e.Run(100)
 	if fired != 0 {
-		t.Fatal("event cancelled by an earlier event still fired")
+		t.Fatal("timer disarmed by an earlier event still fired")
 	}
+}
+
+// A Timer is disarmed when its callback runs, so the callback sees
+// Armed false and may re-arm it; the re-arm takes the next seq, as a
+// fresh AtCall would.
+func TestTimerRearmFromCallback(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	var got []string
+	tm.Init(func(a, _ any) {
+		if tm.Armed() {
+			t.Fatal("timer reports Armed inside its own callback")
+		}
+		got = append(got, "timer")
+		if len(got) < 4 {
+			e.ArmAfter(&tm, 0)
+		}
+	}, nil, nil)
+	e.ArmAfter(&tm, 10)
+	e.At(10, func() { got = append(got, "event") })
+	e.Run(20)
+	want := []string{"timer", "event", "timer", "timer"}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// An armed Timer copied or moved elsewhere leaves the queue pointing
+// at the original: disarming the copy must panic, not remove the wrong
+// node or corrupt the queue.
+func TestTimerMovedPanics(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	tm.Init(func(_, _ any) {}, nil, nil)
+	e.ArmAfter(&tm, 10)
+	moved := tm
+	defer func() {
+		if recover() == nil {
+			t.Fatal("disarming a moved armed timer did not panic")
+		}
+	}()
+	e.Disarm(&moved)
+}
+
+func TestTimerArmTwicePanics(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	tm.Init(func(_, _ any) {}, nil, nil)
+	e.ArmAfter(&tm, 10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming an armed timer did not panic")
+		}
+	}()
+	e.ArmAfter(&tm, 20)
 }
 
 func TestEngineScheduleFromWithinEvent(t *testing.T) {
@@ -145,14 +215,14 @@ func TestEngineHeapProperty(t *testing.T) {
 	check := func(times []uint16, cancelMask []bool) bool {
 		e := NewEngine()
 		var fired []Time
-		var evs []Handle
-		for _, ti := range times {
-			at := Time(ti)
-			evs = append(evs, e.At(at, func() { fired = append(fired, at) }))
+		evs := make([]Timer, len(times))
+		for i, ti := range times {
+			evs[i].Init(func(a, _ any) { fired = append(fired, a.(Time)) }, Time(ti), nil)
+			e.ArmAfter(&evs[i], Duration(ti))
 		}
-		for i, ev := range evs {
+		for i := range evs {
 			if i < len(cancelMask) && cancelMask[i] {
-				e.Cancel(ev)
+				e.Disarm(&evs[i])
 			}
 		}
 		e.Run(Time(math.MaxUint16) + 1)
@@ -177,12 +247,14 @@ func TestEngineHeapProperty(t *testing.T) {
 
 func TestEnginePendingCount(t *testing.T) {
 	e := NewEngine()
-	a := e.At(1, func() {})
+	var a Timer
+	a.Init(func(_, _ any) {}, nil, nil)
+	e.ArmAfter(&a, 1)
 	e.At(2, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
-	e.Cancel(a)
+	e.Disarm(&a)
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
 	}
@@ -259,44 +331,19 @@ func TestEngineStopMidBatch(t *testing.T) {
 	}
 }
 
-// TestEngineLazyCancelRecycling exercises the interaction between the
-// free-list pool and generation-checked handles: a handle kept across
-// its event's recycling must go inert rather than cancel the Event's
-// next occupant. (Cancellation was once lazy; the name is kept, and the
-// check covers the eager Cancel, which recycles just as firing does.)
-func TestEngineLazyCancelRecycling(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	h1 := e.At(10, func() { fired++ })
-	e.Run(10) // h1 fires; its Event returns to the free list
-	if h1.Pending() {
-		t.Fatal("fired event still reports Pending")
-	}
-	h2 := e.At(20, func() { fired++ }) // reuses the pooled Event
-	e.Cancel(h1)                       // stale handle: must not touch h2
-	if !h2.Pending() {
-		t.Fatal("stale Cancel killed the pooled Event's new occupant")
-	}
-	e.Run(30)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	if h2.Pending() {
-		t.Fatal("fired event still reports Pending")
-	}
-}
-
 // TestEngineCancelHeavyCompaction drives a cancel-heavy load (named
 // for the compaction the lazy-cancellation heap once needed here):
-// thousands of schedule/cancel pairs with far-future deadlines must not
+// thousands of arm/disarm pairs with far-future deadlines must not
 // change what actually fires.
 func TestEngineCancelHeavyCompaction(t *testing.T) {
 	e := NewEngine()
 	fired := 0
+	var rto Timer
+	rto.Init(func(_, _ any) { t.Error("disarmed timer fired") }, nil, nil)
 	for i := 0; i < 5000; i++ {
-		h := e.At(Time(1_000_000+i), func() { t.Error("cancelled event fired") })
+		e.ArmAfter(&rto, Duration(1_000_000+i))
 		e.At(Time(i+1), func() { fired++ })
-		e.Cancel(h)
+		e.Disarm(&rto)
 	}
 	if e.Pending() != 5000 {
 		t.Fatalf("Pending = %d, want 5000 live events", e.Pending())
@@ -307,16 +354,18 @@ func TestEngineCancelHeavyCompaction(t *testing.T) {
 	}
 }
 
-// TestEngineCancelFreesAtOnce: Cancel takes the event's node out of
-// the queue there and then, so after every far-future schedule/cancel
-// pair the queue holds exactly the pending events and no cancelled
-// node waits for a later sweep.
+// TestEngineCancelFreesAtOnce: Disarm takes the timer's node out of
+// the queue there and then, so after every far-future arm/disarm pair
+// the queue holds exactly the pending events and no disarmed node waits
+// for a later sweep.
 func TestEngineCancelFreesAtOnce(t *testing.T) {
 	e := NewEngine()
+	var rto Timer
+	rto.Init(func(_, _ any) { t.Error("disarmed timer fired") }, nil, nil)
 	for i := 0; i < 5000; i++ {
-		h := e.At(Time(1_000_000+i), func() { t.Error("cancelled event fired") })
+		e.ArmAfter(&rto, Duration(1_000_000+i))
 		e.At(Time(i+1), func() {})
-		e.Cancel(h)
+		e.Disarm(&rto)
 		if len(e.queue) != e.Pending() {
 			t.Fatalf("pair %d: queue holds %d nodes, %d pending", i, len(e.queue), e.Pending())
 		}
@@ -327,8 +376,6 @@ func TestEngineCancelFreesAtOnce(t *testing.T) {
 	}
 }
 
-// TestEngineAtCall covers the closure-free scheduling variant,
-// including handle cancellation.
 // A Timer's Event is its owner's: firing or disarming it must never
 // put it on the free list, where AtCall would hand it out while the
 // owner still holds it.
@@ -336,18 +383,16 @@ func TestTimerNeverRecycled(t *testing.T) {
 	eng := NewEngine()
 	var tm Timer
 	fired := 0
-	tm.Init(func(_, _ any) { fired++ }, nil, nil)
-	var handles []Handle
+	tm.Init(countFire, &fired, nil)
 	noop := func(_, _ any) {}
 	for i := 0; i < 50; i++ {
 		eng.ArmAfter(&tm, Duration(i%3))
-		handles = append(handles, eng.AfterCall(1, noop, nil, nil))
+		eng.AfterCall(1, noop, nil, nil)
 		if i%2 == 0 {
 			eng.Disarm(&tm)
-			eng.Cancel(handles[len(handles)-1])
 		}
 		eng.RunFor(5)
-		if tm.ev.armed {
+		if tm.Armed() {
 			t.Fatalf("round %d: timer still armed after it was due", i)
 		}
 		for ev := eng.free; ev != nil; ev = ev.next {
@@ -356,12 +401,12 @@ func TestTimerNeverRecycled(t *testing.T) {
 			}
 		}
 		for j := 0; j < 4; j++ {
-			handles = append(handles, eng.AfterCall(Duration(j), noop, nil, nil))
+			eng.AfterCall(Duration(j), noop, nil, nil)
 		}
-	}
-	for _, h := range handles {
-		if h.ev == &tm.ev {
-			t.Fatal("AtCall handed out the timer's Event")
+		for _, n := range eng.queue {
+			if n.ev == &tm.ev {
+				t.Fatalf("round %d: AtCall handed out the timer's Event", i)
+			}
 		}
 	}
 	if fired != 25 {
@@ -369,24 +414,19 @@ func TestTimerNeverRecycled(t *testing.T) {
 	}
 }
 
+// TestEngineAtCall covers the closure-free scheduling variant: each
+// event fires once, with its operands, in (when, seq) order.
 func TestEngineAtCall(t *testing.T) {
 	e := NewEngine()
 	type rec struct{ got []int }
 	r := &rec{}
 	add := func(a, b any) { a.(*rec).got = append(a.(*rec).got, b.(int)) }
+	e.AtCall(20, add, r, 2)
 	e.AtCall(10, add, r, 1)
-	h := e.AtCall(20, add, r, 2)
-	e.AfterCall(30, add, r, 3)
-	if !h.Pending() || h.When() != 20 {
-		t.Fatalf("handle: pending=%v when=%v, want pending at 20", h.Pending(), h.When())
-	}
-	e.Cancel(h)
-	if h.Pending() {
-		t.Fatal("cancelled handle still pending")
-	}
+	e.AfterCall(20, add, r, 3)
 	e.Run(100)
-	if len(r.got) != 2 || r.got[0] != 1 || r.got[1] != 3 {
-		t.Fatalf("got %v, want [1 3]", r.got)
+	if len(r.got) != 3 || r.got[0] != 1 || r.got[1] != 2 || r.got[2] != 3 {
+		t.Fatalf("got %v, want [1 2 3]", r.got)
 	}
 }
 

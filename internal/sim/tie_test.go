@@ -122,9 +122,11 @@ func TestTieBreakerSkipsCancelled(t *testing.T) {
 	e := NewEngine()
 	var got []string
 	e.AtCall(10, record, &got, "a")
-	h := e.AtCall(10, record, &got, "x")
+	var x Timer
+	x.Init(record, &got, "x")
+	e.ArmAfter(&x, 10)
 	e.AtCall(10, record, &got, "b")
-	e.Cancel(h)
+	e.Disarm(&x)
 	var sizes []int
 	e.SetTieBreaker(func(_ Time, ties []Tie) int {
 		sizes = append(sizes, len(ties))
