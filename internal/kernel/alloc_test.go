@@ -65,8 +65,9 @@ func TestLongRunZeroAlloc(t *testing.T) {
 // TestNewRouterAllocs pins router construction's allocation count,
 // which the figure sweep pays once per distinct trial: the CPU's ready
 // lists and completion timer are inline in the CPU, so dispatch state
-// costs construction no allocation. LIVELOCK_LOCKDEP=1 arms a Lockdep
-// on the SMP router, which costs 9 more.
+// costs construction no allocation, and a queue keeps no clock or
+// time-weighted average. LIVELOCK_LOCKDEP=1 arms a Lockdep on the SMP
+// router, which costs 9 more.
 func TestNewRouterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation changes allocation counts")
@@ -76,9 +77,9 @@ func TestNewRouterAllocs(t *testing.T) {
 		cfg  Config
 		max  float64
 	}{
-		{"unmodified", Config{Mode: ModeUnmodified}, 153},
-		{"polled", Config{Mode: ModePolled, Quota: 5}, 164},
-		{"polled-smp4", Config{Mode: ModePolled, Quota: 5, CPUs: 4}, 286},
+		{"unmodified", Config{Mode: ModeUnmodified}, 149},
+		{"polled", Config{Mode: ModePolled, Quota: 5}, 161},
+		{"polled-smp4", Config{Mode: ModePolled, Quota: 5, CPUs: 4}, 283},
 	} {
 		if envLockdep && tc.cfg.CPUs > 1 {
 			tc.max += 9

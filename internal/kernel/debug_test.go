@@ -30,7 +30,7 @@ func TestDebugFeedbackBreakdown(t *testing.T) {
 	t.Logf("poller: wakeups=%d rounds=%d rx=%d tx=%d fbInhibits=%d fbTimeouts=%d",
 		ps.Wakeups, ps.Rounds, ps.RxSteps, ps.TxSteps, ps.FeedbackInhibits, ps.FeedbackTimeouts)
 	_, outq, sq := r.QueueStats()
-	t.Logf("screendq: enq=%d drops=%d meanocc=%.1f", sq.Enqueued.Value(), sq.Drops.Value(), sq.Occupancy.Mean(eng.Now()))
+	t.Logf("screendq: enq=%d drops=%d", sq.Enqueued.Value(), sq.Drops.Value())
 	t.Logf("outq: enq=%d drops=%d", outq.Enqueued.Value(), outq.Drops.Value())
 	t.Logf("screend: accepted=%d", r.screend.Accepted.Value())
 	t.Logf("ring drops=%d", r.Ins[0].InDiscards.Value())

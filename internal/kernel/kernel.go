@@ -231,7 +231,6 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 		RouterOriginated: stats.NewCounter("router.originated"),
 		prof:             cfg.Profile,
 	}
-	clock := func() sim.Time { return eng.Now() }
 	if r.smp() {
 		r.ipqLock = cpu.NewFairLock("ipintrq")
 		r.netLock = cpu.NewFairLock("net")
@@ -251,7 +250,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 		nic:     r.Out,
 		localIP: netstack.AddrFrom(10, 0, 1, 1),
 	}
-	r.initOutQueue(outPort, "ifq.out0", clock)
+	r.initOutQueue(outPort, "ifq.out0")
 	r.addPort(outPort)
 
 	// Input interfaces, each with a reverse-direction analyzer so
@@ -270,7 +269,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 			nic:     in,
 			localIP: RouterIP(i),
 		}
-		r.initOutQueue(port, fmt.Sprintf("ifq.in%d", i), clock)
+		r.initOutQueue(port, fmt.Sprintf("ifq.in%d", i))
 		r.addPort(port)
 	}
 
@@ -295,7 +294,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	}
 
 	if cfg.Screend {
-		r.screendq = queue.New("screendq", cfg.ScreendQLimit, clock)
+		r.screendq = queue.New("screendq", cfg.ScreendQLimit, nil)
 		r.screendq.Reason = prov.ReasonScreendQFull
 	}
 
@@ -303,7 +302,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	if cfg.Mode == ModePolled {
 		r.polled = newPolledPath(r)
 	} else {
-		r.ipintrq = queue.New("ipintrq", cfg.IPIntrQLimit, clock)
+		r.ipintrq = queue.New("ipintrq", cfg.IPIntrQLimit, nil)
 		r.ipintrq.Reason = prov.ReasonIPIntrQFull
 		r.unmod = newUnmodifiedPath(r)
 	}
@@ -513,8 +512,8 @@ func (r *Router) addPort(p *netPort) {
 // only.
 //
 //lkvet:requires boot
-func (r *Router) initOutQueue(p *netPort, name string, clock func() sim.Time) {
-	p.outq = queue.New(name, r.Cfg.OutQueueLimit, clock)
+func (r *Router) initOutQueue(p *netPort, name string) {
+	p.outq = queue.New(name, r.Cfg.OutQueueLimit, nil)
 	p.outq.Reason = prov.ReasonOutQFull
 }
 
@@ -531,16 +530,28 @@ func (r *Router) ownID() uint64 {
 	return r.nextOwnID | 1<<63
 }
 
-// observe records a non-terminal lifecycle event: a trace record, and a
-// provenance stage transition (closing the previous stage's dwell
-// interval). Safe to call on untracked packets — the zero handle makes
-// the profiler half a no-op.
-func (r *Router) observe(stage prov.Stage, p *netstack.Packet) {
-	if r.Cfg.Trace != nil {
-		r.Cfg.Trace.Emit(r.Eng.Now(), stage, p.ID)
+// observe is the one per-packet observation call, heard by both the
+// tracer and the profiler: p reached stage at the current instant, or,
+// when reason is not ReasonNone, was dropped for it. A drop's stage is
+// the trace record it leaves, StageNone for none (fault-plane losses
+// outside the traced kernel paths, frames a sink rejects). A delivering
+// stage (prov.Stage.Delivers) closes the packet's record as useful
+// work. Safe on untracked packets: the profiler ignores the zero handle
+// except to count its drop.
+func (r *Router) observe(p *netstack.Packet, stage prov.Stage, reason prov.DropReason) {
+	now := r.Eng.Now()
+	if t := r.Cfg.Trace; t != nil && stage != prov.StageNone {
+		t.Emit(now, stage, reason, p.ID)
 	}
-	if r.prof != nil {
-		r.prof.Stage(p.Prov, stage, r.Eng.Now())
+	pr := r.prof
+	switch {
+	case pr == nil:
+	case reason != prov.ReasonNone:
+		pr.Drop(p.Prov, reason, now)
+	case stage.Delivers():
+		pr.Deliver(p.Prov, now)
+	default:
+		pr.Stage(p.Prov, stage, now)
 	}
 }
 
@@ -556,9 +567,8 @@ func (r *Router) drop(p *netstack.Packet, reason prov.DropReason) {
 // (ring overflow, stall, reset, the fault plane's wire drop) whose
 // device releases the buffer itself. It increments the reason's kernel
 // counter (queue-full reasons are already counted by the queue that
-// rejected the packet), emits the trace record under the reason's
-// canonical stage, and finalizes the provenance record as wasted (or
-// counts an untracked drop for packets that never consumed CPU).
+// rejected the packet) and observes the drop under the reason's
+// canonical stage.
 func (r *Router) classifyDrop(p *netstack.Packet, reason prov.DropReason) {
 	switch reason {
 	case prov.ReasonTTLExceeded:
@@ -574,18 +584,7 @@ func (r *Router) classifyDrop(p *netstack.Packet, reason prov.DropReason) {
 	case prov.ReasonScreendReject:
 		r.screend.Rejected.Inc()
 	}
-	// Fault-plane losses happen outside the traced kernel paths (their
-	// reasons map to no stage) and are visible in the drop table only.
-	if r.Cfg.Trace != nil && reason.Stage() != prov.StageNone {
-		r.Cfg.Trace.EmitDrop(r.Eng.Now(), reason, p.ID)
-	}
-	if r.prof != nil {
-		if p.Prov.Zero() {
-			r.prof.DropUntracked(reason)
-		} else {
-			r.prof.Drop(p.Prov, reason, r.Eng.Now())
-		}
-	}
+	r.observe(p, reason.Stage(), reason)
 }
 
 // invest charges d cycles of work on p to center in its provenance
@@ -598,61 +597,37 @@ func (r *Router) invest(p *netstack.Packet, center prov.Center, d sim.Duration) 
 	}
 }
 
-// finalizeDeliver records a packet leaving the system usefully: the
-// terminal trace record, and the provenance record closed as delivered
-// (its invested cycles join the useful ledger).
-func (r *Router) finalizeDeliver(stage prov.Stage, p *netstack.Packet) {
-	if r.Cfg.Trace != nil {
-		r.Cfg.Trace.Emit(r.Eng.Now(), stage, p.ID)
-	}
-	if r.prof != nil {
-		r.prof.Deliver(p.Prov, r.Eng.Now())
-	}
-}
-
 // wireObservers attaches the hardware-side observation hooks (the
-// kernel paths call observe/drop/finalizeDeliver directly): provenance
-// attach at ring accept, untracked drops at ring overflow, delivery
-// finalization at the sinks, and the fault plane's loss hooks.
+// kernel paths call observe and drop directly): the trace record and
+// provenance attach at ring accept, zero-handle drops at ring overflow,
+// stall and reset, deliveries at the sinks, and the fault plane's wire
+// losses. A frame a sink rejects as malformed settles its cycle ledger
+// as wasted but leaves no trace record and no router drop count; the
+// sink's own malformed counter is the user-visible signal.
 func (r *Router) wireObservers() {
 	for _, in := range r.Ins {
 		in.OnRxAccept = func(p *netstack.Packet) {
+			// Observed before the attach, through the zero handle: the
+			// record begins in this stage, so no dwell interval closes.
+			r.observe(p, prov.StageRxRingAccept, prov.ReasonNone)
 			if r.prof != nil {
 				p.Prov = r.prof.Attach(p.ID, r.Eng.Now())
-			}
-			if r.Cfg.Trace != nil {
-				r.Cfg.Trace.Emit(r.Eng.Now(), prov.StageRxRingAccept, p.ID)
 			}
 		}
 		in.OnRxDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonRxRingFull) }
 		in.OnStallDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonFaultStall) }
 		in.OnResetDrop = func(p *netstack.Packet) { r.classifyDrop(p, prov.ReasonFaultReset) }
 	}
-	r.Sink.OnDeliver = func(p *netstack.Packet) { r.finalizeDeliver(prov.StageDelivered, p) }
-	r.Sink.OnMalformed = r.dropMalformedAtSink
+	malformed := func(p *netstack.Packet) { r.observe(p, prov.StageNone, prov.ReasonMalformed) }
+	r.Sink.OnDeliver = func(p *netstack.Packet) { r.observe(p, prov.StageDelivered, prov.ReasonNone) }
+	r.Sink.OnMalformed = malformed
 	for _, rev := range r.RevSinks {
-		rev.OnDeliver = func(p *netstack.Packet) { r.finalizeDeliver(prov.StageRevDelivered, p) }
-		rev.OnMalformed = r.dropMalformedAtSink
+		rev.OnDeliver = func(p *netstack.Packet) { r.observe(p, prov.StageRevDelivered, prov.ReasonNone) }
+		rev.OnMalformed = malformed
 	}
 	if r.fault != nil {
 		r.fault.OnDrop = r.classifyDrop
 	}
-}
-
-// dropMalformedAtSink closes out the provenance record of a corrupted
-// frame the router forwarded but the sink rejected. The sink's own
-// malformed counter is the user-visible signal; this only settles the
-// cycle ledger (the forwarding work was wasted), so no router drop
-// counter or trace record is produced.
-func (r *Router) dropMalformedAtSink(p *netstack.Packet) {
-	if r.prof == nil {
-		return
-	}
-	if p.Prov.Zero() {
-		r.prof.DropUntracked(prov.ReasonMalformed)
-		return
-	}
-	r.prof.Drop(p.Prov, prov.ReasonMalformed, r.Eng.Now())
 }
 
 // Profile returns the attached cycle-attribution profile, or nil.
@@ -836,7 +811,7 @@ func (r *Router) output(port *netPort, p *netstack.Packet, stage prov.Stage) boo
 		return false
 	}
 	if stage != prov.StageNone {
-		r.observe(stage, p)
+		r.observe(p, stage, prov.ReasonNone)
 	}
 	r.ifStart(port)
 	return true
@@ -911,7 +886,7 @@ func (r *Router) transmitOwn(p *netstack.Packet, dst netstack.Addr) bool {
 func (r *Router) ifStart(port *netPort) {
 	for !port.outq.Empty() && port.nic.TxDescriptorsFree() > 0 {
 		p := port.dequeueOut()
-		r.observe(prov.StageTxDescriptor, p)
+		r.observe(p, prov.StageTxDescriptor, prov.ReasonNone)
 		if !port.nic.StartTx(p) {
 			// Unreachable: a descriptor was free.
 			panic("kernel: StartTx refused with free descriptor")
@@ -982,7 +957,7 @@ func (r *Router) handleEcho(p *netstack.Packet) {
 	r.EchoConsumed.Inc()
 	// The conversion, not the enqueue, is the reply's stage: it is
 	// recorded even when the ifqueue then drops the reply.
-	r.observe(prov.StageEchoReply, p)
+	r.observe(p, prov.StageEchoReply, prov.ReasonNone)
 	r.output(port, p, prov.StageNone)
 }
 

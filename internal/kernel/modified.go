@@ -309,21 +309,21 @@ func (d *polledRx) take() *netstack.Packet {
 //lkvet:requires netLock
 func (d *polledRx) commitLocal() {
 	p := d.take()
-	d.r.observe(prov.StagePollRxLocal, p)
+	d.r.observe(p, prov.StagePollRxLocal, prov.ReasonNone)
 	d.r.deliverLocal(p)
 }
 
 //lkvet:requires netLock
 func (d *polledRx) commitScreend() {
 	p := d.take()
-	d.r.observe(prov.StagePollRxScreend, p)
+	d.r.observe(p, prov.StagePollRxScreend, prov.ReasonNone)
 	d.r.screend.submit(p)
 }
 
 //lkvet:requires netLock
 func (d *polledRx) commitForward() {
 	p := d.take()
-	d.r.observe(prov.StagePollRxForward, p)
+	d.r.observe(p, prov.StagePollRxForward, prov.ReasonNone)
 	d.r.forwardFrame(p)
 }
 

@@ -204,7 +204,7 @@ func (s *screendProc) filterHead() {
 	s.r.invest(p, prov.CenterScreend, s.cost)
 	if s.verdict(p) {
 		s.Accepted.Inc()
-		s.r.observe(prov.StageScreendAccept, p)
+		s.r.observe(p, prov.StageScreendAccept, prov.ReasonNone)
 		// The send syscall re-injects the packet; its kernel half
 		// (ip_output, ifqueue enqueue, transmit start) is charged
 		// here, in process context, as in the real system.

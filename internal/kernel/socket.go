@@ -45,7 +45,7 @@ func (r *Router) OpenSocket(port uint16, bufPackets int) *Socket {
 	s := &Socket{
 		r:        r,
 		port:     port,
-		buf:      queue.New("sockbuf", bufPackets, func() sim.Time { return r.Eng.Now() }),
+		buf:      queue.New("sockbuf", bufPackets, nil),
 		Received: stats.NewCounter("sock.received"),
 	}
 	s.buf.Reason = prov.ReasonSockBufFull
@@ -71,7 +71,7 @@ func (s *Socket) deliver(p *netstack.Packet) {
 		s.r.drop(p, prov.ReasonSockBufFull)
 	} else {
 		s.Received.Inc()
-		s.r.finalizeDeliver(prov.StageSockBufAccept, p)
+		s.r.observe(p, prov.StageSockBufAccept, prov.ReasonNone)
 	}
 	// Re-assert feedback if a timeout re-opened the gate while the
 	// buffer is still above its high watermark (hysteresis will not

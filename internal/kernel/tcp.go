@@ -163,7 +163,7 @@ func (r *Router) deliverTCP(p *netstack.Packet) {
 	}
 	switch rx.segment(ip, th, len(seg)-th.HeaderLen()) {
 	case tcpSegAccept:
-		r.finalizeDeliver(prov.StageTCPAccept, p)
+		r.observe(p, prov.StageTCPAccept, prov.ReasonNone)
 		p.Release()
 	case tcpSegDup:
 		r.drop(p, prov.ReasonTCPDupData)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"livelock/internal/prov"
 	"livelock/internal/sim"
 	"livelock/internal/trace"
 	"livelock/internal/workload"
@@ -82,5 +83,60 @@ func TestTracedDrops(t *testing.T) {
 	}
 	if !sawRingDrop {
 		t.Error("no ring drop traced in feedback-inhibited overload")
+	}
+}
+
+// TestTraceAndProfileAgree pins what the one observation call gives by
+// construction: over a whole traced and profiled run, the trace holds
+// one drop record per drop the profiler counts, reason by reason, each
+// under its reason's stage. The trace shows no drop whose reason maps
+// to no stage (fault-plane losses), and no malformed frame a sink
+// rejects (the profiler settles its ledger; the sink counts it).
+func TestTraceAndProfileAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unmodified-screend/corrupt", Config{Mode: ModeUnmodified, Screend: true, Fault: faultScenarios[1].cfg}},
+		{"polled-feedback/stall", Config{Mode: ModePolled, Quota: 10, Screend: true, Feedback: true, Fault: faultScenarios[3].cfg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := mustTimeline(t, tc.cfg, 9000,
+				TimelineOptions{RunFor: 300 * sim.Millisecond, TraceCap: 1 << 17, Profile: true})
+			recs := res.Trace.Records()
+			if uint64(len(recs)) != res.Trace.Total() {
+				t.Fatalf("ring kept %d of %d records", len(recs), res.Trace.Total())
+			}
+			var traced [prov.NumReasons]uint64
+			for _, rec := range recs {
+				if rec.Reason == prov.ReasonNone {
+					continue
+				}
+				if rec.Stage != rec.Reason.Stage() {
+					t.Fatalf("drop record %v carries stage %v, its reason's is %v", rec, rec.Stage, rec.Reason.Stage())
+				}
+				traced[rec.Reason]++
+			}
+			var untraced uint64
+			for d := prov.DropReason(1); d < prov.NumReasons; d++ {
+				got, counted := traced[d], res.Profile.DropCount(d)
+				switch {
+				case d.Stage() == prov.StageNone:
+					untraced += counted
+					if got != 0 {
+						t.Errorf("%v: %d drops traced under no stage", d, got)
+					}
+				case d == prov.ReasonMalformed:
+					if got > counted {
+						t.Errorf("%v: %d traced, profiler counted %d", d, got, counted)
+					}
+				case got != counted:
+					t.Errorf("%v: %d traced, profiler counted %d", d, got, counted)
+				}
+			}
+			if traced[prov.ReasonRxRingFull]+traced[prov.ReasonScreendQFull] == 0 || untraced == 0 {
+				t.Fatalf("run exercised too little: traced %v, untraced fault drops %d", traced, untraced)
+			}
+		})
 	}
 }

@@ -187,7 +187,7 @@ func (rq *rxQueue) enqueueIP() {
 	u.r.invest(p, prov.CenterRxIntr, u.rxPktCost())
 	u.r.tapMonitor(p)
 	if u.r.ipintrq.Enqueue(p) {
-		u.r.observe(prov.StageIPIntrQEnqueue, p)
+		u.r.observe(p, prov.StageIPIntrQEnqueue, prov.ReasonNone)
 		u.schedNetisrOn(rq.core)
 	} else {
 		u.r.drop(p, prov.ReasonIPIntrQFull)
@@ -270,7 +270,7 @@ func (ni *netisr) forwardHead() {
 	ni.busy = false
 	if p := ni.take(); p != nil {
 		ni.u.r.invest(p, prov.CenterIPInput, ni.cost)
-		ni.u.r.observe(prov.StageSoftIPInput, p)
+		ni.u.r.observe(p, prov.StageSoftIPInput, prov.ReasonNone)
 		ni.u.deliverIP(p)
 	}
 	ni.loop()

@@ -16,13 +16,6 @@ type Forwarder struct {
 	// Cache, if non-nil, short-circuits route+ARP lookup per
 	// destination (§5.4's fast path). Populated on slow-path success.
 	Cache *FlowCache
-	// Counts of forwarding-path outcomes.
-	Forwarded   uint64
-	NotIPv4     uint64
-	HeaderError uint64
-	TTLDrops    uint64
-	NoRoute     uint64
-	ARPFailures uint64
 }
 
 // NewForwarder returns a forwarder over the given tables.
@@ -35,50 +28,43 @@ func NewForwarder(routes *RoutingTable, arp *ARPTable) *Forwarder {
 var ErrNotForUs = errors.New("netstack: frame not forwardable")
 
 // Forward rewrites frame in place for transmission and returns the output
-// interface index. On error the frame must be dropped; the error
-// category has already been counted.
+// interface index. On error the frame must be dropped; the error names
+// the outcome (ErrNotForUs, ErrTTLExceeded, ErrNoRoute for a missing
+// route or ARP entry, or a header parse error), which the caller
+// classifies.
 func (f *Forwarder) Forward(frame []byte) (int, error) {
 	var eth EthHeader
 	if err := eth.Unmarshal(frame); err != nil {
-		f.HeaderError++
 		return 0, err
 	}
 	if eth.Type != EtherTypeIPv4 {
-		f.NotIPv4++
 		return 0, ErrNotForUs
 	}
 	ipb, err := EthPayload(frame)
 	if err != nil {
-		f.HeaderError++
 		return 0, err
 	}
 	var ip IPv4Header
 	if err := ip.Unmarshal(ipb); err != nil {
-		f.HeaderError++
 		return 0, err
 	}
 	if f.Cache != nil {
 		if e, ok := f.Cache.Lookup(ip.Dst); ok {
 			if err := DecrementTTL(ipb); err != nil {
-				f.TTLDrops++
 				return 0, err
 			}
 			out := EthHeader{Dst: e.DstMAC, Src: e.SrcMAC, Type: EtherTypeIPv4}
 			if _, err := out.Marshal(frame); err != nil {
-				f.HeaderError++
 				return 0, err
 			}
-			f.Forwarded++
 			return e.IfIndex, nil
 		}
 	}
 	rt, err := f.Routes.Lookup(ip.Dst)
 	if err != nil {
-		f.NoRoute++
 		return 0, err
 	}
 	if err := DecrementTTL(ipb); err != nil {
-		f.TTLDrops++
 		return 0, err
 	}
 	nextHop := rt.NextHop
@@ -87,18 +73,15 @@ func (f *Forwarder) Forward(frame []byte) (int, error) {
 	}
 	dstMAC, ok := f.ARP.Lookup(nextHop)
 	if !ok {
-		f.ARPFailures++
 		return 0, ErrNoRoute
 	}
 	srcMAC := f.IfMAC[rt.IfIndex]
 	out := EthHeader{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4}
 	if _, err := out.Marshal(frame); err != nil {
-		f.HeaderError++
 		return 0, err
 	}
 	if f.Cache != nil {
 		f.Cache.Insert(ip.Dst, FlowEntry{IfIndex: rt.IfIndex, DstMAC: dstMAC, SrcMAC: srcMAC})
 	}
-	f.Forwarded++
 	return rt.IfIndex, nil
 }

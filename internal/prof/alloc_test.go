@@ -8,10 +8,10 @@ import (
 )
 
 // The profiler rides the packet fast path: every tracked frame incurs
-// an Attach, several Stage/Invest calls, and one finalize. Once the
-// record pool covers the working set, the whole lifecycle — and the
-// detector tick — must not allocate, or enabling the profiler would
-// perturb what it measures.
+// an Attach, several Stage/Invest calls, and one finalize; a ring drop
+// finalizes through the zero handle. Once the record pool covers the
+// working set, the whole lifecycle — and the detector tick — must not
+// allocate, or enabling the profiler would perturb what it measures.
 func TestAllocsLifecycle(t *testing.T) {
 	p := New()
 	var now sim.Time
@@ -27,7 +27,7 @@ func TestAllocsLifecycle(t *testing.T) {
 		h = p.Attach(2, now)
 		p.Invest(h, prov.CenterRxIntr, 60)
 		p.Drop(h, prov.ReasonIPIntrQFull, now.Add(120))
-		p.DropUntracked(prov.ReasonRxRingFull)
+		p.Drop(prov.Handle{}, prov.ReasonRxRingFull, now)
 
 		delivered++
 		p.Tick(now, delivered)

@@ -4,12 +4,16 @@
 // packets that were later discarded (§3, §6.1)?
 //
 // Every tracked packet carries a prov.Handle naming a pooled,
-// generation-checked record. The kernel invests cycles into the record
-// as it works on the packet (rx interrupt, ip_input, screend, ...) and
-// finalizes it exactly once: Deliver moves the invested cycles to the
-// useful ledger, Drop moves them to the wasted ledger and the
-// drop-provenance table (which reason killed it, after how many invested
-// cycles). The headline WastedFrac is wasted/(useful+wasted).
+// generation-checked record, created by Attach when the NIC accepts the
+// frame. The kernel invests cycles into the record as it works on the
+// packet (rx interrupt, ip_input, screend, ...), and its one per-packet
+// observation call — the same call the trace ring hears — moves the
+// record along: Stage for each stage reached, then exactly one
+// finalization. Deliver moves the invested cycles to the useful ledger,
+// Drop moves them to the wasted ledger and the drop-provenance table
+// (which reason killed it, after how many invested cycles). All three
+// close the previous stage's dwell interval the same way. The headline
+// WastedFrac is wasted/(useful+wasted).
 //
 // The layer is strictly observational: it never posts work, never
 // touches the event engine, and all hot-path operations (Attach, Stage,
@@ -88,8 +92,8 @@ func New() *Profile {
 
 // Attach begins tracking a packet and returns its handle. Called when
 // the NIC accepts the frame into its rx ring — everything upstream
-// (wire faults, full-ring discards) costs no CPU and is recorded via
-// DropUntracked instead.
+// (wire faults, full-ring discards) costs no CPU and is dropped through
+// the zero handle instead.
 func (p *Profile) Attach(id uint64, now sim.Time) prov.Handle {
 	if len(p.freeList) == 0 {
 		p.grow()
@@ -134,13 +138,10 @@ func (p *Profile) get(h prov.Handle) *record {
 // Stage records that the packet reached a new lifecycle stage, closing
 // the dwell interval of the previous stage into that stage's histogram.
 func (p *Profile) Stage(h prov.Handle, stage prov.Stage, now sim.Time) {
-	r := p.get(h)
-	if r == nil {
-		return
+	if r := p.leave(h, now); r != nil {
+		r.stage = stage
+		r.stagedAt = now
 	}
-	p.dwell[r.stage].Observe(now.Sub(r.stagedAt))
-	r.stage = stage
-	r.stagedAt = now
 }
 
 // Invest charges d cycles of work on this packet to the given center.
@@ -158,51 +159,56 @@ func (p *Profile) Invest(h prov.Handle, center prov.Center, d sim.Duration) {
 
 // Drop finalizes the packet as discarded: its invested cycles move to
 // the wasted ledger and the drop-provenance table, and its record slot
-// is freed. Subsequent operations on the handle are no-ops.
+// is freed. Subsequent operations on the handle are no-ops. A drop
+// through the zero handle — a packet never attached, which consumed no
+// CPU (wire faults, full-ring discards, stall and reset losses) — is
+// counted with nothing invested.
 func (p *Profile) Drop(h prov.Handle, reason prov.DropReason, now sim.Time) {
-	r := p.get(h)
-	if r == nil {
+	if h.Zero() {
+		p.drops[reason].Count++
 		return
 	}
-	p.dwell[r.stage].Observe(now.Sub(r.stagedAt))
-	p.drops[reason].Count++
-	p.drops[reason].Invested += r.total
-	for c, d := range r.invested {
-		p.wasted[c] += d
+	if r := p.finish(h, now, &p.wasted); r != nil {
+		p.drops[reason].Count++
+		p.drops[reason].Invested += r.total
+		p.det.wastedNow += r.total
 	}
-	p.det.wastedNow += r.total
-	p.free(h.Idx, r)
 }
 
 // Deliver finalizes the packet as useful: its invested cycles move to
 // the useful ledger and its record slot is freed.
-func (p *Profile) Deliver(h prov.Handle, now sim.Time) {
+func (p *Profile) Deliver(h prov.Handle, now sim.Time) { p.finish(h, now, &p.useful) }
+
+// leave is the dwell-closing path Stage, Drop and Deliver share: it
+// observes how long h's live record sat in its current stage and
+// returns the record, or nil for a zero or stale handle.
+func (p *Profile) leave(h prov.Handle, now sim.Time) *record {
 	r := p.get(h)
-	if r == nil {
-		return
+	if r != nil {
+		p.dwell[r.stage].Observe(now.Sub(r.stagedAt))
 	}
-	p.dwell[r.stage].Observe(now.Sub(r.stagedAt))
-	for c, d := range r.invested {
-		p.useful[c] += d
-	}
-	p.free(h.Idx, r)
+	return r
 }
 
-func (p *Profile) free(idx int32, r *record) {
+// finish closes h's record: it leaves its last stage, its invested
+// cycles join ledger, and its slot is freed. The returned record stays
+// readable until the slot is reused; nil means a zero or stale handle.
+func (p *Profile) finish(h prov.Handle, now sim.Time, ledger *[prov.NumCenters]sim.Duration) *record {
+	r := p.leave(h, now)
+	if r == nil {
+		return nil
+	}
+	for c, d := range r.invested {
+		ledger[c] += d
+	}
 	r.live = false
 	r.gen++
 	if r.gen == 0 { // wrapped: keep zero meaning "never attached"
 		r.gen = 1
 	}
-	p.freeList = append(p.freeList, idx)
+	p.freeList = append(p.freeList, h.Idx)
 	p.liveN--
-}
-
-// DropUntracked records a drop that consumed no CPU and so has no
-// provenance record: wire faults, full-ring hardware discards, stall
-// and reset losses.
-func (p *Profile) DropUntracked(reason prov.DropReason) {
-	p.drops[reason].Count++
+	return r
 }
 
 // Live returns the number of in-flight records.

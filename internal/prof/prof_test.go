@@ -74,6 +74,35 @@ func TestStaleHandleNoOp(t *testing.T) {
 	if got := p.DropCount(prov.ReasonOutQFull); got != 1 {
 		t.Fatalf("drop count = %d, want 1", got)
 	}
+	if got := p.Dwell(prov.StageRxRingAccept).Count(); got != 1 {
+		t.Fatalf("rx-ring-accept dwell count = %d, want 1 (stale ops closed a stage)", got)
+	}
+}
+
+// A drop through the zero handle is a packet that was never attached
+// and consumed no CPU: it is counted in the drop table with nothing
+// invested, and touches no ledger, record or dwell histogram.
+func TestZeroHandleDropCounted(t *testing.T) {
+	p := New()
+	inflight := p.Attach(1, 0)
+	p.Invest(inflight, prov.CenterRxIntr, 40)
+	p.Drop(prov.Handle{}, prov.ReasonRxRingFull, 10)
+	p.Drop(prov.Handle{}, prov.ReasonRxRingFull, 20)
+
+	if got := p.DropCount(prov.ReasonRxRingFull); got != 2 {
+		t.Fatalf("drop count = %d, want 2", got)
+	}
+	if got := p.DropInvested(prov.ReasonRxRingFull); got != 0 {
+		t.Fatalf("drop invested = %v, want 0", got)
+	}
+	if p.WastedCycles() != 0 || p.Live() != 1 {
+		t.Fatalf("wasted = %v, live = %d; want 0 and 1", p.WastedCycles(), p.Live())
+	}
+	for s := prov.Stage(0); s < prov.NumStages; s++ {
+		if n := p.Dwell(s).Count(); n != 0 {
+			t.Fatalf("dwell %v count = %d, want 0", s, n)
+		}
+	}
 }
 
 func TestPoolGrowsAndRecycles(t *testing.T) {
@@ -195,7 +224,7 @@ func TestWriteFoldedAndTables(t *testing.T) {
 	h = p.Attach(2, 0)
 	p.Invest(h, prov.CenterRxIntr, 3*sim.Microsecond)
 	p.Drop(h, prov.ReasonIPIntrQFull, 200)
-	p.DropUntracked(prov.ReasonRxRingFull)
+	p.Drop(prov.Handle{}, prov.ReasonRxRingFull, 200)
 
 	var folded strings.Builder
 	if err := p.WriteFolded(&folded); err != nil {

@@ -166,6 +166,18 @@ func (s Stage) String() string {
 	return "stage?"
 }
 
+// Delivers reports whether reaching s ends the packet's life usefully:
+// handed to a sink on either Ethernet, to a socket buffer, or to the
+// in-kernel TCP receiver. The profiler closes such a packet's record as
+// useful work.
+func (s Stage) Delivers() bool {
+	switch s {
+	case StageDelivered, StageRevDelivered, StageSockBufAccept, StageTCPAccept:
+		return true
+	}
+	return false
+}
+
 // Slug returns a compact identifier for folded-stack frames and table
 // rows (no spaces or punctuation beyond '-').
 func (s Stage) Slug() string {

@@ -71,6 +71,23 @@ func TestReasonStageMapping(t *testing.T) {
 	}
 }
 
+// Exactly the four stages that hand a packet out of the router deliver,
+// and no drop's stage does.
+func TestDeliveringStages(t *testing.T) {
+	want := map[Stage]bool{StageDelivered: true, StageRevDelivered: true,
+		StageSockBufAccept: true, StageTCPAccept: true}
+	for s := Stage(0); s < NumStages; s++ {
+		if s.Delivers() != want[s] {
+			t.Errorf("stage %v: Delivers() = %v", s, s.Delivers())
+		}
+	}
+	for d := DropReason(0); d < NumReasons; d++ {
+		if d.Stage().Delivers() {
+			t.Errorf("reason %v drops under delivering stage %v", d, d.Stage())
+		}
+	}
+}
+
 func TestZeroHandleInvalid(t *testing.T) {
 	var h Handle
 	if !h.Zero() {

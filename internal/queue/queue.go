@@ -47,29 +47,23 @@ type Queue struct {
 	Drops *stats.Counter
 	// Enqueued counts successful enqueues.
 	Enqueued *stats.Counter
-	// Occupancy tracks the time-weighted queue length.
-	Occupancy *stats.TimeWeighted
-
-	clock func() sim.Time
 }
 
-// New returns a queue with the given capacity. clock supplies the
-// current simulated time for occupancy statistics; it must be non-nil.
-func New(name string, limit int, clock func() sim.Time) *Queue {
+// New returns a queue with the given capacity. The third parameter, a
+// simulated-time clock, is unused: a queue keeps no time-weighted
+// statistics (the sampled depth gauge is the timeline's view of
+// occupancy). It stays so that existing callers, among them the
+// perfbench module's queue-layer bench, build unchanged; pass nil.
+func New(name string, limit int, _ func() sim.Time) *Queue {
 	if limit <= 0 {
 		panic("queue: non-positive limit")
 	}
-	if clock == nil {
-		panic("queue: nil clock")
-	}
 	return &Queue{
-		name:      name,
-		limit:     limit,
-		buf:       make([]*netstack.Packet, limit),
-		Drops:     stats.NewCounter(name + ".drops"),
-		Enqueued:  stats.NewCounter(name + ".enq"),
-		Occupancy: stats.NewTimeWeighted(clock(), 0),
-		clock:     clock,
+		name:     name,
+		limit:    limit,
+		buf:      make([]*netstack.Packet, limit),
+		Drops:    stats.NewCounter(name + ".drops"),
+		Enqueued: stats.NewCounter(name + ".enq"),
 	}
 }
 
@@ -128,7 +122,6 @@ func (q *Queue) Enqueue(p *netstack.Packet) bool {
 	q.buf[(q.head+q.count)%q.limit] = p
 	q.count++
 	q.Enqueued.Inc()
-	q.Occupancy.Set(q.clock(), float64(q.count))
 	if q.highMark > 0 && !q.high && q.count >= q.highMark {
 		q.high = true
 		if q.OnHigh != nil {
@@ -155,7 +148,6 @@ func (q *Queue) Dequeue() *netstack.Packet {
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) % q.limit
 	q.count--
-	q.Occupancy.Set(q.clock(), float64(q.count))
 	if q.highMark > 0 && q.high && q.count <= q.lowMark {
 		q.high = false
 		if q.OnLow != nil {
@@ -193,6 +185,5 @@ func (q *Queue) Flush() int {
 	}
 	q.count = 0
 	q.high = false
-	q.Occupancy.Set(q.clock(), 0)
 	return n
 }

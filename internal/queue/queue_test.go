@@ -5,16 +5,12 @@ import (
 	"testing/quick"
 
 	"livelock/internal/netstack"
-	"livelock/internal/sim"
 )
-
-func clockAt(t *sim.Time) func() sim.Time { return func() sim.Time { return *t } }
 
 func pkt(id uint64) *netstack.Packet { return &netstack.Packet{ID: id} }
 
 func TestQueueFIFO(t *testing.T) {
-	var now sim.Time
-	q := New("q", 4, clockAt(&now))
+	q := New("q", 4, nil)
 	for i := uint64(1); i <= 4; i++ {
 		if !q.Enqueue(pkt(i)) {
 			t.Fatalf("enqueue %d failed", i)
@@ -38,8 +34,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueDropTail(t *testing.T) {
-	var now sim.Time
-	q := New("q", 2, clockAt(&now))
+	q := New("q", 2, nil)
 	q.Enqueue(pkt(1))
 	q.Enqueue(pkt(2))
 	if q.Enqueue(pkt(3)) {
@@ -58,8 +53,7 @@ func TestQueueDropTail(t *testing.T) {
 }
 
 func TestQueueWrapAround(t *testing.T) {
-	var now sim.Time
-	q := New("q", 3, clockAt(&now))
+	q := New("q", 3, nil)
 	id := uint64(0)
 	for round := 0; round < 10; round++ {
 		q.Enqueue(pkt(id))
@@ -73,8 +67,7 @@ func TestQueueWrapAround(t *testing.T) {
 }
 
 func TestQueueWatermarkHysteresis(t *testing.T) {
-	var now sim.Time
-	q := New("q", 8, clockAt(&now))
+	q := New("q", 8, nil)
 	q.SetWatermarks(6, 2)
 	highs, lows := 0, 0
 	q.OnHigh = func() { highs++ }
@@ -113,8 +106,7 @@ func TestQueueWatermarkHysteresis(t *testing.T) {
 }
 
 func TestQueueWatermarkNoRefireWithinRegime(t *testing.T) {
-	var now sim.Time
-	q := New("q", 8, clockAt(&now))
+	q := New("q", 8, nil)
 	q.SetWatermarks(4, 1)
 	highs := 0
 	q.OnHigh = func() { highs++ }
@@ -135,11 +127,10 @@ func TestQueueWatermarkNoRefireWithinRegime(t *testing.T) {
 // never signalled — and the eventual drain to the low mark fired
 // nothing either, leaving feedback listeners out of sync for good.
 func TestQueueSetWatermarksReconcilesHysteresis(t *testing.T) {
-	var now sim.Time
 
 	// Case 1: occupancy already past the new high → OnHigh fires once
 	// at reconfiguration, and the subsequent drain fires OnLow once.
-	q := New("q", 16, clockAt(&now))
+	q := New("q", 16, nil)
 	highs, lows := 0, 0
 	q.OnHigh = func() { highs++ }
 	q.OnLow = func() { lows++ }
@@ -171,7 +162,7 @@ func TestQueueSetWatermarksReconcilesHysteresis(t *testing.T) {
 	// occupancy → OnLow fires once at reconfiguration (the queue is at
 	// or below the new low), and the next high crossing is not
 	// swallowed.
-	q2 := New("q2", 16, clockAt(&now))
+	q2 := New("q2", 16, nil)
 	highs2, lows2 := 0, 0
 	q2.OnHigh = func() { highs2++ }
 	q2.OnLow = func() { lows2++ }
@@ -199,7 +190,7 @@ func TestQueueSetWatermarksReconcilesHysteresis(t *testing.T) {
 
 	// Case 3: occupancy inside the new hysteresis band keeps the
 	// current regime and fires nothing.
-	q3 := New("q3", 16, clockAt(&now))
+	q3 := New("q3", 16, nil)
 	highs3, lows3 := 0, 0
 	q3.OnHigh = func() { highs3++ }
 	q3.OnLow = func() { lows3++ }
@@ -214,16 +205,14 @@ func TestQueueSetWatermarksReconcilesHysteresis(t *testing.T) {
 }
 
 func TestQueueInvalidConfig(t *testing.T) {
-	var now sim.Time
 	for _, f := range []func(){
-		func() { New("q", 0, clockAt(&now)) },
-		func() { New("q", 1, nil) },
+		func() { New("q", 0, nil) },
 		func() {
-			q := New("q", 4, clockAt(&now))
+			q := New("q", 4, nil)
 			q.SetWatermarks(2, 2)
 		},
 		func() {
-			q := New("q", 4, clockAt(&now))
+			q := New("q", 4, nil)
 			q.SetWatermarks(5, 1)
 		},
 	} {
@@ -238,25 +227,8 @@ func TestQueueInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestQueueOccupancyStats(t *testing.T) {
-	var now sim.Time
-	q := New("q", 4, clockAt(&now))
-	q.Enqueue(pkt(1)) // occupancy 1 from t=0
-	now = sim.Time(2 * sim.Second)
-	q.Enqueue(pkt(2)) // occupancy 2 from t=2s
-	now = sim.Time(4 * sim.Second)
-	mean := q.Occupancy.Mean(now) // (1*2 + 2*2)/4 = 1.5
-	if mean < 1.49 || mean > 1.51 {
-		t.Fatalf("occupancy mean = %v, want 1.5", mean)
-	}
-	if q.Occupancy.Max() != 2 {
-		t.Fatalf("occupancy max = %v", q.Occupancy.Max())
-	}
-}
-
 func TestQueueFlush(t *testing.T) {
-	var now sim.Time
-	q := New("q", 4, clockAt(&now))
+	q := New("q", 4, nil)
 	q.Enqueue(pkt(1))
 	q.Enqueue(pkt(2))
 	if n := q.Flush(); n != 2 {
@@ -272,8 +244,7 @@ func TestQueueFlush(t *testing.T) {
 // the queue, and poking feedback gates on a quiescing engine schedules
 // spurious re-enable work.
 func TestQueueFlushSkipsHysteresis(t *testing.T) {
-	var now sim.Time
-	q := New("q", 8, clockAt(&now))
+	q := New("q", 8, nil)
 	q.SetWatermarks(4, 1)
 	highs, lows := 0, 0
 	q.OnHigh = func() { highs++ }
@@ -307,12 +278,10 @@ func TestQueueConservationProperty(t *testing.T) {
 	// and FIFO order is preserved, for any op sequence.
 	check := func(ops []bool, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		var now sim.Time
-		q := New("q", capacity, clockAt(&now))
+		q := New("q", capacity, nil)
 		nextID, wantNext := uint64(0), uint64(0)
 		dequeued := 0
 		for _, enq := range ops {
-			now += sim.Time(sim.Microsecond)
 			if enq {
 				ok := q.Enqueue(pkt(nextID))
 				if ok {

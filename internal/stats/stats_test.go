@@ -64,30 +64,6 @@ func TestCounterDeltaWraps(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	w := NewTimeWeighted(0, 0)
-	w.Set(sim.Time(1*sim.Second), 10) // value 0 for 1s
-	w.Set(sim.Time(3*sim.Second), 0)  // value 10 for 2s
-	// Mean over 4s: (0*1 + 10*2 + 0*1)/4 = 5
-	got := w.Mean(sim.Time(4 * sim.Second))
-	if math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if w.Max() != 10 {
-		t.Fatalf("Max = %v, want 10", w.Max())
-	}
-	if w.Value() != 0 {
-		t.Fatalf("Value = %v, want 0", w.Value())
-	}
-}
-
-func TestTimeWeightedNoElapsed(t *testing.T) {
-	w := NewTimeWeighted(5, 7)
-	if got := w.Mean(5); got != 7 {
-		t.Fatalf("Mean with no elapsed time = %v, want current value 7", got)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram("lat")
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 {

@@ -1,25 +1,23 @@
 // Package trace provides a bounded, allocation-free event tracer for
 // packet lifecycles: each record is (simulated time, typed stage, drop
-// reason, packet id). The kernel emits records at every decision point
-// — ring accept/drop, queue enqueue/drop, forwarding, screening,
-// transmit — so a short traced run shows exactly where a given packet
-// spent time or died.
+// reason, packet id). It hears the kernel's one per-packet observation
+// call — every stage a packet reaches, every drop with its reason,
+// every delivery — the same call the cycle-attribution profiler
+// consumes, so a short traced run shows exactly where a given packet
+// spent time or died, and the trace and the profile cannot disagree
+// about it.
 //
 // Records are typed (prov.Stage / prov.DropReason) rather than
 // free-form strings: emission allocates nothing, and the stage
 // vocabulary is shared with the drop counters and the provenance
-// profiler, so trace output can never disagree with the metric columns
-// about what happened. Record.String renders the same legacy texts the
+// profiler. Record.String renders the same legacy texts the
 // string-based tracer produced.
 //
-// Ring eviction: the tracer retains only the most recent capacity
-// records. When a new record arrives with the ring full, the oldest
-// retained record is evicted to make room; Total still counts every
-// record ever emitted. By default evicted records are silently
-// discarded (the right behaviour for "show me the last N events before
-// the interesting moment"); long timeline runs that need the complete
-// stream can install an OnEvict sink and stream evicted records to
-// disk instead of losing them.
+// The tracer retains only the most recent capacity records: with the
+// ring full, each new record overwrites the oldest, and Total still
+// counts every record ever emitted. A run that needs its complete
+// stream sizes the ring to hold it and checks Total against the
+// records retained.
 package trace
 
 import (
@@ -35,9 +33,8 @@ type Record struct {
 	At    sim.Time
 	Pkt   uint64
 	Stage prov.Stage
-	// Reason is non-None exactly when the record marks a drop; it is
-	// derived from the stage's drop classification at the emission
-	// site, never chosen independently.
+	// Reason is non-None exactly when the record marks a drop; Stage is
+	// then Reason.Stage(), never chosen independently.
 	Reason prov.DropReason
 }
 
@@ -55,11 +52,6 @@ type Tracer struct {
 	buf   []Record
 	next  int
 	total uint64
-
-	// OnEvict, if non-nil, observes each record displaced from the ring
-	// by a newer one, in emission order, before it is overwritten. It
-	// must not call back into the Tracer.
-	OnEvict func(Record)
 }
 
 // New returns a tracer retaining the last capacity records.
@@ -70,23 +62,14 @@ func New(capacity int) *Tracer {
 	return &Tracer{buf: make([]Record, 0, capacity)}
 }
 
-// Emit records a lifecycle event. It is allocation-free.
-func (t *Tracer) Emit(at sim.Time, stage prov.Stage, pkt uint64) {
-	t.emit(Record{At: at, Stage: stage, Pkt: pkt})
-}
-
-// EmitDrop records a drop event under the reason's canonical stage.
-func (t *Tracer) EmitDrop(at sim.Time, reason prov.DropReason, pkt uint64) {
-	t.emit(Record{At: at, Stage: reason.Stage(), Reason: reason, Pkt: pkt})
-}
-
-func (t *Tracer) emit(r Record) {
+// Emit records that packet pkt reached stage at instant at, dropped for
+// reason when reason is not ReasonNone (stage is then the reason's
+// canonical drop stage). It is allocation-free.
+func (t *Tracer) Emit(at sim.Time, stage prov.Stage, reason prov.DropReason, pkt uint64) {
+	r := Record{At: at, Pkt: pkt, Stage: stage, Reason: reason}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, r)
 	} else {
-		if t.OnEvict != nil {
-			t.OnEvict(t.buf[t.next])
-		}
 		t.buf[t.next] = r
 		t.next = (t.next + 1) % cap(t.buf)
 	}
@@ -95,17 +78,6 @@ func (t *Tracer) emit(r Record) {
 
 // Total returns the number of events emitted (including evicted ones).
 func (t *Tracer) Total() uint64 { return t.total }
-
-// Reset discards all retained records and zeroes the emitted-event
-// total, keeping the capacity and the OnEvict sink. Records dropped by
-// Reset are not reported to OnEvict — they were not displaced by newer
-// ones, the caller explicitly threw them away (e.g. at the end of a
-// warmup window).
-func (t *Tracer) Reset() {
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.total = 0
-}
 
 // Records returns the retained records, oldest first.
 func (t *Tracer) Records() []Record {

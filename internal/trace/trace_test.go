@@ -12,7 +12,7 @@ import (
 func TestTracerRetainsInOrder(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 3; i++ {
-		tr.Emit(sim.Time(i), prov.StageRxRingAccept, uint64(i))
+		tr.Emit(sim.Time(i), prov.StageRxRingAccept, prov.ReasonNone, uint64(i))
 	}
 	recs := tr.Records()
 	if len(recs) != 3 {
@@ -28,7 +28,7 @@ func TestTracerRetainsInOrder(t *testing.T) {
 func TestTracerEvictsOldest(t *testing.T) {
 	tr := New(3)
 	for i := 0; i < 10; i++ {
-		tr.Emit(0, prov.StageRxRingAccept, uint64(i))
+		tr.Emit(0, prov.StageRxRingAccept, prov.ReasonNone, uint64(i))
 	}
 	recs := tr.Records()
 	if len(recs) != 3 {
@@ -47,9 +47,9 @@ func TestTracerEvictsOldest(t *testing.T) {
 
 func TestTracerFilter(t *testing.T) {
 	tr := New(10)
-	tr.Emit(0, prov.StageRxRingAccept, 1)
-	tr.Emit(1, prov.StageForwarded, 2)
-	tr.Emit(2, prov.StageTxDescriptor, 1)
+	tr.Emit(0, prov.StageRxRingAccept, prov.ReasonNone, 1)
+	tr.Emit(1, prov.StageForwarded, prov.ReasonNone, 2)
+	tr.Emit(2, prov.StageTxDescriptor, prov.ReasonNone, 1)
 	got := tr.Filter(1)
 	if len(got) != 2 || got[0].Stage != prov.StageRxRingAccept || got[1].Stage != prov.StageTxDescriptor {
 		t.Fatalf("Filter = %v", got)
@@ -60,7 +60,7 @@ func TestTracerFilter(t *testing.T) {
 // stage text, so "which stage killed it" is derivable from either field.
 func TestTracerEmitDrop(t *testing.T) {
 	tr := New(4)
-	tr.EmitDrop(100, prov.ReasonIPIntrQFull, 9)
+	tr.Emit(100, prov.ReasonIPIntrQFull.Stage(), prov.ReasonIPIntrQFull, 9)
 	recs := tr.Records()
 	if len(recs) != 1 {
 		t.Fatalf("len = %d", len(recs))
@@ -73,7 +73,7 @@ func TestTracerEmitDrop(t *testing.T) {
 		t.Fatalf("String = %q", r.String())
 	}
 	// Non-drop records carry ReasonNone.
-	tr.Emit(101, prov.StageForwarded, 10)
+	tr.Emit(101, prov.StageForwarded, prov.ReasonNone, 10)
 	if got := tr.Records()[1].Reason; got != prov.ReasonNone {
 		t.Fatalf("non-drop reason = %v", got)
 	}
@@ -81,64 +81,13 @@ func TestTracerEmitDrop(t *testing.T) {
 
 func TestTracerWriteTo(t *testing.T) {
 	tr := New(4)
-	tr.Emit(1500, prov.StageRxRingAccept, 7)
+	tr.Emit(1500, prov.StageRxRingAccept, prov.ReasonNone, 7)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "pkt#7") || !strings.Contains(buf.String(), "rx-ring accept") {
 		t.Fatalf("output %q", buf.String())
-	}
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := New(3)
-	for i := 0; i < 5; i++ {
-		tr.Emit(sim.Time(i), prov.StageRxRingAccept, uint64(i))
-	}
-	tr.Reset()
-	if len(tr.Records()) != 0 || tr.Total() != 0 {
-		t.Fatalf("Reset left %d records, total %d", len(tr.Records()), tr.Total())
-	}
-	// Capacity survives and the ring fills from the start again.
-	for i := 10; i < 14; i++ {
-		tr.Emit(sim.Time(i), prov.StageRxRingAccept, uint64(i))
-	}
-	recs := tr.Records()
-	want := []uint64{11, 12, 13}
-	if len(recs) != 3 {
-		t.Fatalf("len = %d after refill", len(recs))
-	}
-	for i, r := range recs {
-		if r.Pkt != want[i] {
-			t.Fatalf("records = %v, want pkts %v", recs, want)
-		}
-	}
-}
-
-func TestTracerOnEvict(t *testing.T) {
-	tr := New(3)
-	var evicted []uint64
-	tr.OnEvict = func(r Record) { evicted = append(evicted, r.Pkt) }
-	for i := 0; i < 7; i++ {
-		tr.Emit(sim.Time(i), prov.StageRxRingAccept, uint64(i))
-	}
-	// Ring keeps the last 3; the first 4 must stream out in emission
-	// order, so OnEvict + Records together see every record exactly once.
-	want := []uint64{0, 1, 2, 3}
-	if len(evicted) != len(want) {
-		t.Fatalf("evicted %v, want %v", evicted, want)
-	}
-	for i, p := range evicted {
-		if p != want[i] {
-			t.Fatalf("evicted %v, want %v", evicted, want)
-		}
-	}
-	// Reset discards retained records without reporting them as evicted.
-	evicted = evicted[:0]
-	tr.Reset()
-	if len(evicted) != 0 {
-		t.Fatalf("Reset reported %v to OnEvict", evicted)
 	}
 }
 
