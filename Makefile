@@ -60,14 +60,15 @@ perfbench-test:
 # One command proves that no model output moved: every figure's CSV at
 # seeds 1, 3 and 7 with the default and the 100 ms/300 ms windows, the
 # golden figures, the kernel timeline digests, the per-packet stage-stream
-# digests, the Perfetto golden, the explore state spaces and the
-# perfbench output digests, all against pins in the tree. Outside tier-1 (about a minute on 2 vCPUs); each pin's
+# digests, the Perfetto golden, the explore state spaces, the committed
+# explore counterexamples (replayed clean) and the perfbench output
+# digests, all against pins in the tree. Outside tier-1 (about a minute on 2 vCPUs); each pin's
 # regeneration command is in its test.
 invariance:
 	LIVELOCK_INVARIANCE=1 $(GO) test -count=1 -run '^(TestFigureSeedDigests|TestGoldenFigureHashes)$$' .
 	LIVELOCK_INVARIANCE=1 $(GO) test -count=1 -run '^(TestUniprocessorEquivalence|TestSMPTimelineDigests|TestStageStreamDigests)$$' ./internal/kernel/
 	$(GO) test -count=1 -run '^TestPerfettoGolden$$' ./cmd/lkstat/
-	$(GO) test -count=1 -run '^TestExploreExhaustsBuiltins$$' ./internal/explore/
+	$(GO) test -count=1 -run '^(TestExploreExhaustsBuiltins|TestExploreRegressions)$$' ./internal/explore/
 	$(MAKE) perfbench-test
 
 # Regenerate every figure from the paper's evaluation.

@@ -66,9 +66,7 @@ func run(args []string, w io.Writer) error {
 
 	var sampler *livelock.Sampler
 	if reg != nil {
-		if err := reg.Counter("gen.sent", gen.Sent); err != nil {
-			return err
-		}
+		reg.Counter("gen.sent", gen.Sent)
 		sampler = livelock.NewSampler(eng, reg, livelock.Duration(tlInterval.Nanoseconds()))
 		sampler.Start()
 	}

@@ -233,17 +233,6 @@ func IsMethod(fn *types.Func, pkgPath, recv, name string) bool {
 	return ok && named.Obj().Name() == recv
 }
 
-// NamedType reports whether t (after stripping one pointer) is the named
-// type pkgPath.name.
-func NamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj() != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
-}
-
 // PointerShaped reports whether boxing a value of type t into an
 // interface allocates nothing: pointers, funcs, channels, maps, unsafe
 // pointers and interface-to-interface conversions are a single word the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"livelock/internal/queue"
 	"livelock/internal/sim"
 	"livelock/internal/stats"
 )
@@ -14,14 +15,17 @@ import (
 // 1 msec ... so that packets for other consumers are not dropped
 // indefinitely").
 //
-// Wire QueueHigh/QueueLow to the queue's watermark callbacks and pass a
-// Gate source name; Feedback manipulates the gate.
+// A Feedback is bound to its queue at construction and inhibits input
+// through a Gate under its source name. Its producer-side and
+// consumer-side calls (Pressure, Progress) are nil-safe, so a queue
+// without feedback passes its nil controller.
 type Feedback struct {
 	eng     *sim.Engine
 	gate    *Gate
 	source  string
 	timeout sim.Duration
 	timer   sim.Timer
+	q       *queue.Queue
 
 	// Inhibits counts transitions into the inhibited state; Timeouts
 	// counts re-enables forced by the timeout rather than the low
@@ -31,14 +35,25 @@ type Feedback struct {
 }
 
 // NewFeedback returns a controller operating on gate under the given
-// source name. timeout <= 0 disables the hang-recovery timer.
-func NewFeedback(eng *sim.Engine, gate *Gate, source string, timeout sim.Duration) *Feedback {
+// source name, bound to q: it sets q's watermarks to high and low and
+// installs QueueHigh and QueueLow as q's watermark callbacks. A nil q
+// leaves the controller unbound; its owner then calls QueueHigh and
+// QueueLow itself and must not call Pressure. timeout <= 0 disables the
+// hang-recovery timer.
+func NewFeedback(eng *sim.Engine, gate *Gate, source string, timeout sim.Duration,
+	q *queue.Queue, high, low int,
+) *Feedback {
 	f := &Feedback{
-		eng: eng, gate: gate, source: source, timeout: timeout,
+		eng: eng, gate: gate, source: source, timeout: timeout, q: q,
 		Inhibits: stats.NewCounter(source + ".inhibits"),
 		Timeouts: stats.NewCounter(source + ".timeouts"),
 	}
 	f.timer.Init(feedbackTimeout, f, nil)
+	if q != nil {
+		q.SetWatermarks(high, low)
+		q.OnHigh = f.QueueHigh
+		q.OnLow = f.QueueLow
+	}
 	return f
 }
 
@@ -60,13 +75,25 @@ func (f *Feedback) QueueLow() {
 	f.gate.Release(f.source)
 }
 
+// Pressure re-asserts the inhibition while the bound queue sits at or
+// above its high watermark. The queue's producer calls it: after a
+// timeout released the gate with the queue still full, the watermark
+// callback will not re-fire (hysteresis), so only the producer can
+// re-raise the inhibition. A nil controller does nothing.
+func (f *Feedback) Pressure() {
+	if f != nil && f.q.AboveHigh() {
+		f.QueueHigh()
+	}
+}
+
 // Progress notes that the protected queue's consumer handled a packet.
 // While input is inhibited, progress re-arms the hang-recovery timer:
 // the timeout exists to catch a *hung* consumer ("in case the screend
 // program is hung"), so a live consumer should never trip it even when a
-// full drain takes longer than the timeout.
+// full drain takes longer than the timeout. A nil controller does
+// nothing.
 func (f *Feedback) Progress() {
-	if f.timer.Armed() {
+	if f != nil && f.timer.Armed() {
 		f.eng.Disarm(&f.timer)
 		f.eng.ArmAfter(&f.timer, f.timeout)
 	}

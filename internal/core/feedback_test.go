@@ -3,13 +3,15 @@ package core
 import (
 	"testing"
 
+	"livelock/internal/netstack"
+	"livelock/internal/queue"
 	"livelock/internal/sim"
 )
 
 func TestFeedbackInhibitsAndReleases(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGate()
-	fb := NewFeedback(eng, g, "screendq", sim.Millisecond)
+	fb := NewFeedback(eng, g, "screendq", sim.Millisecond, nil, 0, 0)
 
 	fb.QueueHigh()
 	if g.Open() || !fb.Inhibited() {
@@ -33,7 +35,7 @@ func TestFeedbackInhibitsAndReleases(t *testing.T) {
 func TestFeedbackTimeoutReenables(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGate()
-	fb := NewFeedback(eng, g, "screendq", sim.Millisecond)
+	fb := NewFeedback(eng, g, "screendq", sim.Millisecond, nil, 0, 0)
 	fb.QueueHigh()
 	eng.Run(sim.Time(999 * sim.Microsecond))
 	if g.Open() {
@@ -51,7 +53,7 @@ func TestFeedbackTimeoutReenables(t *testing.T) {
 func TestFeedbackRepeatedHighIdempotentButRearms(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGate()
-	fb := NewFeedback(eng, g, "q", sim.Millisecond)
+	fb := NewFeedback(eng, g, "q", sim.Millisecond, nil, 0, 0)
 	fb.QueueHigh()
 	fb.QueueHigh() // still inhibited: no double-count
 	if fb.Inhibits.Value() != 1 {
@@ -70,7 +72,7 @@ func TestFeedbackRepeatedHighIdempotentButRearms(t *testing.T) {
 func TestFeedbackZeroTimeoutNeverRearms(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGate()
-	fb := NewFeedback(eng, g, "q", 0)
+	fb := NewFeedback(eng, g, "q", 0, nil, 0, 0)
 	fb.QueueHigh()
 	eng.Run(sim.Time(sim.Second))
 	if g.Open() {
@@ -80,6 +82,50 @@ func TestFeedbackZeroTimeoutNeverRearms(t *testing.T) {
 	if !g.Open() {
 		t.Fatal("QueueLow did not release")
 	}
+}
+
+// TestFeedbackPressureReasserts: a controller bound to a queue inhibits
+// as the queue fills to its high watermark. When the timeout releases
+// the gate with the queue still above it, the watermark callback cannot
+// re-fire, and Pressure re-inhibits. Once the queue drains to its low
+// watermark, Pressure does nothing.
+func TestFeedbackPressureReasserts(t *testing.T) {
+	eng := sim.NewEngine()
+	g := NewGate()
+	q := queue.New("q", 8, nil)
+	fb := NewFeedback(eng, g, "q", sim.Millisecond, q, 6, 2)
+	for i := 0; i < 6; i++ {
+		q.Enqueue(&netstack.Packet{})
+	}
+	if g.Open() {
+		t.Fatal("gate open with the bound queue at its high watermark")
+	}
+	eng.Run(sim.Time(sim.Millisecond))
+	if !g.Open() || fb.Timeouts.Value() != 1 {
+		t.Fatalf("timeout did not release the gate (open %v, %d timeouts)", g.Open(), fb.Timeouts.Value())
+	}
+	fb.Pressure()
+	if g.Open() || fb.Inhibits.Value() != 2 {
+		t.Fatalf("Pressure above high: open %v, %d inhibits, want closed and 2", g.Open(), fb.Inhibits.Value())
+	}
+	for i := 0; i < 4; i++ {
+		q.Dequeue()
+	}
+	if !g.Open() {
+		t.Fatal("gate closed with the queue drained to its low watermark")
+	}
+	fb.Pressure()
+	if !g.Open() || fb.Inhibits.Value() != 2 {
+		t.Fatalf("Pressure at low: open %v, %d inhibits, want open and 2", g.Open(), fb.Inhibits.Value())
+	}
+}
+
+// TestFeedbackNilSafe: a queue without feedback holds a nil controller,
+// and its producer and consumer call Pressure and Progress on it.
+func TestFeedbackNilSafe(t *testing.T) {
+	var fb *Feedback
+	fb.Pressure()
+	fb.Progress()
 }
 
 func TestCycleLimiterBudget(t *testing.T) {

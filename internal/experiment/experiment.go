@@ -416,13 +416,11 @@ func planSMP1(p *plan, o Options) {
 	}, o)
 }
 
-// FigSMP2 is figure S-2: the S-1 polling kernel with interrupt-isolated
-// cores — the last IRQCPUs cores take every device interrupt while the
-// rest run polling threads undisturbed. One dedicated interrupt core is
-// compared against no isolation and against giving interrupts half the
-// machine.
-func FigSMP2(o Options) Figure { return runFigure(o, planSMP2) }
-
+// planSMP2 declares figure S-2: the S-1 polling kernel with
+// interrupt-isolated cores — the last IRQCPUs cores take every device
+// interrupt while the rest run polling threads undisturbed. One
+// dedicated interrupt core is compared against no isolation and against
+// giving interrupts half the machine.
 func planSMP2(p *plan, o Options) {
 	base := kernel.Config{Mode: kernel.ModePolled, Quota: 10, Screend: true, Feedback: true}
 	oneIRQ, halfIRQ := base, base

@@ -338,9 +338,9 @@ func TestTrialConfig(t *testing.T) {
 // the series onto one IRQ split.
 func TestCoreAxisIgnoresCPUs(t *testing.T) {
 	o := Options{Warmup: 20 * sim.Millisecond, Measure: 50 * sim.Millisecond, Parallel: 2}
-	want := FigSMP2(o)
+	want := runFigure(o, planSMP2)
 	o.CPUs, o.IRQCPUs = 4, 1
-	got := FigSMP2(o)
+	got := runFigure(o, planSMP2)
 	var a, b bytes.Buffer
 	if err := want.WriteCSV(&a); err != nil {
 		t.Fatal(err)

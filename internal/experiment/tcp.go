@@ -146,7 +146,7 @@ func tcpPlan(p *plan, fig Figure, axis []float64, arms []tcpArm, axisIsCount boo
 	}
 }
 
-// FigT1 is this reproduction's figure T-1: bulk-transfer goodput
+// planT1 declares this reproduction's figure T-1: bulk-transfer goodput
 // against the interrupt-coalescing packet-count threshold, under a
 // fixed mild reorder fault on a lightly lossy path, for the
 // Reno/NewReno/SACK loss-recovery generations with and without
@@ -158,8 +158,6 @@ func tcpPlan(p *plan, fig Figure, axis []float64, arms []tcpArm, axisIsCount boo
 // of every spurious recovery: Reno and NewReno fall fastest, SACK
 // keeps a clear margin, and resequencing recovers ≥90% of the
 // no-reorder goodput at every threshold.
-func FigT1(o Options) Figure { return runFigure(o, planT1) }
-
 func planT1(p *plan, o Options) {
 	tcpPlan(p, Figure{
 		ID:     "T-1",
@@ -176,14 +174,12 @@ func planT1(p *plan, o Options) {
 	}, true, o)
 }
 
-// FigT2 is figure T-2: the same transfer against reorder intensity at
+// planT2 declares figure T-2: the same transfer against reorder intensity at
 // the fixed default coalescing threshold, for all four variants and
 // the sorted-SACK repair arm. It separates the variants' reorder
 // robustness from the coalescing axis: Tahoe collapses to cwnd=1 on
 // every phantom loss, Reno stalls on multi-hole windows, NewReno and
 // SACK degrade gracefully, and resequencing stays near the clean rate.
-func FigT2(o Options) Figure { return runFigure(o, planT2) }
-
 func planT2(p *plan, o Options) {
 	tcpPlan(p, Figure{
 		ID:     "T-2",

@@ -24,7 +24,7 @@ func TestFigT1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep in short mode")
 	}
-	fig := FigT1(tcpOpts)
+	fig := runFigure(tcpOpts, planT1)
 	if len(fig.Errors) != 0 {
 		t.Fatalf("sweep failed: %v", fig.Errors)
 	}
@@ -91,7 +91,7 @@ func TestFigT2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep in short mode")
 	}
-	fig := FigT2(tcpOpts)
+	fig := runFigure(tcpOpts, planT2)
 	if len(fig.Errors) != 0 {
 		t.Fatalf("sweep failed: %v", fig.Errors)
 	}

@@ -7,11 +7,13 @@ import (
 )
 
 // Adversary arms the plane's fault choice points — lost receive
-// interrupts, receive-stall windows, screend pauses — as enumerable
-// decisions. Where Plane draws each decision from a seeded RNG stream,
-// Adversary refers it to Decide, so a model checker
-// (internal/explore) can systematically branch on every outcome and
-// bound each injector with an explicit budget. Each probe is an
+// interrupts, wire reordering, receive-stall windows, screend pauses —
+// as enumerable decisions. Where Plane draws each decision from a
+// seeded RNG stream, Adversary refers it to Decide through a budgeted
+// choice point, so a model checker (internal/explore) can
+// systematically branch on every outcome and bound each injector with
+// an explicit budget. The mechanisms the choices steer are the plane's
+// own: its fault windows and its reorder hold. Each probe is an
 // ordinary engine event at a fixed instant; the decision is made when
 // the probe fires, which makes the adversary itself subject to the same
 // schedule enumeration as the system under test.
@@ -22,36 +24,32 @@ type Adversary struct {
 	Decide func(kind string, n int) int
 }
 
-// intrLossPoint bounds the lost-interrupt choice point on one NIC.
-type intrLossPoint struct {
+// choice is one budgeted choice point: each of its first budget
+// consultations is a two-way decision (inject or not), and later ones
+// never inject. The budget counts consultations, not injections, so the
+// number of choice sites a point contributes is bounded regardless of
+// what Decide returns. All four injectors consult one: interrupt loss
+// and reorder per event, stall and pause once per probe.
+type choice struct {
 	adv    *Adversary
 	kind   string
 	budget int
 }
 
-// AttachRxIntrLoss arms the lost-receive-interrupt choice point on n:
-// each of the first budget interrupt assertions becomes a two-way
-// choice (deliver or lose); later assertions always deliver. The budget
-// counts consultations, not losses, so the number of choice sites the
-// injector contributes is bounded regardless of what Decide returns.
-func (a *Adversary) AttachRxIntrLoss(n *nic.NIC, budget int) {
-	pt := &intrLossPoint{adv: a, kind: "intr-loss:" + n.Name(), budget: budget}
-	n.SetRxIntrLoss(func() bool {
-		if pt.budget <= 0 {
-			return false
-		}
-		pt.budget--
-		return pt.adv.Decide(pt.kind, 2) == 1
-	})
+// inject consults the choice point.
+func (c *choice) inject() bool {
+	if c.budget <= 0 {
+		return false
+	}
+	c.budget--
+	return c.adv.Decide(c.kind, 2) == 1
 }
 
-// stallWindow is one receive-stall probe: at its instant the adversary
-// chooses whether to stall the NIC for dur.
-type stallWindow struct {
-	adv *Adversary
-	eng *sim.Engine
-	nic *nic.NIC
-	dur sim.Duration
+// AttachRxIntrLoss arms the lost-receive-interrupt choice point on n:
+// each of the first budget interrupt assertions becomes a two-way
+// choice (deliver or lose); later assertions always deliver.
+func (a *Adversary) AttachRxIntrLoss(n *nic.NIC, budget int) {
+	n.SetRxIntrLoss((&choice{adv: a, kind: "intr-loss:" + n.Name(), budget: budget}).inject)
 }
 
 // ScheduleStall arms a receive-stall choice point: at instant at, the
@@ -62,28 +60,7 @@ func (a *Adversary) ScheduleStall(eng *sim.Engine, at sim.Time, n *nic.NIC, dur 
 	if dur <= 0 {
 		panic("fault: non-positive stall duration")
 	}
-	eng.AtCall(at, stallProbe, &stallWindow{adv: a, eng: eng, nic: n, dur: dur}, nil)
-}
-
-// stallProbe is the stall decision event (sim.Callback shape).
-func stallProbe(x, _ any) {
-	w := x.(*stallWindow)
-	if w.adv.Decide("stall:"+w.nic.Name(), 2) != 1 {
-		return
-	}
-	w.nic.SetRxStalled(true)
-	w.eng.AtCall(w.eng.Now().Add(w.dur), stallEnd, w, nil)
-}
-
-// stallEnd closes the stall window (sim.Callback shape).
-func stallEnd(x, _ any) { x.(*stallWindow).nic.SetRxStalled(false) }
-
-// pauseWindow is one screend-pause probe.
-type pauseWindow struct {
-	adv          *Adversary
-	eng          *sim.Engine
-	hang, resume func()
-	dur          sim.Duration
+	a.probe(eng, at, "stall:"+n.Name(), dur, n.SetRxStalled)
 }
 
 // SchedulePause arms a consumer-pause choice point: at instant at, the
@@ -98,36 +75,33 @@ func (a *Adversary) SchedulePause(eng *sim.Engine, at sim.Time, dur sim.Duration
 	if dur <= 0 {
 		panic("fault: non-positive pause duration")
 	}
-	eng.AtCall(at, pauseProbe, &pauseWindow{adv: a, eng: eng, hang: hang, resume: resume, dur: dur}, nil)
+	a.probe(eng, at, "screend-pause", dur, func(on bool) {
+		if on {
+			hang()
+		} else {
+			resume()
+		}
+	})
 }
 
-// pauseProbe is the pause decision event (sim.Callback shape).
-func pauseProbe(x, _ any) {
-	w := x.(*pauseWindow)
-	if w.adv.Decide("screend-pause", 2) != 1 {
-		return
-	}
-	w.hang()
-	w.eng.AtCall(w.eng.Now().Add(w.dur), pauseEnd, w, nil)
+// probe schedules a one-shot fault window at instant at, opened only if
+// its choice point, consulted then, injects.
+func (a *Adversary) probe(eng *sim.Engine, at sim.Time, kind string, dur sim.Duration, set func(bool)) {
+	eng.AtCall(at, windowOpen, &window{
+		eng: eng, set: set, dur: dur, choice: &choice{adv: a, kind: kind, budget: 1},
+	}, nil)
 }
-
-// pauseEnd closes the pause window (sim.Callback shape).
-func pauseEnd(x, _ any) { x.(*pauseWindow).resume() }
 
 // WireReorder is the deterministic twin of the plane's wire-layer
 // reorder injector: each of the first budget frames finishing
 // propagation on the wire becomes a two-way choice — deliver in order,
 // or hold until span later frames pass (bounded displacement) or the
-// flush timeout fires, whichever comes first. Like the stochastic
-// injector it displaces frames but never loses one, so every branch
-// stays conservation-clean; the budget counts consultations, bounding
-// the choice sites the point contributes regardless of what Decide
-// returns.
+// flush timeout fires, whichever comes first. It shares the stochastic
+// injector's hold, so it too displaces frames but never loses one, and
+// every branch stays conservation-clean.
 type WireReorder struct {
 	reorderHold
-	adv      *Adversary
-	kind     string
-	budget   int
+	choice
 	injected int
 }
 
@@ -147,25 +121,18 @@ func (a *Adversary) AttachWireReorder(eng *sim.Engine, w *nic.Wire, name string,
 			eng: eng, w: w, span: span, flush: flush,
 			slots: make([]reorderSlot, budget),
 		},
-		adv: a, kind: "reorder:" + name, budget: budget,
+		choice: choice{adv: a, kind: "reorder:" + name, budget: budget},
 	}
 	w.SetTap(pt.tap)
 	return pt
 }
 
-// tap owns every frame finishing propagation on the wire and disposes
-// of it exactly once: held out of order, or delivered (aging the holds).
+// tap owns every frame finishing propagation on the wire and offers it
+// to the hold, which the choice point decides.
 func (pt *WireReorder) tap(p *netstack.Packet) {
-	if pt.budget > 0 {
-		pt.budget--
-		if pt.adv.Decide(pt.kind, 2) == 1 {
-			pt.injected++
-			pt.hold(p)
-			return
-		}
+	if pt.offer(p, pt.inject()) {
+		pt.injected++
 	}
-	pt.w.Deliver(p)
-	pt.pass()
 }
 
 // Injected reports how many holds the adversary chose (each one is a

@@ -153,10 +153,6 @@ type Plane struct {
 	// every one is eventually delivered (displaced, never dropped).
 	Reordered *stats.Counter
 
-	// reorders holds per-wire reorder state, attach order, only when
-	// ReorderProb is configured.
-	reorders []*reorderHold
-
 	// ResetDrops counts frames discarded from rx rings by ResetOnStall
 	// windows (per-NIC stall/lost-interrupt counts live on the NICs).
 	ResetDrops *stats.Counter
@@ -167,11 +163,6 @@ type Plane struct {
 	// release) with its provenance drop reason, so wire-level losses
 	// land in the same drop-classification tables as kernel drops.
 	OnDrop func(*netstack.Packet, prov.DropReason)
-
-	// hangScreend/resumeScreend drive the process-layer injector; set
-	// once by Start so the periodic windows can reschedule closure-free.
-	hangScreend   func()
-	resumeScreend func()
 
 	nextDupID uint64
 }
@@ -201,9 +192,6 @@ func NewPlane(eng *sim.Engine, pool *netstack.Pool, cfg Config, routerSeed uint6
 	}
 }
 
-// Config returns the normalized configuration the plane runs with.
-func (pl *Plane) Config() Config { return pl.cfg }
-
 // AttachWire installs the wire-layer injector on w. With ReorderProb
 // configured the wire gets its own hold state, so displacement is
 // measured against frames sharing the wire, never across links.
@@ -215,7 +203,6 @@ func (pl *Plane) AttachWire(w *nic.Wire) {
 			swap:  c.ReorderMode == ReorderSwap,
 			slots: make([]reorderSlot, maxReorderHeld),
 		}
-		pl.reorders = append(pl.reorders, rs)
 	}
 	w.SetTap(func(p *netstack.Packet) { pl.tapFrame(w, rs, p) })
 }
@@ -262,13 +249,9 @@ func (pl *Plane) tapFrame(w *nic.Wire, rs *reorderHold, p *netstack.Packet) {
 		return
 	}
 	if rs != nil {
-		if pl.rng.Float64() < c.ReorderProb && rs.n < maxReorderHeld {
+		if rs.offer(p, pl.rng.Float64() < c.ReorderProb) {
 			pl.Reordered.Inc()
-			rs.hold(p)
-			return
 		}
-		w.Deliver(p)
-		rs.pass()
 		return
 	}
 	w.Deliver(p)
@@ -292,56 +275,65 @@ func (pl *Plane) AttachNIC(n *nic.NIC) {
 // drive the process-layer injector and may be nil when no screening
 // process exists.
 func (pl *Plane) Start(hangScreend, resumeScreend func()) {
-	if pl.cfg.StallPeriod > 0 && pl.cfg.StallDuration > 0 {
-		pl.scheduleStall()
+	c := &pl.cfg
+	if c.StallPeriod > 0 && c.StallDuration > 0 {
+		pl.eng.AfterCall(c.StallPeriod, windowOpen,
+			&window{eng: pl.eng, set: pl.stall, dur: c.StallDuration, period: c.StallPeriod}, nil)
 	}
-	if pl.cfg.ScreendPausePeriod > 0 && pl.cfg.ScreendPauseDuration > 0 &&
+	if c.ScreendPausePeriod > 0 && c.ScreendPauseDuration > 0 &&
 		hangScreend != nil && resumeScreend != nil {
-		pl.hangScreend, pl.resumeScreend = hangScreend, resumeScreend
-		pl.scheduleScreendPause()
+		pause := func(on bool) {
+			if !on {
+				resumeScreend()
+				return
+			}
+			pl.ScreendPauses.Inc()
+			hangScreend()
+		}
+		pl.eng.AfterCall(c.ScreendPausePeriod, windowOpen,
+			&window{eng: pl.eng, set: pause, dur: c.ScreendPauseDuration, period: c.ScreendPausePeriod}, nil)
 	}
 }
 
-// The periodic fault windows reschedule through sim.Callback-shaped
-// package functions so a long hostile run's timer churn stays
-// allocation-free, like every other recurring event source.
-
-func (pl *Plane) scheduleStall() {
-	pl.eng.AfterCall(pl.cfg.StallPeriod, planeStallOpen, pl, nil)
-}
-
-func planeStallOpen(a, _ any) {
-	pl := a.(*Plane)
+// stall opens or closes a receive-stall window on every attached NIC,
+// discarding each ring as its window opens under ResetOnStall.
+func (pl *Plane) stall(on bool) {
 	for _, n := range pl.nics {
-		n.SetRxStalled(true)
-		if pl.cfg.ResetOnStall {
+		n.SetRxStalled(on)
+		if on && pl.cfg.ResetOnStall {
 			pl.ResetDrops.Add(uint64(n.ResetRx()))
 		}
 	}
-	pl.eng.AfterCall(pl.cfg.StallDuration, planeStallClose, pl, nil)
-	pl.scheduleStall()
 }
 
-func planeStallClose(a, _ any) {
-	pl := a.(*Plane)
-	for _, n := range pl.nics {
-		n.SetRxStalled(false)
+// window is one fault window: set(true) as it opens, set(false) dur
+// later. The plane's windows reopen every period; an adversary probe
+// opens once, and only if its choice point injects.
+type window struct {
+	eng    *sim.Engine
+	set    func(open bool)
+	dur    sim.Duration
+	period sim.Duration // > 0: reopen every period
+	choice *choice      // non-nil: an adversary probe, consulted as it opens
+}
+
+// windowOpen opens w, schedules its close and then, for a periodic
+// window, its next opening. It has the sim.Callback shape, so a long
+// hostile run's window churn allocates nothing.
+func windowOpen(a, _ any) {
+	w := a.(*window)
+	if w.choice != nil && !w.choice.inject() {
+		return
+	}
+	w.set(true)
+	w.eng.AfterCall(w.dur, windowClose, w, nil)
+	if w.period > 0 {
+		w.eng.AfterCall(w.period, windowOpen, w, nil)
 	}
 }
 
-func (pl *Plane) scheduleScreendPause() {
-	pl.eng.AfterCall(pl.cfg.ScreendPausePeriod, planePauseOpen, pl, nil)
-}
-
-func planePauseOpen(a, _ any) {
-	pl := a.(*Plane)
-	pl.ScreendPauses.Inc()
-	pl.hangScreend()
-	pl.eng.AfterCall(pl.cfg.ScreendPauseDuration, planePauseClose, pl, nil)
-	pl.scheduleScreendPause()
-}
-
-func planePauseClose(a, _ any) { a.(*Plane).resumeScreend() }
+// windowClose closes w (sim.Callback shape).
+func windowClose(a, _ any) { a.(*window).set(false) }
 
 // StallDrops sums frames lost to stall windows across attached NICs.
 func (pl *Plane) StallDrops() uint64 {
@@ -366,7 +358,7 @@ func (pl *Plane) LostIntrs() uint64 {
 // that order. A nil plane (a router without faults) registers the same
 // columns reading zero, keeping clean and hostile timelines
 // column-compatible.
-func (pl *Plane) RegisterMetrics(reg *metrics.Registry) error {
+func (pl *Plane) RegisterMetrics(reg *metrics.Registry) {
 	var sources [len(metricNames)]func() uint64
 	if pl != nil {
 		sources = [...]func() uint64{
@@ -376,9 +368,6 @@ func (pl *Plane) RegisterMetrics(reg *metrics.Registry) error {
 		}
 	}
 	for i, name := range metricNames {
-		if err := reg.CounterFunc(name, sources[i]); err != nil {
-			return err
-		}
+		reg.CounterFunc(name, sources[i])
 	}
-	return nil
 }

@@ -47,7 +47,7 @@ func TestWithDefaultsClampsWindows(t *testing.T) {
 		ScreendPausePeriod:   sim.Millisecond,
 		ScreendPauseDuration: sim.Millisecond,
 	}, 1)
-	c := pl.Config()
+	c := pl.cfg
 	if c.MaxDelay != sim.Millisecond {
 		t.Fatalf("MaxDelay = %v, want default 1ms", c.MaxDelay)
 	}
@@ -117,9 +117,7 @@ func TestRegisterMetricsSchema(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, pl := range []*Plane{NewPlane(eng, netstack.NewPool(8, 2048), Config{DropProb: 0.1}, 1), nil} {
 		reg := metrics.NewRegistry()
-		if err := pl.RegisterMetrics(reg); err != nil {
-			t.Fatal(err)
-		}
+		pl.RegisterMetrics(reg)
 		got := reg.Names()
 		if len(got) != len(metricNames) {
 			t.Fatalf("plane %p: registered %d columns, want %d", pl, len(got), len(metricNames))
@@ -128,6 +126,66 @@ func TestRegisterMetricsSchema(t *testing.T) {
 			if got[i] != name {
 				t.Fatalf("plane %p: column %d = %q, want %q", pl, i, got[i], name)
 			}
+		}
+	}
+}
+
+// TestPeriodicWindowClosesBeforeReopening: a window whose duration
+// equals its period closes and reopens at one instant. The close was
+// scheduled first, so it runs first and the window ends each period
+// open, as the plane's stall and pause windows always have.
+func TestPeriodicWindowClosesBeforeReopening(t *testing.T) {
+	eng := sim.NewEngine()
+	var got []bool
+	w := &window{eng: eng, set: func(on bool) { got = append(got, on) },
+		dur: sim.Millisecond, period: sim.Millisecond}
+	eng.AfterCall(w.period, windowOpen, w, nil)
+	eng.Run(sim.Time(3 * sim.Millisecond))
+	want := []bool{true, false, true, false, true}
+	if len(got) != len(want) {
+		t.Fatalf("transitions %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("transitions %v, want %v", got, want)
+		}
+	}
+}
+
+// TestDeclinedProbeSchedulesNothing: a probe whose choice point
+// declines leaves the window shut and schedules no close; one that
+// injects opens it and closes it dur later. Each probe consults its
+// choice point exactly once.
+func TestDeclinedProbeSchedulesNothing(t *testing.T) {
+	for _, inject := range []bool{false, true} {
+		eng := sim.NewEngine()
+		var kinds []string
+		adv := &Adversary{Decide: func(kind string, n int) int {
+			kinds = append(kinds, kind)
+			if inject {
+				return 1
+			}
+			return 0
+		}}
+		var got []bool
+		adv.probe(eng, sim.Time(sim.Millisecond), "probe", sim.Millisecond,
+			func(on bool) { got = append(got, on) })
+		eng.Run(sim.Time(sim.Millisecond))
+		if len(kinds) != 1 || kinds[0] != "probe" {
+			t.Fatalf("inject=%v: choice consultations %v, want one of kind probe", inject, kinds)
+		}
+		if !inject {
+			if len(got) != 0 || eng.Pending() != 0 {
+				t.Fatalf("declined probe: transitions %v, %d events pending", got, eng.Pending())
+			}
+			continue
+		}
+		if len(got) != 1 || !got[0] || eng.Pending() != 1 {
+			t.Fatalf("injected probe: transitions %v, %d events pending", got, eng.Pending())
+		}
+		eng.Run(sim.Time(2 * sim.Millisecond))
+		if len(got) != 2 || got[1] || eng.Pending() != 0 {
+			t.Fatalf("injected probe: transitions %v, %d events pending after its close", got, eng.Pending())
 		}
 	}
 }
@@ -190,7 +248,6 @@ func TestReorderHoldSlotsStayPut(t *testing.T) {
 	w := nic.NewWire(eng, &rx, nic.EthernetBitRate, 0)
 	h := &reorderHold{eng: eng, w: w, span: 2, flush: sim.Millisecond,
 		slots: make([]reorderSlot, maxReorderHeld)}
-	pl := &Plane{reorders: []*reorderHold{h}}
 	frame := func(id uint64) *netstack.Packet { return &netstack.Packet{ID: id} }
 	mainLine := func(id uint64) {
 		w.Deliver(frame(id))
@@ -204,8 +261,8 @@ func TestReorderHoldSlotsStayPut(t *testing.T) {
 	mainLine(11) // frame 1 has seen two frames pass: released
 	h.hold(frame(3))
 	h.hold(frame(4))
-	if got := pl.HeldReorder(); got != 3 {
-		t.Fatalf("HeldReorder = %d after the first release, want 3", got)
+	if h.n != 3 {
+		t.Fatalf("%d frames held after the first release, want 3", h.n)
 	}
 	mainLine(12) // frame 2 released; its flush timer is disarmed
 	eng.SetTieBreaker(func(_ sim.Time, ties []sim.Tie) int { return len(ties) - 1 })
@@ -220,8 +277,8 @@ func TestReorderHoldSlotsStayPut(t *testing.T) {
 			t.Fatalf("delivered %v, want %v", rx.got, want)
 		}
 	}
-	if pl.HeldReorder() != 0 || eng.Pending() != 0 {
-		t.Fatalf("after the flushes: HeldReorder %d, %d events pending", pl.HeldReorder(), eng.Pending())
+	if h.n != 0 || eng.Pending() != 0 {
+		t.Fatalf("after the flushes: %d frames held, %d events pending", h.n, eng.Pending())
 	}
 }
 

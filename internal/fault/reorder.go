@@ -78,6 +78,21 @@ type reorderHold struct {
 	n     int           // frames held
 }
 
+// offer disposes of a frame reaching the wire's main line: it is held
+// out of order when hold is set and a slot is free, and otherwise
+// delivered, aging the frames already held. offer reports whether it
+// held the frame. The plane's tap and the adversary's both call it, each
+// deciding hold its own way.
+func (h *reorderHold) offer(p *netstack.Packet, hold bool) bool {
+	if hold && h.n < len(h.slots) {
+		h.hold(p)
+		return true
+	}
+	h.w.Deliver(p)
+	h.pass()
+	return false
+}
+
 // hold takes ownership of p. The flush timer guarantees a tail frame
 // with no successors is still delivered. The caller keeps the hold
 // below its capacity.
@@ -161,15 +176,4 @@ func reorderFlushFire(a, b any) {
 		h.w.Deliver(p)
 		return
 	}
-}
-
-// HeldReorder reports how many frames the wire-layer reorder injectors
-// currently hold across attached wires (conservation accounting treats
-// them as alive in flight).
-func (pl *Plane) HeldReorder() int {
-	total := 0
-	for _, rs := range pl.reorders {
-		total += rs.n
-	}
-	return total
 }

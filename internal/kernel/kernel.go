@@ -373,35 +373,34 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 //
 //lkvet:requires boot
 func (r *Router) registerMetrics(reg *metrics.Registry) {
-	must := metrics.MustRegister
-	must(metrics.RegisterCPU(reg, r.CPU))
+	metrics.RegisterCPU(reg, r.CPU, "cpu.")
 	// SMP-only columns append after the boot CPU's so uniprocessor
 	// timelines keep their historical schema byte-for-byte.
 	if r.smp() {
 		for i := 1; i < r.Sys.N(); i++ {
-			must(metrics.RegisterCPUPrefixed(reg, r.Sys.CPU(i), fmt.Sprintf("cpu%d.", i)))
+			metrics.RegisterCPU(reg, r.Sys.CPU(i), fmt.Sprintf("cpu%d.", i))
 		}
 		for _, l := range []*cpu.FairLock{r.ipqLock, r.netLock} {
 			l := l
-			must(reg.CounterFunc("lock."+l.Name()+".acquisitions", l.Acquisitions))
-			must(reg.CounterFunc("lock."+l.Name()+".contended", l.Contended))
-			must(reg.Utilization("lock."+l.Name()+".spin.util", l.SpinTime))
+			reg.CounterFunc("lock."+l.Name()+".acquisitions", l.Acquisitions)
+			reg.CounterFunc("lock."+l.Name()+".contended", l.Contended)
+			reg.Utilization("lock."+l.Name()+".spin.util", l.SpinTime)
 		}
 	}
-	must(r.Sink.RegisterMetrics(reg))
+	r.Sink.RegisterMetrics(reg)
 	for _, in := range r.Ins {
-		must(in.RegisterMetrics(reg))
+		in.RegisterMetrics(reg)
 	}
-	must(r.Out.RegisterMetrics(reg))
+	r.Out.RegisterMetrics(reg)
 	registerQueueMetrics(reg, r.ipintrq, "ipintrq")
 	registerQueueMetrics(reg, r.portByIdx[OutIfIndex].outq, "ifq.out0")
 	registerQueueMetrics(reg, r.screendq, "screendq")
-	must(reg.Counter("fwd.errors", r.FwdErrors))
-	must(reg.Counter("fwd.badchecksum", r.BadChecksumDrops))
-	must(reg.Counter("fwd.truncated", r.TruncatedDrops))
-	must(reg.Counter("fwd.ttl", r.TTLDrops))
-	must(reg.Counter("icmp.sent", r.ICMPSent))
-	must(reg.Counter("sock.nosocket", r.NoSocketDrops))
+	reg.Counter("fwd.errors", r.FwdErrors)
+	reg.Counter("fwd.badchecksum", r.BadChecksumDrops)
+	reg.Counter("fwd.truncated", r.TruncatedDrops)
+	reg.Counter("fwd.ttl", r.TTLDrops)
+	reg.Counter("icmp.sent", r.ICMPSent)
+	reg.Counter("sock.nosocket", r.NoSocketDrops)
 
 	// The interrupt-driven path's softint backlog, then the polled
 	// path's pollers, input gate, feedback and cycle limiter.
@@ -425,7 +424,7 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 			clInhibits = l.Inhibits
 		}
 	}
-	must(reg.Gauge("netisr.pending", netisrPending))
+	reg.Gauge("netisr.pending", netisrPending)
 	// The per-interval poller.rx delta is quota usage.
 	pollerSum := func(pick func(*core.Poller) *stats.Counter) func() uint64 {
 		if pollers == nil {
@@ -439,23 +438,23 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 			return total
 		}
 	}
-	must(reg.CounterFunc("poller.wakeups", pollerSum(func(p *core.Poller) *stats.Counter { return p.Wakeups })))
-	must(reg.CounterFunc("poller.rounds", pollerSum(func(p *core.Poller) *stats.Counter { return p.Rounds })))
-	must(reg.CounterFunc("poller.rx", pollerSum(func(p *core.Poller) *stats.Counter { return p.RxSteps })))
-	must(reg.CounterFunc("poller.tx", pollerSum(func(p *core.Poller) *stats.Counter { return p.TxSteps })))
-	must(reg.Gauge("gate.open", func() float64 {
+	reg.CounterFunc("poller.wakeups", pollerSum(func(p *core.Poller) *stats.Counter { return p.Wakeups }))
+	reg.CounterFunc("poller.rounds", pollerSum(func(p *core.Poller) *stats.Counter { return p.Rounds }))
+	reg.CounterFunc("poller.rx", pollerSum(func(p *core.Poller) *stats.Counter { return p.RxSteps }))
+	reg.CounterFunc("poller.tx", pollerSum(func(p *core.Poller) *stats.Counter { return p.TxSteps }))
+	reg.Gauge("gate.open", func() float64 {
 		if r.InputInhibited() {
 			return 0
 		}
 		return 1
-	}))
-	must(reg.Counter("feedback.inhibits", fbInhibits))
-	must(reg.Counter("feedback.timeouts", fbTimeouts))
-	must(reg.Counter("cyclelimit.inhibits", clInhibits))
+	})
+	reg.Counter("feedback.inhibits", fbInhibits)
+	reg.Counter("feedback.timeouts", fbTimeouts)
+	reg.Counter("cyclelimit.inhibits", clInhibits)
 
 	r.registerScreendMetrics(reg)
 	r.registerMonitorMetrics(reg)
-	must(r.fault.RegisterMetrics(reg))
+	r.fault.RegisterMetrics(reg)
 
 	// The cycle-attribution profiler's columns cost nothing to sample
 	// when no profile is attached.
@@ -471,11 +470,11 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 			return 0
 		}
 	}
-	must(reg.Utilization("prof.useful.util", useful))
-	must(reg.Utilization("prof.wasted.util", wasted))
-	must(reg.Gauge("prof.wasted.frac", wastedFrac))
-	must(reg.Gauge("prof.livelock", livelock))
-	must(reg.CounterFunc("prof.diagnoses", diagnoses))
+	reg.Utilization("prof.useful.util", useful)
+	reg.Utilization("prof.wasted.util", wasted)
+	reg.Gauge("prof.wasted.frac", wastedFrac)
+	reg.Gauge("prof.livelock", livelock)
+	reg.CounterFunc("prof.diagnoses", diagnoses)
 }
 
 // Fault returns the fault-injection plane, or nil when Config.Fault is
@@ -496,9 +495,9 @@ func registerQueueMetrics(reg *metrics.Registry, q *queue.Queue, name string) {
 		depth = func() float64 { return float64(q.Len()) }
 		drops, enq = q.Drops, q.Enqueued
 	}
-	metrics.MustRegister(reg.Gauge(name+".depth", depth))
-	metrics.MustRegister(reg.Counter(name+".drops", drops))
-	metrics.MustRegister(reg.Counter(name+".enq", enq))
+	reg.Gauge(name+".depth", depth)
+	reg.Counter(name+".drops", drops)
+	reg.Counter(name+".enq", enq)
 }
 
 func (r *Router) addPort(p *netPort) {

@@ -94,10 +94,7 @@ func newPolledPath(r *Router) *polledPath {
 	}
 
 	if r.Cfg.Feedback && r.Cfg.Screend {
-		m.feedback = core.NewFeedback(r.Eng, m.gate, gateFeedback, r.Cfg.FeedbackTimeout)
-		r.screendq.SetWatermarks(r.Cfg.ScreendQHigh, r.Cfg.ScreendQLow)
-		r.screendq.OnHigh = m.feedback.QueueHigh
-		r.screendq.OnLow = m.feedback.QueueLow
+		m.feedback = m.attachQueueFeedback(r.screendq, gateFeedback, r.Cfg.ScreendQHigh, r.Cfg.ScreendQLow)
 	}
 
 	if th := r.Cfg.CycleLimitThreshold; th > 0 && th < 1 {
@@ -344,25 +341,14 @@ func (m *polledPath) txStep(port *netPort) core.Step {
 }
 
 // attachQueueFeedback applies the §6.6.1 queue-state feedback technique
-// to an arbitrary queue — "the same queue-state feedback technique could
-// be applied to other queues in the system, such as ... packet filter
-// queues". Watermarks are set at 3/4 and 1/4 of capacity; the returned
-// controller inhibits input through the shared gate. progressHook must
-// be called by the queue's consumer (see Feedback.Progress).
-func (m *polledPath) attachQueueFeedback(q *queue.Queue, source string) *core.Feedback {
-	fb := core.NewFeedback(m.r.Eng, m.gate, source, m.r.Cfg.FeedbackTimeout)
-	high := q.Cap() * 3 / 4
-	low := q.Cap() / 4
-	if low < 1 {
-		low = 1
-	}
-	if high <= low {
-		high = low + 1
-	}
-	q.SetWatermarks(high, low)
-	q.OnHigh = fb.QueueHigh
-	q.OnLow = fb.QueueLow
-	return fb
+// to q with the given watermarks: the screend queue, and — "the same
+// queue-state feedback technique could be applied to other queues in
+// the system" — socket buffers and the monitor's capture ring (a nil q:
+// the monitor signals its own watermarks). The returned controller
+// inhibits input through the shared gate; q's producer calls its
+// Pressure and q's consumer its Progress.
+func (m *polledPath) attachQueueFeedback(q *queue.Queue, source string, high, low int) *core.Feedback {
+	return core.NewFeedback(m.r.Eng, m.gate, source, m.r.Cfg.FeedbackTimeout, q, high, low)
 }
 
 // onTick counts hardclock ticks into cycle-limiter periods and runs
@@ -431,30 +417,5 @@ func (m *polledPath) watchdog() {
 			pol.Schedule()
 			return
 		}
-	}
-}
-
-// notifyScreendQueuePressure re-asserts queue feedback while the screend
-// queue sits at or above its high watermark. This matters after a
-// feedback timeout released the gate with the queue still full: the
-// watermark callback will not re-fire (hysteresis), so the enqueue path
-// re-raises the inhibition. Called from the enqueue path, under
-// netLock on SMP.
-//
-//lkvet:requires netLock
-func (r *Router) notifyScreendQueuePressure() {
-	if r.polled == nil || r.polled.feedback == nil {
-		return
-	}
-	if r.screendq.AboveHigh() {
-		r.polled.feedback.QueueHigh()
-	}
-}
-
-// notifyScreendProgress re-arms the feedback hang-recovery timer when the
-// screening process handles a packet.
-func (r *Router) notifyScreendProgress() {
-	if r.polled != nil && r.polled.feedback != nil {
-		r.polled.feedback.Progress()
 	}
 }

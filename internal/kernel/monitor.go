@@ -98,8 +98,7 @@ func (r *Router) StartMonitor(cfg MonitorConfig) *Monitor {
 	m.run = m.loop
 	m.process = m.processHead
 	if cfg.Feedback && r.polled != nil {
-		m.fb = core.NewFeedback(r.Eng, r.polled.gate, "monitorq-feedback",
-			r.Cfg.FeedbackTimeout)
+		m.fb = r.polled.attachQueueFeedback(nil, "monitorq-feedback", 0, 0)
 	}
 	r.monitor = m
 	return m
@@ -110,7 +109,6 @@ func (r *Router) StartMonitor(cfg MonitorConfig) *Monitor {
 // through r.monitor at sample time and report zero until — and unless —
 // one exists.
 func (r *Router) registerMonitorMetrics(reg *metrics.Registry) {
-	must := metrics.MustRegister
 	counter := func(read func(*Monitor) uint64) func() uint64 {
 		return func() uint64 {
 			if r.monitor == nil {
@@ -119,15 +117,15 @@ func (r *Router) registerMonitorMetrics(reg *metrics.Registry) {
 			return read(r.monitor)
 		}
 	}
-	must(reg.CounterFunc("monitor.captured", counter(func(m *Monitor) uint64 { return m.Captured.Value() })))
-	must(reg.CounterFunc("monitor.dropped", counter(func(m *Monitor) uint64 { return m.Dropped.Value() })))
-	must(reg.CounterFunc("monitor.processed", counter(func(m *Monitor) uint64 { return m.Processed.Value() })))
-	must(reg.Gauge("monitor.backlog", func() float64 {
+	reg.CounterFunc("monitor.captured", counter(func(m *Monitor) uint64 { return m.Captured.Value() }))
+	reg.CounterFunc("monitor.dropped", counter(func(m *Monitor) uint64 { return m.Dropped.Value() }))
+	reg.CounterFunc("monitor.processed", counter(func(m *Monitor) uint64 { return m.Processed.Value() }))
+	reg.Gauge("monitor.backlog", func() float64 {
 		if r.monitor == nil {
 			return 0
 		}
 		return float64(r.monitor.cnt)
-	}))
+	})
 }
 
 // LossRate returns the fraction of tapped packets lost to buffer
@@ -160,10 +158,7 @@ func (m *Monitor) tap(p *netstack.Packet) {
 
 // notifyPressure drives the optional queue-state feedback.
 func (m *Monitor) notifyPressure() {
-	if m.fb == nil {
-		return
-	}
-	if m.cnt >= len(m.ring)*3/4 {
+	if m.fb != nil && m.cnt >= len(m.ring)*3/4 {
 		m.fb.QueueHigh()
 	}
 }
@@ -195,11 +190,9 @@ func (m *Monitor) processHead() {
 	m.cnt--
 	m.Bytes += uint64(rec.Len)
 	m.Processed.Inc()
-	if m.fb != nil {
-		m.fb.Progress()
-		if m.cnt <= len(m.ring)/4 {
-			m.fb.QueueLow()
-		}
+	m.fb.Progress()
+	if m.fb != nil && m.cnt <= len(m.ring)/4 {
+		m.fb.QueueLow()
 	}
 	m.loop()
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"livelock/internal/core"
 	"livelock/internal/cpu"
 	"livelock/internal/metrics"
 	"livelock/internal/netstack"
@@ -18,6 +19,7 @@ import (
 type screendProc struct {
 	r    *Router
 	task *cpu.Task
+	fb   *core.Feedback // the screend queue's feedback; nil without it
 
 	rules     []screendRule
 	scheduled bool
@@ -52,6 +54,9 @@ func newScreendProc(r *Router) *screendProc {
 		r:        r,
 		Accepted: stats.NewCounter("screend.accepted"),
 		Rejected: stats.NewCounter("screend.rejected"),
+	}
+	if r.polled != nil {
+		s.fb = r.polled.feedback
 	}
 	// Ordinary user-process priority: above the compute-bound spinner,
 	// below kernel threads — and, in the unmodified kernel, below every
@@ -88,8 +93,8 @@ func (r *Router) registerScreendMetrics(reg *metrics.Registry) {
 	if r.screend != nil {
 		accepted, rejected = r.screend.Accepted, r.screend.Rejected
 	}
-	metrics.MustRegister(reg.Counter("screend.accepted", accepted))
-	metrics.MustRegister(reg.Counter("screend.rejected", rejected))
+	reg.Counter("screend.accepted", accepted)
+	reg.Counter("screend.rejected", rejected)
 }
 
 // submit hands a packet from the IP layer to the screening queue. Called
@@ -103,14 +108,10 @@ func (s *screendProc) submit(p *netstack.Packet) {
 	s.r.ld.Check(s.r.screendq)
 	if !s.r.screendq.Enqueue(p) {
 		s.r.drop(p, prov.ReasonScreendQFull)
-		// Even when the enqueue fails the queue remains above its high
-		// watermark; the modified kernel re-asserts feedback here in
-		// case a timeout re-enabled input while the queue was full.
-		s.r.notifyScreendQueuePressure()
-		s.wakeup()
-		return
 	}
-	s.r.notifyScreendQueuePressure()
+	// The modified kernel re-asserts feedback, full queue or not, in
+	// case a timeout re-enabled input above the high watermark.
+	s.fb.Pressure()
 	s.wakeup()
 }
 
@@ -200,7 +201,7 @@ func (s *screendProc) filterHead() {
 		s.scheduled = false
 		return
 	}
-	s.r.notifyScreendProgress()
+	s.fb.Progress()
 	s.r.invest(p, prov.CenterScreend, s.cost)
 	if s.verdict(p) {
 		s.Accepted.Inc()

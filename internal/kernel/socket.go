@@ -24,6 +24,7 @@ type Socket struct {
 	// syscall; on SMP both hold netLock.
 	//lkvet:guards netLock
 	buf *queue.Queue
+	fb  *core.Feedback // the buffer's queue-state feedback; nil without it
 	app *AppServer
 
 	// Received counts datagrams accepted into the socket buffer.
@@ -73,12 +74,9 @@ func (s *Socket) deliver(p *netstack.Packet) {
 		s.Received.Inc()
 		s.r.observe(p, prov.StageSockBufAccept, prov.ReasonNone)
 	}
-	// Re-assert feedback if a timeout re-opened the gate while the
-	// buffer is still above its high watermark (hysteresis will not
-	// re-fire OnHigh).
-	if s.app != nil && s.app.fb != nil && s.buf.AboveHigh() {
-		s.app.fb.QueueHigh()
-	}
+	// Re-assert feedback in case a timeout re-opened the gate while the
+	// buffer sits above its high watermark.
+	s.fb.Pressure()
 	if ok && s.app != nil {
 		s.app.wakeup()
 	}
@@ -122,7 +120,6 @@ type AppServer struct {
 	cfg  AppConfig
 	task *cpu.Task
 	sock *Socket
-	fb   *core.Feedback
 
 	scheduled bool
 	wakeCost  sim.Duration
@@ -165,9 +162,11 @@ func (r *Router) StartApp(cfg AppConfig) *AppServer {
 	a.serve = a.serveHead
 	a.send = a.sendReply
 	a.payload = make([]byte, max(cfg.ReplyBytes, 0))
-	if cfg.Feedback && r.polled != nil {
-		a.fb = r.polled.attachQueueFeedback(a.sock.buf,
-			fmt.Sprintf("sockbuf-%d-feedback", cfg.Port))
+	if q := a.sock.buf; cfg.Feedback && r.polled != nil {
+		// Watermarks at 3/4 and 1/4 of the buffer, kept apart.
+		low := max(q.Cap()/4, 1)
+		a.sock.fb = r.polled.attachQueueFeedback(q, fmt.Sprintf("sockbuf-%d-feedback", cfg.Port),
+			max(q.Cap()*3/4, low+1), low)
 	}
 	return a
 }
@@ -204,9 +203,7 @@ func (a *AppServer) serveHead() {
 		a.scheduled = false
 		return
 	}
-	if a.fb != nil {
-		a.fb.Progress()
-	}
+	a.sock.fb.Progress()
 	a.Served.Inc()
 	if a.cfg.ReplyBytes > 0 {
 		a.reply(p)

@@ -83,7 +83,7 @@ func RunTimeline(cfg Config, rate float64, o TimelineOptions) (TimelineResult, e
 	}
 
 	gen := r.AttachGenerator(0, workload.ConstantRate{Rate: rate, JitterFrac: 0.05}, 0)
-	metrics.MustRegister(reg.Counter("gen.sent", gen.Sent))
+	reg.Counter("gen.sent", gen.Sent)
 	gen.Start()
 
 	sampler := metrics.NewSampler(eng, reg, o.Interval)

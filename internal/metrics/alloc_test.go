@@ -15,16 +15,10 @@ func TestAllocsSamplerTick(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
 	c := stats.NewCounter("c")
-	if err := reg.Counter("c", c); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Gauge("g", func() float64 { return 1 }); err != nil {
-		t.Fatal(err)
-	}
+	reg.Counter("c", c)
+	reg.Gauge("g", func() float64 { return 1 })
 	busy := sim.Duration(0)
-	if err := reg.Utilization("u", func() sim.Duration { return busy }); err != nil {
-		t.Fatal(err)
-	}
+	reg.Utilization("u", func() sim.Duration { return busy })
 
 	const interval = sim.Millisecond
 	s := NewSampler(eng, reg, interval)

@@ -6,76 +6,50 @@ import (
 	"livelock/internal/sim"
 )
 
-// RegisterCPU registers the processor's accounting instruments:
+// RegisterCPU registers the processor's accounting instruments under
+// the column prefix ("cpu." for the boot CPU, whose columns keep their
+// historical names; "cpu1." for core 1 of an SMP configuration):
 // per-class utilization (the columns of the paper's figures), per-IPL
 // utilization, and the dispatch/preemption counters.
 //
-// cpu.rxipl.util is the headline livelock signal: the fraction of each
-// interval spent at the receive-path interrupt levels (device + soft).
-// Under livelock it pins at ~1 minus the clock overhead while the
-// "delivered" delta goes to zero — the CPU is busier than ever doing
-// work that is all eventually thrown away.
-func RegisterCPU(reg *Registry, c *cpu.CPU) error {
-	return RegisterCPUPrefixed(reg, c, "cpu.")
-}
-
-// RegisterCPUPrefixed registers the same instrument set under an
-// arbitrary column prefix (e.g. "cpu1." for core 1 of an SMP
-// configuration); RegisterCPU is the prefix "cpu." special case, so
-// uniprocessor timelines keep their historical column names.
-func RegisterCPUPrefixed(reg *Registry, c *cpu.CPU, prefix string) error {
-	if err := reg.Utilization(prefix+"idle.util", c.IdleTime); err != nil {
-		return err
-	}
+// <prefix>rxipl.util is the headline livelock signal: the fraction of
+// each interval spent at the receive-path interrupt levels (device +
+// soft). Under livelock it pins at ~1 minus the clock overhead while
+// the "delivered" delta goes to zero — the CPU is busier than ever
+// doing work that is all eventually thrown away.
+func RegisterCPU(reg *Registry, c *cpu.CPU, prefix string) {
+	reg.Utilization(prefix+"idle.util", c.IdleTime)
 	classes := []cpu.Class{
 		cpu.ClassIntr, cpu.ClassSoft, cpu.ClassKernel,
 		cpu.ClassUser, cpu.ClassClock,
 	}
 	for _, cl := range classes {
 		cl := cl
-		err := reg.Utilization(prefix+cl.String()+".util", func() sim.Duration {
+		reg.Utilization(prefix+cl.String()+".util", func() sim.Duration {
 			return c.ClassTime(cl)
 		})
-		if err != nil {
-			return err
-		}
 	}
 	levels := []cpu.IPL{cpu.IPLThread, cpu.IPLSoft, cpu.IPLDevice, cpu.IPLClock}
 	for _, l := range levels {
 		l := l
-		err := reg.Utilization(prefix+"ipl."+l.String()+".util", func() sim.Duration {
+		reg.Utilization(prefix+"ipl."+l.String()+".util", func() sim.Duration {
 			return c.IPLTime(l)
 		})
-		if err != nil {
-			return err
-		}
 	}
-	if err := reg.Utilization(prefix+"rxipl.util", func() sim.Duration {
+	reg.Utilization(prefix+"rxipl.util", func() sim.Duration {
 		return c.IPLTime(cpu.IPLDevice) + c.IPLTime(cpu.IPLSoft)
-	}); err != nil {
-		return err
-	}
-	if err := reg.Utilization(prefix+"raisedipl.util", c.RaisedIPLTime); err != nil {
-		return err
-	}
-	if err := reg.CounterFunc(prefix+"dispatches", c.Dispatches); err != nil {
-		return err
-	}
-	if err := reg.CounterFunc(prefix+"preemptions", c.Preemptions); err != nil {
-		return err
-	}
+	})
+	reg.Utilization(prefix+"raisedipl.util", c.RaisedIPLTime)
+	reg.CounterFunc(prefix+"dispatches", c.Dispatches)
+	reg.CounterFunc(prefix+"preemptions", c.Preemptions)
 	// Per-cost-center utilization: the cycle-attribution view. Together
 	// the center columns plus cpu.idle.util partition every simulated
 	// cycle (CPU.AuditCycles enforces this), so "where did the CPU go"
 	// is answerable from the timeline alone.
 	for ct := prov.Center(0); ct < prov.NumCenters; ct++ {
 		ct := ct
-		err := reg.Utilization(prefix+"center."+ct.String()+".util", func() sim.Duration {
+		reg.Utilization(prefix+"center."+ct.String()+".util", func() sim.Duration {
 			return c.CenterTime(ct)
 		})
-		if err != nil {
-			return err
-		}
 	}
-	return nil
 }

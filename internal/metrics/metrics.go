@@ -19,7 +19,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"livelock/internal/sim"
 	"livelock/internal/stats"
@@ -74,7 +73,7 @@ func (i *Instrument) Kind() Kind { return i.kind }
 // Registry is an ordered set of named instruments. Registration order
 // is the schema: the Sampler emits columns in exactly this order, so a
 // deterministic construction sequence yields a deterministic timeline.
-// Duplicate registration is an error.
+// Registration cannot fail: an empty or duplicate name panics.
 type Registry struct {
 	instruments []*Instrument
 	byName      map[string]*Instrument
@@ -88,13 +87,6 @@ func NewRegistry() *Registry {
 // Len returns the number of registered instruments.
 func (r *Registry) Len() int { return len(r.instruments) }
 
-// Instruments returns the registered instruments in registration order.
-func (r *Registry) Instruments() []*Instrument {
-	out := make([]*Instrument, len(r.instruments))
-	copy(out, r.instruments)
-	return out
-}
-
 // Names returns the instrument names in registration order.
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.instruments))
@@ -107,91 +99,72 @@ func (r *Registry) Names() []string {
 // Lookup returns the instrument registered under name, or nil.
 func (r *Registry) Lookup(name string) *Instrument { return r.byName[name] }
 
-func (r *Registry) register(in *Instrument) error {
+// register appends in to the schema. An empty or duplicate name is a
+// programming bug in the registering code, so it panics.
+func (r *Registry) register(in *Instrument) {
 	if in.name == "" {
-		return fmt.Errorf("metrics: empty instrument name")
+		panic("metrics: empty instrument name")
 	}
 	if _, dup := r.byName[in.name]; dup {
-		return fmt.Errorf("metrics: duplicate instrument %q", in.name)
+		panic(fmt.Sprintf("metrics: duplicate instrument %q", in.name))
 	}
 	r.byName[in.name] = in
 	r.instruments = append(r.instruments, in)
-	return nil
 }
 
 // CounterFunc registers a monotonic counter read through fn; a nil fn
 // registers a constant-zero column.
-func (r *Registry) CounterFunc(name string, fn func() uint64) error {
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if fn == nil {
 		fn = func() uint64 { return 0 }
 	}
-	return r.register(&Instrument{name: name, kind: KindCounter, counter: fn})
+	r.register(&Instrument{name: name, kind: KindCounter, counter: fn})
 }
 
 // Counter registers a stats.Counter under name. A nil counter registers
 // a constant-zero column, as a nil source does for every kind: it keeps
 // the schema identical across kernel modes that lack the underlying
 // object (e.g. ipintrq drops in the polled kernel).
-func (r *Registry) Counter(name string, c *stats.Counter) error {
+func (r *Registry) Counter(name string, c *stats.Counter) {
 	if c == nil {
-		return r.CounterFunc(name, nil)
+		r.CounterFunc(name, nil)
+		return
 	}
-	return r.CounterFunc(name, c.Value)
+	r.CounterFunc(name, c.Value)
 }
 
 // Gauge registers a point-in-time value read through fn; a nil fn
 // registers a constant-zero column.
-func (r *Registry) Gauge(name string, fn func() float64) error {
+func (r *Registry) Gauge(name string, fn func() float64) {
 	if fn == nil {
 		fn = func() float64 { return 0 }
 	}
-	return r.register(&Instrument{name: name, kind: KindGauge, gauge: fn})
+	r.register(&Instrument{name: name, kind: KindGauge, gauge: fn})
 }
 
 // Utilization registers a cumulative busy-time reading; the sampler
 // reports the fraction of each interval it advanced by. A nil fn
 // registers a constant-zero column.
-func (r *Registry) Utilization(name string, fn func() sim.Duration) error {
+func (r *Registry) Utilization(name string, fn func() sim.Duration) {
 	if fn == nil {
 		fn = func() sim.Duration { return 0 }
 	}
-	return r.register(&Instrument{name: name, kind: KindUtilization, busy: fn})
+	r.register(&Instrument{name: name, kind: KindUtilization, busy: fn})
 }
 
 // Histogram adopts a stats.Histogram as three derived instruments:
 // <name>.count (a counter of observations, sampled as per-interval
 // deltas) plus <name>.p50 and <name>.p99 quantile gauges over all
-// observations so far.
-func (r *Registry) Histogram(name string, h *stats.Histogram) error {
+// observations so far. A nil histogram panics.
+func (r *Registry) Histogram(name string, h *stats.Histogram) {
 	if h == nil {
-		return fmt.Errorf("metrics: nil histogram for %q", name)
+		panic(fmt.Sprintf("metrics: nil histogram for %q", name))
 	}
-	if err := r.CounterFunc(name+".count", h.Count); err != nil {
-		return err
-	}
-	if err := r.Gauge(name+".p50", func() float64 {
+	r.CounterFunc(name+".count", h.Count)
+	r.Gauge(name+".p50", func() float64 {
 		return float64(h.Quantile(0.50)) / float64(sim.Second)
-	}); err != nil {
-		return err
-	}
-	return r.Gauge(name+".p99", func() float64 {
+	})
+	r.Gauge(name+".p99", func() float64 {
 		return float64(h.Quantile(0.99)) / float64(sim.Second)
 	})
-}
-
-// MustRegister panics on a registration error; the kernel uses it at
-// router construction, where a duplicate name is a programming bug.
-func MustRegister(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// SortedNames returns the instrument names sorted alphabetically
-// (convenience for summaries; the timeline itself keeps registration
-// order).
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

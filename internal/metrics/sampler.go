@@ -14,9 +14,10 @@ type Sample struct {
 // Sampler periodically snapshots a Registry into an in-memory
 // time-series. It is driven entirely by the simulation engine: samples
 // are taken exactly at interval edges (t = interval, 2·interval, ...),
-// counters report the delta since the previous edge (via
-// stats.Counter-style Delta semantics, so no event is counted twice and
-// none is missed), utilization instruments report busy-delta/interval,
+// counters report the delta since the previous edge (the current
+// reading minus the one at that edge, exact modulo 2^64, so no event is
+// counted twice and none is missed), utilization instruments report
+// busy-delta/interval,
 // and gauges report the point-in-time value at the edge.
 type Sampler struct {
 	eng      *sim.Engine

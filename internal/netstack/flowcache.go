@@ -64,19 +64,5 @@ func (c *FlowCache) Insert(dst Addr, e FlowEntry) {
 	c.entries[dst] = e
 }
 
-// Invalidate removes a destination (e.g. on a routing change).
-func (c *FlowCache) Invalidate(dst Addr) {
-	if _, ok := c.entries[dst]; !ok {
-		return
-	}
-	delete(c.entries, dst)
-	for i, a := range c.order {
-		if a == dst {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Len returns the number of cached destinations.
 func (c *FlowCache) Len() int { return len(c.entries) }

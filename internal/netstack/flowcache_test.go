@@ -42,24 +42,6 @@ func TestFlowCacheReinsertDoesNotDuplicate(t *testing.T) {
 	}
 }
 
-func TestFlowCacheInvalidate(t *testing.T) {
-	c := NewFlowCache(4)
-	a := AddrFrom(1, 1, 1, 1)
-	c.Insert(a, FlowEntry{})
-	c.Invalidate(a)
-	c.Invalidate(a) // idempotent
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after invalidate", c.Len())
-	}
-	// Eviction order must stay consistent after invalidation.
-	for i := byte(0); i < 8; i++ {
-		c.Insert(AddrFrom(i, 0, 0, 0), FlowEntry{IfIndex: int(i)})
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
 func TestFlowCacheZeroCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -173,30 +173,16 @@ func (n *NIC) Name() string { return n.name }
 // ring-occupancy gauges under the NIC's name. rxring pegged at capacity
 // means the hardware is dropping at zero CPU cost; txfree pegged at the
 // ring size alongside a non-empty output queue is transmit starvation.
-func (n *NIC) RegisterMetrics(reg *metrics.Registry) error {
-	if err := reg.Counter(n.name+".ipkts", n.InPkts); err != nil {
-		return err
-	}
-	if err := reg.Counter(n.name+".idiscards", n.InDiscards); err != nil {
-		return err
-	}
-	if err := reg.Counter(n.name+".opkts", n.OutPkts); err != nil {
-		return err
-	}
+func (n *NIC) RegisterMetrics(reg *metrics.Registry) {
+	reg.Counter(n.name+".ipkts", n.InPkts)
+	reg.Counter(n.name+".idiscards", n.InDiscards)
+	reg.Counter(n.name+".opkts", n.OutPkts)
 	//lkvet:allow lockguard racy metrics-sampler snapshot of ring occupancy; a torn read skews one sample
-	if err := reg.Gauge(n.name+".rxring", func() float64 { return float64(n.RxLen()) }); err != nil {
-		return err
-	}
-	if err := reg.Gauge(n.name+".txfree", func() float64 { return float64(n.TxDescriptorsFree()) }); err != nil {
-		return err
-	}
-	if err := reg.Gauge(n.name+".txreclaim", func() float64 { return float64(n.txCompleted) }); err != nil {
-		return err
-	}
-	if err := reg.Counter(n.name+".cofire.count", n.CoalesceCountFires); err != nil {
-		return err
-	}
-	return reg.Counter(n.name+".cofire.timer", n.CoalesceTimerFires)
+	reg.Gauge(n.name+".rxring", func() float64 { return float64(n.RxLen()) })
+	reg.Gauge(n.name+".txfree", func() float64 { return float64(n.TxDescriptorsFree()) })
+	reg.Gauge(n.name+".txreclaim", func() float64 { return float64(n.txCompleted) })
+	reg.Counter(n.name+".cofire.count", n.CoalesceCountFires)
+	reg.Counter(n.name+".cofire.timer", n.CoalesceTimerFires)
 }
 
 // MAC returns the interface hardware address.
@@ -567,32 +553,3 @@ func (n *NIC) EnableTxInterrupt(on bool) {
 
 // TxPending reports whether a transmit interrupt is asserted.
 func (n *NIC) TxPending() bool { return n.txPending }
-
-// Quiesced reports whether the NIC holds no packets and no unreclaimed
-// descriptors, used by teardown conservation checks after the engine
-// has stopped.
-//
-//lkvet:requires boot
-func (n *NIC) Quiesced() bool {
-	return n.RxLen() == 0 && n.TxQueuedLen() == 0 && n.txInFlight == 0 && n.txCompleted == 0
-}
-
-// Drain releases every packet held in the rings and returns how many
-// were discarded. Only valid once the simulation has stopped.
-//
-//lkvet:requires boot
-func (n *NIC) Drain() int {
-	count := 0
-	for p := n.TakeRx(); p != nil; p = n.TakeRx() {
-		p.Release()
-		count++
-	}
-	for _, p := range n.txQueue[n.txHead:] {
-		p.Release()
-		count++
-	}
-	n.txQueue = nil
-	n.txHead = 0
-	n.txCompleted = 0
-	return count
-}

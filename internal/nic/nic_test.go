@@ -38,7 +38,7 @@ func TestWireDefersWhileBusy(t *testing.T) {
 	if d2 != d1.Add(w.SerializationTime(60)) {
 		t.Fatalf("second frame done at %v, want back-to-back after %v", d2, d1)
 	}
-	if !w.Busy() {
+	if w.busyUntil <= eng.Now() {
 		t.Fatal("wire should be busy")
 	}
 	eng.Run(sim.Time(sim.Second))
@@ -216,7 +216,7 @@ func TestTxStarvationWithoutReclaim(t *testing.T) {
 	if sink.Count != 8 {
 		t.Fatalf("delivered %d", sink.Count)
 	}
-	if w.Busy() {
+	if w.busyUntil > eng.Now() {
 		t.Fatal("wire should be idle (starved)")
 	}
 }
@@ -248,30 +248,6 @@ func TestSinkValidatesFrames(t *testing.T) {
 	}
 	if s.Latency.Count() != 1 {
 		t.Fatalf("latency samples = %d, want 1", s.Latency.Count())
-	}
-}
-
-func TestNICDrainAndQuiesced(t *testing.T) {
-	eng := sim.NewEngine()
-	var sink CountingReceiver
-	w := NewWire(eng, &sink, EthernetBitRate, 0)
-	n := New(eng, "n", netstack.MAC{}, Config{RxRing: 4, TxRing: 4}, w)
-	if !n.Quiesced() {
-		t.Fatal("new NIC not quiesced")
-	}
-	n.DeliverFrame(pkt(1, 60))
-	n.StartTx(pkt(2, 60))
-	eng.Run(sim.Time(sim.Second)) // tx completes, descriptor unreclaimed
-	if n.Quiesced() {
-		t.Fatal("NIC with held packets reports quiesced")
-	}
-	// Drain releases the rx-ring packet; the transmitted frame went to
-	// the wire, so only its descriptor count is cleared.
-	if got := n.Drain(); got != 1 {
-		t.Fatalf("Drain = %d, want 1", got)
-	}
-	if !n.Quiesced() {
-		t.Fatal("NIC not quiesced after drain")
 	}
 }
 

@@ -56,14 +56,10 @@ func NewSink(eng *sim.Engine, name string) *Sink {
 // end-to-end latency histogram. The per-interval delta of "delivered"
 // is the timeline's output-rate curve; it collapsing to zero while
 // input counters keep climbing is the definition of livelock.
-func (s *Sink) RegisterMetrics(reg *metrics.Registry) error {
-	if err := reg.Counter("delivered", s.Delivered); err != nil {
-		return err
-	}
-	if err := reg.Counter("sink.malformed", s.Malformed); err != nil {
-		return err
-	}
-	return reg.Histogram("latency", s.Latency)
+func (s *Sink) RegisterMetrics(reg *metrics.Registry) {
+	reg.Counter("delivered", s.Delivered)
+	reg.Counter("sink.malformed", s.Malformed)
+	reg.Histogram("latency", s.Latency)
 }
 
 // DeliverFrame implements Receiver.

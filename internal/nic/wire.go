@@ -128,6 +128,3 @@ func (w *Wire) DropTapped(p *netstack.Packet) {
 	w.TapDropped++
 	p.Release()
 }
-
-// Busy reports whether a transmission is in progress.
-func (w *Wire) Busy() bool { return w.busyUntil > w.eng.Now() }

@@ -30,13 +30,5 @@ func (c *Counter) Inc() { c.value++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.value }
 
-// Delta returns the events counted since a previous reading prev.
-// Because counts and the subtraction are both uint64, the result is
-// correct modulo 2^64 even if the counter has wrapped between the two
-// readings — the property periodic samplers rely on at window
-// boundaries: consecutive Delta calls with chained readings partition
-// the event stream exactly (no double-count, no gap).
-func (c *Counter) Delta(prev uint64) uint64 { return c.value - prev }
-
 // String implements fmt.Stringer.
 func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.value) }

@@ -23,47 +23,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestCounterDeltaPartitionsWindows(t *testing.T) {
-	// A periodic sampler reads the counter at consecutive window edges;
-	// chained Delta calls must partition the event stream exactly — no
-	// event double-counted at an edge, none missed.
-	c := NewCounter("pkts")
-	var total uint64
-	prev := c.Value()
-	increments := []uint64{0, 3, 1, 0, 7, 2}
-	for _, n := range increments {
-		c.Add(n)
-		cur := c.Value()
-		d := c.Delta(prev)
-		if d != n {
-			t.Fatalf("Delta = %d, want %d", d, n)
-		}
-		total += d
-		prev = cur
-	}
-	if total != c.Value() {
-		t.Fatalf("windows sum to %d, counter holds %d", total, c.Value())
-	}
-	// Sampling the same edge twice yields an empty window, not a repeat.
-	if d := c.Delta(prev); d != 0 {
-		t.Fatalf("re-sampled edge Delta = %d, want 0", d)
-	}
-}
-
-func TestCounterDeltaWraps(t *testing.T) {
-	// Delta is exact modulo 2^64: a reading taken just before wrap still
-	// measures the events since, even though Value() went "backwards".
-	c := &Counter{value: ^uint64(0) - 1} // two below wrap
-	prev := c.Value()
-	c.Add(5) // wraps to 3
-	if c.Value() != 3 {
-		t.Fatalf("Value = %d, want wrapped 3", c.Value())
-	}
-	if d := c.Delta(prev); d != 5 {
-		t.Fatalf("Delta across wrap = %d, want 5", d)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram("lat")
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 {
