@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lkvet bench bench-baseline bench-full perfbench-test invariance figures plots examples cover fuzz explore clean
+.PHONY: all build test vet lint lkvet inline bench bench-baseline bench-full perfbench-test invariance figures plots examples cover fuzz explore clean
 
 all: build vet test
 
@@ -27,6 +27,11 @@ lint: lkvet
 LKVET_FLAGS ?=
 lkvet:
 	$(GO) run ./cmd/lkvet $(LKVET_FLAGS) -vet ./...
+
+# Inlining guard: the engine's insert, Disarm and AfterCall must stay
+# inside the compiler's inlining budget (CI runs it in the lint lane).
+inline:
+	GO=$(GO) ./scripts/check-inline.sh
 
 test:
 	$(GO) test ./...

@@ -515,6 +515,17 @@ func decodeScript(data []byte) []op {
 	return script
 }
 
+// deepScript encodes 40 schedules, pending together at 32 distinct
+// delays in [0, 186] (id 0 is due first, tied with id 32; id 19 last),
+// followed by the ops in tail.
+func deepScript(tail ...byte) []byte {
+	var data []byte
+	for i := 0; i < 40; i++ {
+		data = append(data, 0, 0, byte(64+(i*5)%32*6))
+	}
+	return append(data, tail...)
+}
+
 // FuzzEngineDifferential runs fuzzed op scripts, Timer arms, disarms
 // and re-arms included, on both engines and demands the same firing
 // order and the same (fired, pending) at every run boundary.
@@ -527,6 +538,12 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 4, 0, 80, 3, 0, 40})               // Timer ties an event, re-arms itself
 	f.Add([]byte{4, 1, 70, 0, 0, 70, 5, 1, 0, 7, 0, 100})             // Timer disarmed before its tie
 	f.Add([]byte{4, 2, 90, 6, 2, 64, 0, 0, 64, 3, 0, 50, 6, 2, 0})    // Timer re-armed into a tie
+	// Queues deeper than 16: cancels at the tail, the middle and the
+	// head; Timers armed, disarmed and re-armed amid the nodes; a tie
+	// joined at depth.
+	f.Add(deepScript(1, 0, 0, 1, 10, 0, 1, 19, 0, 3, 0, 20, 3, 0, 255))
+	f.Add(deepScript(4, 0, 100, 4, 1, 64, 4, 2, 255, 5, 0, 0, 6, 1, 200, 3, 0, 100, 3, 0, 255))
+	f.Add(deepScript(0, 0, 64, 0, 0, 64+96, 2, 5, 64, 3, 0, 255))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		script := decodeScript(data)
 		gotOrder, gotMarks := runNew(script)

@@ -13,14 +13,15 @@ type Callback func(a, b any)
 // AtCall and its wrappers, comes from the engine's free list and goes
 // back to it the moment it fires; nothing outside the engine holds it.
 // An event that must be cancellable is a Timer's: its owner keeps it.
+// A free Event's a slot is its free-list link, so an Event (and a
+// Timer) has no link field and is 64 bytes on a 64-bit platform.
 type Event struct {
 	when  Time
 	seq   uint64 // the event's queue key with when; Disarm searches by it
 	fn    Callback
 	a, b  any
-	next  *Event // free-list link
-	kept  bool   // a Timer's Event: its owner keeps it, never recycled
-	armed bool   // a Timer's Event is queued
+	kept  bool // a Timer's Event: its owner keeps it, never recycled
+	armed bool // a Timer's Event is queued
 }
 
 // Timer is an Event its owner keeps and re-arms, so it never enters the
@@ -41,7 +42,7 @@ func (t *Timer) Init(fn Callback, a, b any) {
 func (t *Timer) Armed() bool { return t.ev.armed }
 
 // node is one entry of the event queue. The ordering key (when, seq) is
-// stored inline so the insertion search never chases the Event pointer.
+// stored inline so neither insert nor Disarm chases the Event pointer.
 type node struct {
 	when Time
 	seq  uint64 // FIFO tie-break for events at the same instant
@@ -79,20 +80,20 @@ type TieBreaker func(now Time, ties []Tie) int
 // recycled through a free list, and the queue is one slice of inline
 // (when, seq) nodes kept sorted latest-first, so the next event is
 // always the last element. Firing pops it with no comparisons;
-// scheduling binary-searches its slot and shifts the nodes due sooner
-// up by one; Disarm finds a Timer's node with the same search and
-// removes it at once. The simulator keeps a handful of events pending (about 5 on
-// average over the figure sweep, 127 at most), where the shift is
-// cheaper than a heap's sifts; DESIGN.md §6 gives the depth at which
-// that reverses. Events fire strictly by (when, seq), with seq
-// assigned in scheduling order.
+// scheduling is one insertion-sort pass from the tail; Disarm
+// binary-searches a Timer's node and closes the gap at once. The
+// simulator keeps a handful of events pending (about 5 on average over
+// the figure sweep, 127 at most) and most inserts move 3 nodes or
+// fewer, where the pass is cheaper than a heap's sifts; DESIGN.md §6
+// gives the depth at which that reverses. Events fire strictly by
+// (when, seq), with seq assigned in scheduling order.
 type Engine struct {
 	now     Time
 	queue   []node // sorted by (when, seq), latest first
 	seq     uint64
 	stopped bool
 	fired   uint64
-	free    *Event // recycled Events ready for reuse
+	free    *Event // recycled Events ready for reuse, linked by their a
 
 	tie     TieBreaker
 	tieList []Tie // scratch: the view handed to the TieBreaker
@@ -150,8 +151,7 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) {
 	}
 	ev := e.free
 	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
+		e.free = ev.a.(*Event)
 	} else {
 		ev = &Event{}
 	}
@@ -160,14 +160,18 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) {
 	e.insert(ev, t)
 }
 
-// insert queues ev at t, next seq; the nodes due sooner shift up one.
+// insert queues ev at t, next seq. That seq is the largest, so the nodes
+// due at or before t move up one slot, from the tail, and ev takes the gap.
 func (e *Engine) insert(ev *Event, t Time) {
 	ev.when, ev.seq = t, e.seq
 	e.seq++
-	i := e.search(t, ev.seq)
-	e.queue = append(e.queue, node{})
-	copy(e.queue[i+1:], e.queue[i:])
-	e.queue[i] = node{when: t, seq: ev.seq, ev: ev}
+	q := append(e.queue, node{})
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].when <= t; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = node{when: t, seq: ev.seq, ev: ev}
+	e.queue = q
 }
 
 // ArmAfter queues tm d after now; arming it in the past or twice panics.
@@ -188,14 +192,23 @@ func (e *Engine) Disarm(tm *Timer) {
 	}
 }
 
-// disarm is Disarm's removal, kept apart so Disarm inlines.
+// disarm is Disarm's removal, kept apart so Disarm inlines. It
+// binary-searches the first node not ordered after ev's (when, seq).
 func (e *Engine) disarm(ev *Event) {
-	i := e.search(ev.when, ev.seq)
-	if i == len(e.queue) || e.queue[i].ev != ev {
+	lo, hi := 0, len(e.queue)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n := &e.queue[m]; n.when > ev.when || n.when == ev.when && n.seq > ev.seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(e.queue) || e.queue[lo].ev != ev {
 		panic("sim: timer moved while armed")
 	}
 	ev.armed = false
-	e.remove(i)
+	e.remove(lo)
 }
 
 // AfterCall schedules fn(a, b) to run d after the current instant. See
@@ -211,8 +224,7 @@ func (e *Engine) recycle(ev *Event) {
 		ev.armed = false
 		return
 	}
-	ev.fn, ev.a, ev.b = nil, nil, nil
-	ev.next = e.free
+	ev.fn, ev.a, ev.b = nil, e.free, nil
 	e.free = ev
 }
 
@@ -325,26 +337,12 @@ func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
 	}
 }
 
-// search returns the index of the first node not ordered after
-// (when, seq): the node itself if it is queued, else the slot a node
-// with that key belongs in.
-func (e *Engine) search(when Time, seq uint64) int {
-	lo, hi := 0, len(e.queue)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if n := &e.queue[m]; n.when > when || n.when == when && n.seq > seq {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// remove deletes the node at index i.
+// remove deletes the node at index i; the nodes due sooner move down one.
 func (e *Engine) remove(i int) {
-	last := len(e.queue) - 1
-	copy(e.queue[i:], e.queue[i+1:])
-	e.queue[last] = node{}
-	e.queue = e.queue[:last]
+	q, last := e.queue, len(e.queue)-1
+	for ; i < last; i++ {
+		q[i] = q[i+1]
+	}
+	q[last] = node{}
+	e.queue = q[:last]
 }

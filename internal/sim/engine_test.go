@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineFiresInOrder(t *testing.T) {
@@ -146,6 +147,165 @@ func TestTimerMovedPanics(t *testing.T) {
 		}
 	}()
 	e.Disarm(&moved)
+}
+
+// A moved Timer amid other pending events: the panic leaves the queue
+// as it was, so the events around it still fire in order.
+func TestTimerMovedPanicsMidQueue(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	for _, at := range []Time{30, 10, 20} {
+		e.AtCall(at, recordAt, &got, at)
+	}
+	var tm Timer
+	tm.Init(recordAt, &got, Time(15))
+	e.ArmAfter(&tm, 15)
+	moved := tm
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("disarming a moved armed timer did not panic")
+			}
+		}()
+		e.Disarm(&moved)
+	}()
+	checkQueue(t, e)
+	e.Run(100)
+	want := []Time{10, 15, 20, 30}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// recordAt appends b, the event's due time, to *a.
+func recordAt(a, b any) { *a.(*[]Time) = append(*a.(*[]Time), b.(Time)) }
+
+// checkQueue fails unless the queue is strictly sorted by (when, seq),
+// latest first, and each node's key is its Event's.
+func checkQueue(t *testing.T, e *Engine) {
+	t.Helper()
+	for i, n := range e.queue {
+		if n.when != n.ev.when || n.seq != n.ev.seq {
+			t.Fatalf("node %d key (%v, %d), its event's (%v, %d)", i, n.when, n.seq, n.ev.when, n.ev.seq)
+		}
+		if i == 0 {
+			continue
+		}
+		if p := e.queue[i-1]; p.when < n.when || p.when == n.when && p.seq <= n.seq {
+			t.Fatalf("node %d (%v, %d) not ordered before node %d (%v, %d)", i-1, p.when, p.seq, i, n.when, n.seq)
+		}
+	}
+}
+
+// An insert walks past every node due at or before its instant, so a
+// run of more than ten same-instant events puts the next one at that
+// instant ahead of all of them: it fires last among them.
+func TestEngineLongTieFiresLast(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	record := func(a, b any) { got = append(got, b.(int)) }
+	e.AtCall(9, record, nil, -1)
+	for i := 0; i < 12; i++ {
+		e.AtCall(5, record, nil, i)
+	}
+	e.AtCall(3, record, nil, -2)
+	e.AtCall(5, record, nil, 12)
+	checkQueue(t, e)
+	e.Run(100)
+	want := []int{-2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, -1}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// The insert pass at its two ends on a queue 130 deep: an event due
+// after all the others goes to the head (index 0) past every node, and
+// one due before all of them stays at the tail without moving any.
+func TestEngineInsertDeepQueueEnds(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	for i := 0; i < 130; i++ {
+		at := Time(100 + (i*53)%130) // every instant in [100, 230), shuffled
+		e.AtCall(at, recordAt, &got, at)
+	}
+	checkQueue(t, e)
+	e.AtCall(1000, recordAt, &got, Time(1000))
+	if n := e.queue[0]; n.when != 1000 {
+		t.Fatalf("latest event at index 0 is due %v, want 1000", n.when)
+	}
+	e.AtCall(1, recordAt, &got, Time(1))
+	if n := e.queue[len(e.queue)-1]; n.when != 1 {
+		t.Fatalf("earliest event at the tail is due %v, want 1", n.when)
+	}
+	checkQueue(t, e)
+	e.Run(2000)
+	if len(got) != 132 || got[0] != 1 || got[131] != 1000 {
+		t.Fatalf("fired %d events, first %v, last %v", len(got), got[0], got[len(got)-1])
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("event %d fired at %v after %v", i, got[i], got[i-1])
+		}
+	}
+}
+
+// Disarm closes the gap at each position: the head (index 0, the latest
+// event), a middle node and the tail (the next to fire).
+func TestEngineDisarmHeadMiddleTail(t *testing.T) {
+	for _, drop := range []int{0, 3, 6} { // queue index, latest first
+		e := NewEngine()
+		var got []Time
+		var tms [7]Timer
+		for i := range tms {
+			at := Time(70 - 10*i) // index i of the queue once all are armed
+			tms[i].Init(recordAt, &got, at)
+			e.ArmAfter(&tms[i], Duration(at))
+		}
+		e.Disarm(&tms[drop])
+		checkQueue(t, e)
+		if tms[drop].Armed() || e.Pending() != 6 {
+			t.Fatalf("drop %d: still armed %v, %d pending", drop, tms[drop].Armed(), e.Pending())
+		}
+		e.Run(100)
+		var want []Time
+		for i := len(tms) - 1; i >= 0; i-- {
+			if i != drop {
+				want = append(want, Time(70-10*i))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("drop %d: fired %v, want %v", drop, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("drop %d: fired %v, want %v", drop, got, want)
+			}
+		}
+	}
+}
+
+// An Event, and so a Timer, fills one 64-byte size class on a 64-bit
+// platform: no free-list link rides in every Timer.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("Event is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(Timer{}); got != 64 {
+		t.Fatalf("Timer is %d bytes, want 64", got)
+	}
 }
 
 func TestTimerArmTwicePanics(t *testing.T) {
@@ -395,7 +555,7 @@ func TestTimerNeverRecycled(t *testing.T) {
 		if tm.Armed() {
 			t.Fatalf("round %d: timer still armed after it was due", i)
 		}
-		for ev := eng.free; ev != nil; ev = ev.next {
+		for ev := eng.free; ev != nil; ev = ev.a.(*Event) {
 			if ev == &tm.ev {
 				t.Fatalf("round %d: the timer's Event is on the free list", i)
 			}
